@@ -89,10 +89,6 @@ class ControlStructure:
         return any(w in theirs and theirs[w] != b for w, b in self.bits)
 
 
-def orthogonal(cs1: ControlStructure, cs2: ControlStructure) -> bool:
-    return cs1.orthogonal(cs2)
-
-
 # ---------------------------------------------------------------------------
 # Gates.
 # ---------------------------------------------------------------------------
@@ -257,16 +253,6 @@ def elementary_gate_count(c: Circuit) -> int:
         per_unit = 2 * (controls - 1) + 1 if controls >= 2 else 1
         total += units * per_unit
     return total
-
-
-def size_report(c: Circuit) -> dict[str, int]:
-    return {
-        "gates": c.gate_count(),
-        "input_wires": c.n,
-        "ancillas": c.ancillas,
-        "wires": c.total_wires,
-        "size": circuit_size(c),
-    }
 
 
 def controlled_gate(

@@ -17,7 +17,12 @@ what keeps the circuit polynomial: per worklist pass there are at most
 
 Soundness of the merge rests on an invariant: all control structures in
 the worklist are pairwise orthogonal, so at most one instance is active on
-any basis state.  The invariant is asserted on every iteration.
+any basis state.  The invariant is asserted on every iteration.  Ancilla
+controls stand for the input-wire regions fanned into them, so each
+control structure is first resolved to a reduced ordered binary decision
+diagram (BDD) over the input wires; two structures are disjoint exactly
+when the AND of their BDDs is the false node.  Merging ORs a caller's
+region into the ancilla's.
 
 The bounds guards inserted by `guard_errors` are classical and compile to
 zero gates, so compilation always operates on the guarded program.
@@ -78,6 +83,83 @@ def _extend_control(cs: ControlStructure, wire: int, bit: int) -> ControlStructu
     return cs.extended(wire, bit)
 
 
+class Regions:
+    """Hash-consed reduced ordered BDDs over the input wires (Bryant 1986).
+
+    A region is an int: 0 is the false node, 1 the true node, and any other
+    value indexes `nodes`, a (wire, low, high) triple whose children test
+    only larger wires.  The unique table never builds a node with equal
+    children nor the same triple twice, so two regions are the same set of
+    basis states exactly when they are the same int.
+    """
+
+    FALSE = 0
+    TRUE = 1
+
+    def __init__(self) -> None:
+        self.nodes: list[tuple[int, int, int]] = [(0, 0, 0), (0, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._memo: dict[tuple[bool, int, int], int] = {}
+        self._negated: dict[int, int] = {}
+
+    def node(self, wire: int, low: int, high: int) -> int:
+        if low == high:
+            return low
+        key = (wire, low, high)
+        u = self._unique.get(key)
+        if u is None:
+            u = len(self.nodes)
+            self.nodes.append(key)
+            self._unique[key] = u
+        return u
+
+    def literal(self, wire: int, bit: int) -> int:
+        """The region where `wire` holds `bit`."""
+        return self.node(wire, 1 - bit, bit)
+
+    def conj(self, u: int, v: int) -> int:
+        return self._apply(True, u, v)
+
+    def disj(self, u: int, v: int) -> int:
+        return self._apply(False, u, v)
+
+    def negate(self, u: int) -> int:
+        if u <= self.TRUE:
+            return 1 - u
+        r = self._negated.get(u)
+        if r is None:
+            wire, low, high = self.nodes[u]
+            r = self.node(wire, self.negate(low), self.negate(high))
+            self._negated[u] = r
+        return r
+
+    def _apply(self, conj: bool, u: int, v: int) -> int:
+        # absorbing is the terminal that decides the result alone (false
+        # for AND, true for OR); the other terminal is the identity.
+        absorbing = self.FALSE if conj else self.TRUE
+        if u == absorbing or v == absorbing:
+            return absorbing
+        if u == 1 - absorbing or u == v:
+            return v
+        if v == 1 - absorbing:
+            return u
+        if u > v:
+            u, v = v, u
+        key = (conj, u, v)
+        r = self._memo.get(key)
+        if r is None:
+            wu, lu, hu = self.nodes[u]
+            wv, lv, hv = self.nodes[v]
+            wire = min(wu, wv)
+            if wu != wire:
+                lu = hu = u
+            if wv != wire:
+                lv = hv = v
+            r = self.node(wire, self._apply(conj, lu, lv), self._apply(conj, hu, hv))
+            self._memo[key] = r
+        return r
+
+
 @dataclass
 class AncTable:
     """Ancilla table of one worklist pass.
@@ -104,9 +186,13 @@ class _Context:
     anc_keys: int = 0
     max_worklist: int = 0
     orthogonality_checks: int = 0
-    # For each ancilla wire, the input-wire control structures under which
-    # it holds 1: an ancilla accumulates one entry per call merged into it.
-    meanings: dict[int, list[dict[int, int]]] = field(default_factory=dict)
+    # False compiles every call by expanding its body under the caller's
+    # control structure, without ancillas (`compile_naive`).
+    merge: bool = True
+    regions: Regions = field(default_factory=Regions)
+    # For each ancilla wire, the input-wire region where it holds 1: the OR
+    # of the regions of every call merged into it.
+    meanings: dict[int, int] = field(default_factory=dict)
 
     def new_ancilla(self) -> int:
         self.ancillas += 1
@@ -115,27 +201,23 @@ class _Context:
     def key_budget(self) -> int:
         return (len(self.decls) + 1) * (self.n + 1) ** 2
 
-    def resolve(self, cs: ControlStructure) -> list[dict[int, int]]:
-        """Expand a control structure into input-wire structures.
+    def resolve(self, cs: ControlStructure) -> int:
+        """The input-wire region where a control structure is satisfied.
 
-        Ancilla pins are replaced by each structure the ancilla stands
-        for; combinations pinning one wire to both bits are unsatisfiable
-        and dropped.
+        An ancilla pinned to 1 stands for its meaning, one pinned to 0 for
+        the complement of its meaning.
         """
-        expansions: list[dict[int, int]] = [{}]
+        regions = self.regions
+        region = regions.TRUE
         for wire, bit in cs.bits:
             if wire <= self.n:
-                alternatives = [{wire: bit}]
+                pin = regions.literal(wire, bit)
             else:
-                alternatives = self.meanings.get(wire, [{}])
-            merged = []
-            for partial in expansions:
-                for alt in alternatives:
-                    if any(partial.get(w) not in (None, b) for w, b in alt.items()):
-                        continue
-                    merged.append({**partial, **alt})
-            expansions = merged
-        return expansions
+                pin = self.meanings[wire]
+                if not bit:
+                    pin = regions.negate(pin)
+            region = regions.conj(region, pin)
+        return region
 
 
 def _assign_gates(stmt: Assign, l: tuple[int, ...], cs: ControlStructure) -> list[Gate]:
@@ -191,7 +273,7 @@ def compr(
         sub_l, _, body = _call_parts(ctx, stmt, l)
         if not sub_l:
             return []
-        if ctx.widths[stmt.proc] == 0:
+        if not ctx.merge or ctx.widths[stmt.proc] == 0:
             return compr(ctx, body, sub_l, cs)
         worklist: deque = deque([(cs, body, sub_l)])
         return optimize(ctx, worklist, stmt.proc, AncTable())
@@ -211,15 +293,10 @@ def optimize(
     while worklist:
         ctx.max_worklist = max(ctx.max_worklist, len(worklist))
         resolved = [ctx.resolve(cs_i) for cs_i, _, _ in worklist]
-        for i, exp_i in enumerate(resolved):
-            for exp_j in resolved[i + 1 :]:
+        for i, r_i in enumerate(resolved):
+            for r_j in resolved[i + 1 :]:
                 ctx.orthogonality_checks += 1
-                disjoint = all(
-                    any(m1.get(w) is not None and m1.get(w) != b for w, b in m2.items())
-                    for m1 in exp_i
-                    for m2 in exp_j
-                )
-                if not disjoint:
+                if ctx.regions.conj(r_i, r_j) != Regions.FALSE:
                     raise OrthogonalityError(
                         "two worklist instances share a satisfiable control region; "
                         "merging would corrupt the circuit"
@@ -268,7 +345,7 @@ def optimize(
             key = (stmt.proc, narg, len(sub_l))
             if key in anc.entries:
                 a, seen_l = anc.entries[key]
-                ctx.meanings[a] = ctx.meanings[a] + ctx.resolve(cs)
+                ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
                 if sub_l == seen_l:
                     c_left.append(ControlledNot(cs, a))
                     c_right = [ControlledNot(cs, a)] + c_right
@@ -302,8 +379,7 @@ def optimize(
     return c_left + c_right
 
 
-def compile_with_stats(p: Program, n: int, check: bool = True):
-    """Compile to a circuit, returning (circuit, statistics dict)."""
+def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Context]:
     if check:
         verdict = check_pfoq(p)
         if not verdict.accepted:
@@ -318,9 +394,15 @@ def compile_with_stats(p: Program, n: int, check: bool = True):
         widths=widths(guarded, relations),
         equiv=relations.equiv,
         n=n,
+        merge=merge,
     )
     gates = compr(ctx, guarded.main, tuple(range(1, n + 1)), ControlStructure.empty())
-    circuit = Circuit(n, ctx.ancillas, tuple(gates))
+    return Circuit(n, ctx.ancillas, tuple(gates)), ctx
+
+
+def compile_with_stats(p: Program, n: int, check: bool = True):
+    """Compile to a circuit, returning (circuit, statistics dict)."""
+    circuit, ctx = _compile(p, n, check, merge=True)
     stats = {
         "gates": circuit.gate_count(),
         "wires": circuit.total_wires,
@@ -343,44 +425,7 @@ def compile_naive(p: Program, n: int, check: bool = True) -> Circuit:
     recursive calls in quantum-case branches multiply out and the gate
     count can grow exponentially with n.
     """
-    if check:
-        verdict = check_pfoq(p)
-        if not verdict.accepted:
-            raise NotPfoqError(
-                "program rejected by the tractability check: "
-                + "; ".join(verdict.diagnostics)
-            )
-    guarded = guard_errors(p)
-    decls = guarded.decl_map()
-
-    def expand(stmt: Statement, l: tuple[int, ...], cs: ControlStructure) -> list[Gate]:
-        if isinstance(stmt, Skip):
-            return []
-        if isinstance(stmt, Assign):
-            return _assign_gates(stmt, l, cs)
-        if isinstance(stmt, Seq):
-            return expand(stmt.first, l, cs) + expand(stmt.second, l, cs)
-        if isinstance(stmt, If):
-            branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-            return expand(branch, l, cs)
-        if isinstance(stmt, QCase):
-            pos = eval_qubit(stmt.qubit, l)
-            return expand(stmt.if_zero, l, cs.extended(pos, 0)) + expand(
-                stmt.if_one, l, cs.extended(pos, 1)
-            )
-        if isinstance(stmt, Call):
-            sub_l = eval_set(stmt.set_expr, l)
-            if not sub_l:
-                return []
-            decl = decls[stmt.proc]
-            body = decl.body
-            if decl.param is not None:
-                body = substitute_int(body, decl.param, eval_int(stmt.arg, l))
-            return expand(body, sub_l, cs)
-        raise TypeError(f"not a statement: {stmt!r}")
-
-    gates = expand(guarded.main, tuple(range(1, n + 1)), ControlStructure.empty())
-    return Circuit(n, 0, tuple(gates))
+    return _compile(p, n, check, merge=False)[0]
 
 
 # ---------------------------------------------------------------------------

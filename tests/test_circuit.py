@@ -22,7 +22,6 @@ from foqc.circuit import (
     gate_wires,
     import_json,
     merge_gates,
-    orthogonal,
     pad_ancillas,
     routing_swaps,
     simulate_circuit,
@@ -64,10 +63,10 @@ def test_orthogonality():
     a = ControlStructure.of({1: 0, 2: 1})
     b = ControlStructure.of({1: 1})
     c = ControlStructure.of({3: 0})
-    assert orthogonal(a, b) and orthogonal(b, a)
-    assert not orthogonal(a, c)
-    assert not orthogonal(a, a)  # identical structures can both fire
-    assert not orthogonal(ControlStructure.empty(), a)
+    assert a.orthogonal(b) and b.orthogonal(a)
+    assert not a.orthogonal(c)
+    assert not a.orthogonal(a)  # identical structures can both fire
+    assert not ControlStructure.empty().orthogonal(a)
 
 
 def test_controlled_u_requires_unitary():

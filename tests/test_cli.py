@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foqc
 from foqc.cli import dispatch
 from foqc.programs import BRANCHING_SOURCE, QFT_SOURCE
 
@@ -151,3 +156,18 @@ def test_examples_command(tmp_path, capsys):
     assert names == {"qft.foq", "teleport.foq", "appendix-b.foq"}
     for name in names:
         assert dispatch(["check", str(target / name)]) == 0
+
+
+def test_python_dash_m_runs_the_cli(qft_file):
+    src = str(Path(foqc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-m", "foqc", "check", qft_file],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["accepted"]

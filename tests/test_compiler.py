@@ -55,6 +55,12 @@ def test_branching_gate_count_is_linear(branching):
     assert counts == {7: 22, 10: 34, 14: 50, 20: 74}  # 4n - 6
 
 
+def test_branching_compiles_at_n40(branching):
+    circuit = compile_program(branching, 40)
+    assert circuit.gate_count() == 154  # 4n - 6
+    assert circuit.ancillas == 39
+
+
 def test_naive_expansion_grows_exponentially(branching):
     counts = [
         elementary_gate_count(compile_naive(branching, n)) for n in range(4, 11)
