@@ -143,26 +143,43 @@ def check_wf(p: Program) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def statement_width(stmt: Statement, group: set[str]) -> int:
-    """Maximal number of calls into `group` along one control-flow path."""
+def statement_width(
+    stmt: Statement, group: set[str], memo: dict[int, int] | None = None
+) -> int:
+    """Maximal number of calls into `group` along one control-flow path.
+
+    With `memo`, every subtree's width is stored under its id() and looked
+    up before walking it again.  The caller keeps the statements alive and
+    measures each statement against one group only.
+    """
+    if memo is not None:
+        w = memo.get(id(stmt))
+        if w is not None:
+            return w
     _tick()
     if isinstance(stmt, (Skip, Assign)):
-        return 0
-    if isinstance(stmt, Seq):
-        return statement_width(stmt.first, group) + statement_width(stmt.second, group)
-    if isinstance(stmt, If):
-        return max(
-            statement_width(stmt.then_branch, group),
-            statement_width(stmt.else_branch, group),
+        w = 0
+    elif isinstance(stmt, Seq):
+        w = statement_width(stmt.first, group, memo) + statement_width(
+            stmt.second, group, memo
         )
-    if isinstance(stmt, QCase):
-        return max(
-            statement_width(stmt.if_zero, group),
-            statement_width(stmt.if_one, group),
+    elif isinstance(stmt, If):
+        w = max(
+            statement_width(stmt.then_branch, group, memo),
+            statement_width(stmt.else_branch, group, memo),
         )
-    if isinstance(stmt, Call):
-        return 1 if stmt.proc in group else 0
-    raise TypeError(f"not a statement: {stmt!r}")
+    elif isinstance(stmt, QCase):
+        w = max(
+            statement_width(stmt.if_zero, group, memo),
+            statement_width(stmt.if_one, group, memo),
+        )
+    elif isinstance(stmt, Call):
+        w = 1 if stmt.proc in group else 0
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
+    if memo is not None:
+        memo[id(stmt)] = w
+    return w
 
 
 def widths(p: Program, relations: ProcRelations | None = None) -> dict[str, int]:

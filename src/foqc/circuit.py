@@ -357,12 +357,29 @@ def merge_gates(
 # Simulation.
 # ---------------------------------------------------------------------------
 
+# The widest state held as a dense amplitude array: 2^26 complex amplitudes
+# take 1 GiB.  Checked before any such array is allocated.
+MAX_DENSE_WIRES = 26
+
+
+class WireLimitError(FoqError):
+    """A dense state over more than MAX_DENSE_WIRES wires was requested."""
+
+
+def check_dense_wires(wires: int) -> None:
+    if wires > MAX_DENSE_WIRES:
+        raise WireLimitError(
+            f"a dense state over {wires} wires exceeds the limit of {MAX_DENSE_WIRES}"
+        )
+
 
 def pad_ancillas(psi: np.ndarray, m: int) -> np.ndarray:
     """chi_m: append m ancilla wires in |0> after the existing wires."""
-    zero = np.zeros(1 << m, dtype=complex)
-    zero[0] = 1.0
-    return np.kron(np.asarray(psi, dtype=complex).reshape(-1), zero)
+    flat = np.asarray(psi, dtype=complex).reshape(-1)
+    check_dense_wires((flat.shape[0] - 1).bit_length() + m)
+    out = np.zeros(flat.shape[0] << m, dtype=complex)
+    out[:: 1 << m] = flat
+    return out
 
 
 def trace_ancillas(psi: np.ndarray, m: int) -> np.ndarray:
@@ -379,67 +396,114 @@ def ancilla_residue(psi: np.ndarray, m: int) -> float:
     return max(0.0, total - clean)
 
 
-def _satisfied(cs: ControlStructure, total: int, idx: np.ndarray) -> np.ndarray:
-    sat = np.ones(idx.shape, dtype=bool)
-    for w, b in cs.bits:
-        sat &= ((idx >> (total - w)) & 1) == b
-    return sat
+class _SparseState:
+    """The non-zero amplitudes of a state over `total` wires.
 
+    `index[k]` is a basis-state index (wire 1 is its most significant bit)
+    and `amp[k]` its amplitude; indices are distinct.  Wire permutations
+    rewrite indices in place, diagonal unitaries scale amplitudes in place,
+    and any other ControlledU mixes each group of 2^m entries that differ
+    only on its m targets, dropping the exact zeros it makes.
+    """
 
-def apply_gate(psi: np.ndarray, total: int, gate: Gate) -> np.ndarray:
-    idx = np.arange(1 << total)
-    sat = _satisfied(gate.controls, total, idx)
-    out = psi.copy()
-    if isinstance(gate, ControlledNot):
-        flipped = idx ^ (1 << (total - gate.target))
-        out[sat] = psi[flipped[sat]]
+    def __init__(self, total: int, index: np.ndarray, amp: np.ndarray):
+        self.total = total
+        self.index = index
+        self.amp = amp
+
+    def bit(self, wire: int) -> int:
+        return 1 << (self.total - wire)
+
+    def holding(self, pins) -> np.ndarray | bool:
+        """Which entries hold every (wire, bit) pin; True when there are none."""
+        if not pins:
+            return True
+        mask = want = 0
+        for w, b in pins:
+            mask |= self.bit(w)
+            want |= b * self.bit(w)
+        return (self.index & mask) == want
+
+    def apply(self, gate: Gate) -> None:
+        index = self.index
+        if isinstance(gate, ControlledNot):
+            sat = self.holding(gate.controls.bits)
+            np.bitwise_xor(index, self.bit(gate.target), out=index, where=sat)
+        elif isinstance(gate, ControlledSwap):
+            sat = self.holding(gate.controls.bits)
+            # The pairs are disjoint, so swapping them one by one is exact.
+            for a, b in zip(gate.left, gate.right):
+                shift_a, shift_b = self.total - a, self.total - b
+                diff = ((index >> shift_a) ^ (index >> shift_b)) & 1
+                np.bitwise_xor(index, (diff << shift_a) | (diff << shift_b), out=index, where=sat)
+        elif isinstance(gate, ControlledU):
+            if any(z for i, row in enumerate(gate.matrix) for j, z in enumerate(row) if i != j):
+                self._mix(gate)
+                return
+            # A diagonal matrix mixes nothing: scale the entries holding
+            # each target pattern by its phase.
+            m = len(gate.targets)
+            for j, phase in enumerate(np.diagonal(gate.matrix_array())):
+                if phase != 1:
+                    pattern = [(t, (j >> (m - 1 - i)) & 1) for i, t in enumerate(gate.targets)]
+                    hit = self.holding(gate.controls.bits + tuple(pattern))
+                    np.multiply(self.amp, phase, out=self.amp, where=hit)
+        else:
+            raise TypeError(f"not a gate: {gate!r}")
+
+    def _mix(self, gate: ControlledU) -> None:
+        sat = self.holding(gate.controls.bits)
+        index, amp = (self.index, self.amp) if sat is True else (self.index[sat], self.amp[sat])
+        bits = [self.bit(t) for t in gate.targets]
+        # local[k]: entry k's basis state on the targets, targets[0] being
+        # its most significant bit; offsets[j]: the target bits of local j.
+        local = np.zeros(index.shape, dtype=np.int64)
+        offsets = [0]
+        for b in bits:
+            local = (local << 1) | ((index & b) != 0)
+            offsets = [o | x for o in offsets for x in (0, b)]
+        bases, group = np.unique(index & ~sum(bits), return_inverse=True)
+        block = np.zeros((bases.shape[0], len(offsets)), dtype=complex)
+        block[group, local] = amp
+        mixed = (block @ gate.matrix_array().T).reshape(-1)
+        new_index = (bases[:, None] | np.array(offsets)).reshape(-1)
+        keep = mixed != 0
+        new_index, mixed = new_index[keep], mixed[keep]
+        if sat is not True:
+            new_index = np.concatenate([self.index[~sat], new_index])
+            mixed = np.concatenate([self.amp[~sat], mixed])
+        self.index, self.amp = new_index, mixed
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(1 << self.total, dtype=complex)
+        out[self.index] = self.amp
         return out
-    if isinstance(gate, ControlledSwap):
-        src = idx.copy()
-        for a, b in zip(gate.left, gate.right):
-            bit_a = (idx >> (total - a)) & 1
-            bit_b = (idx >> (total - b)) & 1
-            diff = bit_a ^ bit_b
-            src ^= (diff << (total - a)) | (diff << (total - b))
-        out[sat] = psi[src[sat]]
-        return out
-    if isinstance(gate, ControlledU):
-        m = len(gate.targets)
-        matrix = gate.matrix_array()
-        base_sel = sat.copy()
-        for t in gate.targets:
-            base_sel &= ((idx >> (total - t)) & 1) == 0
-        base = idx[base_sel]
-        offsets = [
-            sum(((j >> (m - 1 - i)) & 1) << (total - gate.targets[i]) for i in range(m))
-            for j in range(1 << m)
-        ]
-        columns = [psi[base + off] for off in offsets]
-        for j_out, off in enumerate(offsets):
-            acc = np.zeros(base.shape, dtype=complex)
-            for j_in in range(1 << m):
-                acc += matrix[j_out, j_in] * columns[j_in]
-            out[base + off] = acc
-        return out
-    raise TypeError(f"not a gate: {gate!r}")
 
 
 def simulate_circuit(c: Circuit, psi) -> np.ndarray:
     """Run the circuit; returns the state over all n + ancillas wires.
 
     Accepts a QuantumState or amplitude array over either the n input
-    wires (ancillas are padded in |0>) or all wires.
+    wires (ancillas are padded in |0>) or all wires.  The simulation keeps
+    only the non-zero amplitudes, so a basis input costs time in proportion
+    to its support, not to 2^(n + ancillas); the dense result is built at
+    the end.
     """
+    check_dense_wires(c.total_wires)
     amps = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).reshape(-1)
     if amps.shape[0] == 1 << c.n:
-        amps = pad_ancillas(amps, c.ancillas)
-    elif amps.shape[0] != 1 << c.total_wires:
+        shift = c.ancillas
+    elif amps.shape[0] == 1 << c.total_wires:
+        shift = 0
+    else:
         raise CircuitError(
             f"state has {amps.shape[0]} amplitudes; expected 2^{c.n} or 2^{c.total_wires}"
         )
+    support = np.flatnonzero(amps)
+    state = _SparseState(c.total_wires, support << shift, amps[support])
     for gate in c.gates:
-        amps = apply_gate(amps, c.total_wires, gate)
-    return amps
+        state.apply(gate)
+    return state.dense()
 
 
 # ---------------------------------------------------------------------------

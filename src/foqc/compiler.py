@@ -62,7 +62,7 @@ from .syntax import (
     Statement,
     format_phase,
     gate_matrix,
-    substitute_int,
+    substituted_body,
 )
 
 
@@ -193,10 +193,19 @@ class _Context:
     # For each ancilla wire, the input-wire region where it holds 1: the OR
     # of the regions of every call merged into it.
     meanings: dict[int, int] = field(default_factory=dict)
+    # Substituted procedure bodies per (procedure, argument).  Keeping them
+    # for the whole compile keeps the ids in `stmt_widths` valid.
+    bodies: dict[tuple[str, int], Statement] = field(default_factory=dict)
+    # statement_width of every subtree measured so far, keyed by id(stmt).
+    # A body only ever reaches the worklist of its own procedure's group.
+    stmt_widths: dict[int, int] = field(default_factory=dict)
 
     def new_ancilla(self) -> int:
         self.ancillas += 1
         return self.n + self.ancillas
+
+    def width(self, stmt: Statement, group: set[str]) -> int:
+        return statement_width(stmt, group, self.stmt_widths)
 
     def key_budget(self) -> int:
         return (len(self.decls) + 1) * (self.n + 1) ** 2
@@ -240,12 +249,8 @@ def _call_parts(ctx: _Context, stmt: Call, l: tuple[int, ...]):
     """Evaluate a call's argument list and substituted body."""
     sub_l = eval_set(stmt.set_expr, l)
     decl = ctx.decls[stmt.proc]
-    narg = None
-    body = decl.body
-    if decl.param is not None:
-        narg = eval_int(stmt.arg, l)
-        body = substitute_int(body, decl.param, narg)
-    return sub_l, narg, body
+    narg = eval_int(stmt.arg, l) if decl.param is not None else None
+    return sub_l, narg, substituted_body(decl, narg, ctx.bodies)
 
 
 def compr(
@@ -302,12 +307,12 @@ def optimize(
                         "merging would corrupt the circuit"
                     )
         cs, stmt, l = worklist.popleft()
-        w = statement_width(stmt, group)
+        w = ctx.width(stmt, group)
         if w == 0:
             c_left += compr(ctx, stmt, l, cs)
             continue
         if isinstance(stmt, Seq):
-            if statement_width(stmt.first, group) == 1:
+            if ctx.width(stmt.first, group) == 1:
                 worklist.append((cs, stmt.first, l))
                 c_right = compr(ctx, stmt.second, l, cs) + c_right
             else:
@@ -320,8 +325,8 @@ def optimize(
             pos = eval_qubit(stmt.qubit, l)
             if pos < 1:
                 raise CompileError("quantum case on an out-of-range qubit reached the compiler")
-            w0 = statement_width(stmt.if_zero, group)
-            w1 = statement_width(stmt.if_one, group)
+            w0 = ctx.width(stmt.if_zero, group)
+            w1 = ctx.width(stmt.if_one, group)
             cs0 = _extend_control(cs, pos, 0)
             cs1 = _extend_control(cs, pos, 1)
             if w0 == 1 and w1 == 1:

@@ -4,9 +4,12 @@ The interpreter evaluates a statement against a configuration made of the
 full n-qubit statevector, the set of accessible qubit positions, and the
 current sorted list of qubit indices.  Qubit 1 is the most significant bit
 of the basis-state index.  Evaluation is exact (no measurement, no
-sampling): a quantum case evaluates both branches on the full state with
-the control qubit removed from the accessible set, then recombines the
-results under the two projections of the control.
+sampling) and works in place on a [2] * n tensor view of one copy of the
+input amplitudes, one axis per qubit: an assignment updates the two halves
+of its qubit's axis, and a quantum case evaluates each branch on the
+width-1 slice where the control qubit holds that branch's bit, with the
+control removed from the accessible set.  The branches cannot touch the
+control, so the slices are independent and nothing is recombined.
 
 Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import check_dense_wires
 from .syntax import (
     Assign,
     BoolAnd,
@@ -55,7 +59,7 @@ from .syntax import (
     Statement,
     format_qubit,
     gate_matrix,
-    substitute_int,
+    substituted_body,
 )
 
 TOP = "top"
@@ -86,6 +90,7 @@ class QuantumState:
     def __init__(self, n: int, amplitudes):
         if n < 0:
             raise ValueError("qubit count must be nonnegative")
+        check_dense_wires(n)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for {n} qubits, got {amps.shape[0]}")
@@ -104,12 +109,14 @@ class QuantumState:
         if set(bits) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {bits!r}")
         n = len(bits)
+        check_dense_wires(n)
         amps = np.zeros(1 << n, dtype=complex)
         amps[int(bits, 2) if bits else 0] = 1.0
         return cls(n, amps)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "QuantumState":
+        check_dense_wires(n)
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         return cls(n, amps / np.linalg.norm(amps))
 
@@ -201,26 +208,34 @@ def eval_qubit(q: QubitExpr, l: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Statevector helpers.
+# In-place state updates on the [2] * n tensor view of the amplitudes.
 # ---------------------------------------------------------------------------
 
 
-def apply_single_qubit(psi: np.ndarray, n: int, target: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 unitary at position target (1-based, MSB first)."""
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, target - 1, 0)
-    t = np.tensordot(matrix, t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, target - 1)
-    return np.ascontiguousarray(t).reshape(-1)
+def _half(t: np.ndarray, pos: int, bit: int) -> np.ndarray:
+    """The width-1 view of t where qubit position pos holds `bit`."""
+    return t[(slice(None),) * (pos - 1) + (slice(bit, bit + 1),)]
 
 
-def project_qubit(psi: np.ndarray, n: int, target: int, bit: int) -> np.ndarray:
-    """Zero the amplitudes where qubit `target` differs from `bit`."""
-    t = psi.reshape([2] * n).copy()
-    sel: list = [slice(None)] * n
-    sel[target - 1] = 1 - bit
-    t[tuple(sel)] = 0
-    return t.reshape(-1)
+def _apply_single_qubit(t: np.ndarray, pos: int, matrix: np.ndarray) -> None:
+    """Apply a 2x2 unitary in place to qubit position pos (1-based)."""
+    a0, a1 = _half(t, pos, 0), _half(t, pos, 1)
+    (u00, u01), (u10, u11) = matrix
+    if u01 == 0 and u10 == 0:  # a phase: scale each half
+        if u00 != 1:
+            a0 *= u00
+        if u11 != 1:
+            a1 *= u11
+        return
+    old0 = a0.copy()
+    if u00 == 0 and u11 == 0:  # anti-diagonal, as NOT: exchange the halves
+        np.multiply(a1, u01, out=a0)
+        np.multiply(old0, u10, out=a1)
+        return
+    a0 *= u00
+    a0 += u01 * a1
+    a1 *= u11
+    a1 += u10 * old0
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +251,16 @@ class EvalOutcome:
     error: str | None = None  # description of the first access violation
 
 
-class _Budget:
-    __slots__ = ("remaining",)
+class _Run:
+    """What one evaluation shares: declarations, step budget, call bodies."""
 
-    def __init__(self, steps: int):
+    __slots__ = ("decls", "remaining", "bodies")
+
+    def __init__(self, decls: dict[str, ProcDecl], steps: int):
+        self.decls = decls
         self.remaining = steps
+        # Substituted bodies per (procedure, classical argument).
+        self.bodies: dict[tuple[str, int], Statement] = {}
 
     def tick(self) -> None:
         self.remaining -= 1
@@ -250,83 +270,91 @@ class _Budget:
 
 def _eval(
     stmt: Statement,
-    psi: np.ndarray,
-    n: int,
+    t: np.ndarray,
     allowed: frozenset[int],
     l: tuple[int, ...],
-    decls: dict[str, ProcDecl],
-    budget: _Budget,
-) -> tuple[str, np.ndarray, int, str | None]:
-    budget.tick()
+    run: _Run,
+) -> tuple[str, int, str | None]:
+    """Evaluate stmt, updating the tensor view t in place.
+
+    Returns (terminal, level, error).  On the error terminal t may be left
+    partly updated; `eval_program` then discards it.
+    """
+    run.tick()
     if isinstance(stmt, Skip):
-        return TOP, psi, 0, None
+        return TOP, 0, None
     if isinstance(stmt, Assign):
         pos = eval_qubit(stmt.qubit, l)
         if pos not in allowed:
-            return BOTTOM, psi, 0, (
+            return BOTTOM, 0, (
                 f"assignment to {format_qubit(stmt.qubit)}: position {pos} is not accessible"
             )
         arg = eval_int(stmt.op.arg, l) if stmt.op.arg is not None else 0
-        return TOP, apply_single_qubit(psi, n, pos, gate_matrix(stmt.op, arg)), 0, None
+        _apply_single_qubit(t, pos, gate_matrix(stmt.op, arg))
+        return TOP, 0, None
     if isinstance(stmt, Seq):
-        t1, psi1, m1, err1 = _eval(stmt.first, psi, n, allowed, l, decls, budget)
+        t1, m1, err1 = _eval(stmt.first, t, allowed, l, run)
         if t1 == BOTTOM:
-            return BOTTOM, psi, m1, err1
-        t2, psi2, m2, err2 = _eval(stmt.second, psi1, n, allowed, l, decls, budget)
-        if t2 == BOTTOM:
-            return BOTTOM, psi, m1 + m2, err2
-        return TOP, psi2, m1 + m2, None
+            return BOTTOM, m1, err1
+        t2, m2, err2 = _eval(stmt.second, t, allowed, l, run)
+        return t2, m1 + m2, err2
     if isinstance(stmt, If):
         branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-        return _eval(branch, psi, n, allowed, l, decls, budget)
+        return _eval(branch, t, allowed, l, run)
     if isinstance(stmt, QCase):
         pos = eval_qubit(stmt.qubit, l)
         if pos not in allowed:
-            return BOTTOM, psi, 0, (
+            return BOTTOM, 0, (
                 f"quantum case on {format_qubit(stmt.qubit)}: position {pos} is not accessible"
             )
+        # Each branch gets the width-1 slice where the control holds its
+        # bit; the branches cannot touch the control, so axes keep their
+        # global positions and the two halves need no recombination.
         sub_allowed = allowed - {pos}
-        t0, psi0, m0, err0 = _eval(stmt.if_zero, psi, n, sub_allowed, l, decls, budget)
-        t1, psi1, m1, err1 = _eval(stmt.if_one, psi, n, sub_allowed, l, decls, budget)
+        t0, m0, err0 = _eval(stmt.if_zero, _half(t, pos, 0), sub_allowed, l, run)
+        t1, m1, err1 = _eval(stmt.if_one, _half(t, pos, 1), sub_allowed, l, run)
         level = max(m0, m1)
         if t0 == BOTTOM or t1 == BOTTOM:
-            return BOTTOM, psi, level, err0 if t0 == BOTTOM else err1
-        combined = project_qubit(psi0, n, pos, 0) + project_qubit(psi1, n, pos, 1)
-        return TOP, combined, level, None
+            return BOTTOM, level, err0 if t0 == BOTTOM else err1
+        return TOP, level, None
     if isinstance(stmt, Call):
         sub_l = eval_set(stmt.set_expr, l)
         if not sub_l:
-            return TOP, psi, 1, None
-        decl = decls.get(stmt.proc)
+            return TOP, 1, None
+        decl = run.decls.get(stmt.proc)
         if decl is None:
             raise EvalError(f"call to undeclared procedure {stmt.proc!r}")
-        body = decl.body
+        arg = None
         if decl.param is not None:
             if stmt.arg is None:
                 raise EvalError(f"procedure {stmt.proc!r} requires a classical argument")
-            body = substitute_int(body, decl.param, eval_int(stmt.arg, l))
-        t, psi2, m, err = _eval(body, psi, n, allowed, sub_l, decls, budget)
-        if t == BOTTOM:
-            return BOTTOM, psi, m + 1, err
-        return TOP, psi2, m + 1, None
+            arg = eval_int(stmt.arg, l)
+        body = substituted_body(decl, arg, run.bodies)
+        terminal, m, err = _eval(body, t, allowed, sub_l, run)
+        return terminal, m + 1, err
     raise TypeError(f"not a statement: {stmt!r}")
 
 
 def eval_program(
     p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET
 ) -> EvalOutcome:
-    """Evaluate the main statement on `state`; never raises on the error terminal."""
+    """Evaluate the main statement on `state`; never raises on the error terminal.
+
+    The input is copied once and updated in place; on the error terminal
+    the outcome carries the untouched input state.
+    """
     n = state.n
     allowed = frozenset(range(1, n + 1))
     l = tuple(range(1, n + 1))
+    psi = state.amplitudes.copy()
     # Deep call chains consume Python stack frames faster than budget
     # units; give the evaluator headroom and report exhaustion of either
     # resource the same way.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
     try:
-        terminal, psi, level, error = _eval(
-            p.main, state.amplitudes, n, allowed, l, p.decl_map(), _Budget(budget)
+        terminal, level, error = _eval(
+            p.main, psi.reshape([2] * n), allowed, l, _Run(p.decl_map(), budget)
         )
     except RecursionError:
         raise BudgetExceededError(
@@ -334,6 +362,8 @@ def eval_program(
         ) from None
     finally:
         sys.setrecursionlimit(limit)
+    if terminal == BOTTOM:
+        psi = state.amplitudes
     return EvalOutcome(terminal, QuantumState(n, psi), level, error)
 
 

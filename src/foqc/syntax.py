@@ -446,6 +446,23 @@ def substitute_int(stmt: Statement, var: str, n: int) -> Statement:
     raise TypeError(f"not a statement: {stmt!r}")
 
 
+def substituted_body(
+    decl: ProcDecl, arg: int | None, memo: dict[tuple[str, int], Statement]
+) -> Statement:
+    """decl's body with its classical parameter replaced by arg.
+
+    Each (procedure, argument) body is built once and kept in `memo`, so a
+    caller that owns the memo gets the same Statement objects every time.
+    """
+    if decl.param is None:
+        return decl.body
+    key = (decl.name, arg)
+    body = memo.get(key)
+    if body is None:
+        body = memo[key] = substitute_int(decl.body, decl.param, arg)
+    return body
+
+
 # ---------------------------------------------------------------------------
 # Variable collection and well-formedness.
 # ---------------------------------------------------------------------------

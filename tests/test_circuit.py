@@ -13,7 +13,6 @@ from foqc.circuit import (
     ControlledSwap,
     ControlledU,
     ancilla_residue,
-    apply_gate,
     circuit_size,
     controlled_gate,
     controlled_u_gate,
@@ -79,6 +78,11 @@ def test_gate_wire_disjointness():
         ControlledNot(ControlStructure.of({1: 1}), 1)
     with pytest.raises(CircuitError):
         ControlledSwap(ControlStructure.empty(), (1,), (1,))
+
+
+def apply_gate(psi, total, gate):
+    """One gate on a state over all `total` wires, via a one-gate circuit."""
+    return simulate_circuit(Circuit(total, 0, (gate,)), psi)
 
 
 def test_apply_cnot_and_cswap():

@@ -124,6 +124,37 @@ def test_simulate_schema_error(tmp_path, capsys):
     assert dispatch(["simulate", str(path), "--state", "0"]) == 4
 
 
+def run_cli(*argv):
+    """Run `python -m foqc` in a fresh process, so tracebacks reach stderr."""
+    src = str(Path(foqc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "foqc", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_simulate_over_the_wire_cap_is_an_input_error(tmp_path):
+    # 40 wires would need 2^40 amplitudes; the cap refuses before allocating.
+    path = tmp_path / "wide.json"
+    path.write_text('{"n":1,"ancillas":39,"gates":[]}')
+    result = run_cli("simulate", str(path), "--state", "0")
+    assert result.returncode == 4
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_wide_basis_states_are_input_errors(qft_file, capsys):
+    assert dispatch(["run", qft_file, "--state", "0" * 40]) == 4
+    assert dispatch(["diff", qft_file, "-n", "40"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("exceeds the limit of 26" in line for line in err)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.foq"
     path.write_text(":: q[1] *= ;")
@@ -159,15 +190,6 @@ def test_examples_command(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli(qft_file):
-    src = str(Path(foqc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-m", "foqc", "check", qft_file],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_cli("check", qft_file)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["accepted"]

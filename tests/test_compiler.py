@@ -105,6 +105,43 @@ def test_diff_report_json(qft):
     assert set(payload) == {"n", "cases", "max_deviation", "max_ancilla_residue"}
 
 
+def rebuilt_diff(program, n, seed=0, samples=32):
+    """diff_check from the public functions it calls, in the same order."""
+    from foqc.analysis import check_pfoq
+    from foqc.circuit import ancilla_residue, simulate_circuit, trace_ancillas
+    from foqc.compiler import DiffReport
+    from foqc.interpreter import QuantumState, guard_errors, run
+
+    assert check_pfoq(program).accepted
+    circuit, _ = compile_with_stats(program, n, check=False)
+    guarded = guard_errors(program)
+    dim = 1 << n
+    if dim <= 64:
+        basis = list(range(dim))
+    else:
+        rng = np.random.default_rng(seed)
+        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=samples)))
+    max_dev = max_residue = 0.0
+    for b in basis:
+        state = QuantumState.from_bits(format(b, f"0{n}b"))
+        expected = run(guarded, state).state.amplitudes
+        full = simulate_circuit(circuit, state)
+        actual = trace_ancillas(full, circuit.ancillas)
+        max_dev = max(max_dev, float(np.max(np.abs(actual - expected))))
+        max_residue = max(max_residue, float(ancilla_residue(full, circuit.ancillas)))
+    return DiffReport(n, len(basis), max_dev, max_residue)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_diff_check_equals_its_rebuild_from_public_functions(corpus, n):
+    # A diff rebuilt from check_pfoq, compile_with_stats, guard_errors, run,
+    # simulate_circuit, trace_ancillas and ancilla_residue must report
+    # exactly what diff_check reports.
+    for program in corpus.values():
+        for seed in (0, 3):
+            assert rebuilt_diff(program, n, seed).to_json() == diff_check(program, n, seed).to_json()
+
+
 def test_teleport_moves_payload(teleport):
     # On 3 wires the teleported qubit ends on the last wire.
     circuit = compile_program(teleport, 3)

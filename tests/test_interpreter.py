@@ -129,6 +129,30 @@ def test_control_qubit_reuse_reaches_bottom():
     assert outcome.terminal == BOTTOM
 
 
+def test_error_terminal_after_a_branch_wrote_its_half():
+    # The 0-branch updates its half of the state in place before the
+    # 1-branch reaches the error terminal: the input must come back intact.
+    program = parse_program(
+        ":: qcase q[1] of { 0 -> q[2] *= H; q[3] *= NOT; , 1 -> q[1] *= NOT; }"
+    )
+    state = QuantumState.random(3, np.random.default_rng(4))
+    before = state.amplitudes.copy()
+    outcome = eval_program(program, state)
+    assert outcome.terminal == BOTTOM
+    assert outcome.error == "assignment to q[1]: position 1 is not accessible"
+    assert np.array_equal(outcome.state.amplitudes, before)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_runs_never_mutate_the_callers_state(corpus):
+    state = QuantumState.random(3, np.random.default_rng(6))
+    before = state.amplitudes.copy()
+    for program in corpus.values():
+        out = run(program, state)
+        assert out.state.amplitudes is not state.amplitudes
+        assert np.array_equal(state.amplitudes, before)
+
+
 def test_guard_errors_makes_out_of_range_a_skip():
     program = parse_program(":: q[5] *= NOT;")
     guarded = guard_errors(program)

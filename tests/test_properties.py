@@ -1,8 +1,18 @@
+from functools import reduce
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from foqc import parse_program, run
-from foqc.circuit import ControlStructure, export_json
+from foqc.circuit import (
+    Circuit,
+    ControlledNot,
+    ControlledSwap,
+    ControlStructure,
+    controlled_u_gate,
+    export_json,
+    simulate_circuit,
+)
 from foqc.compiler import Regions, _Context, compile_program
 from foqc.interpreter import QuantumState
 from foqc.programs import BRANCHING_SOURCE, QFT_SOURCE
@@ -135,3 +145,110 @@ def test_bdd_regions_match_truth_tables(problem):
         assert low != high
         for child in (low, high):
             assert child <= Regions.TRUE or regions.nodes[child][0] > wire
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+X = np.array([[0, 1], [1, 0]])
+
+
+def _unitary(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    if kind == "diagonal":
+        return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
+    if kind == "permutation":  # exact zeros: entries move without mixing
+        return np.eye(dim)[rng.permutation(dim)] * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def small_circuits(draw):
+    """Circuits on at most 5 wires, ancillas included, with 0- and
+    1-controls, multi-target cu and multi-pair cswap gates."""
+    n = draw(st.integers(1, 4))
+    total = draw(st.integers(n, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        wires = draw(st.permutations(range(1, total + 1)))
+        kind = draw(st.sampled_from(["cu", "cnot", "cswap"] if total >= 2 else ["cu", "cnot"]))
+        if kind == "cswap":
+            pairs = draw(st.integers(1, total // 2))
+            targets = wires[: 2 * pairs]
+        else:
+            targets = wires[: draw(st.integers(1, min(3, total)))] if kind == "cu" else wires[:1]
+        rest = wires[len(targets) :]
+        controls = ControlStructure.of(
+            {w: draw(st.integers(0, 1)) for w in rest[: draw(st.integers(0, len(rest)))]}
+        )
+        if kind == "cnot":
+            gates.append(ControlledNot(controls, targets[0]))
+        elif kind == "cswap":
+            gates.append(ControlledSwap(controls, tuple(targets[:pairs]), tuple(targets[pairs:])))
+        else:
+            matrix = _unitary(
+                draw(st.sampled_from(["random", "diagonal", "permutation"])),
+                len(targets),
+                draw(st.integers(0, 2**31)),
+            )
+            gates.append(controlled_u_gate(controls, tuple(targets), matrix))
+    return Circuit(n, total - n, tuple(gates))
+
+
+def _dense(total, controls, targets, matrix):
+    """The full 2^total matrix of `matrix` on `targets` under `controls`,
+    summed from Kronecker products of one-wire factors."""
+    pins = controls.as_dict()
+    m = len(targets)
+    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+
+    def factor(wire, j, k):
+        if wire in pins:
+            return proj[pins[wire]]
+        if wire in targets:
+            shift = m - 1 - targets.index(wire)
+            unit = np.zeros((2, 2))
+            unit[(j >> shift) & 1, (k >> shift) & 1] = 1.0
+            return unit
+        return np.eye(2)
+
+    wires = range(1, total + 1)
+    out = np.eye(1 << total, dtype=complex) - reduce(
+        np.kron, [proj[pins[w]] if w in pins else np.eye(2) for w in wires]
+    )
+    for j in range(1 << m):
+        for k in range(1 << m):
+            out = out + matrix[j, k] * reduce(np.kron, [factor(w, j, k) for w in wires])
+    return out
+
+
+def _dense_gate(total, gate):
+    if isinstance(gate, ControlledNot):
+        return _dense(total, gate.controls, [gate.target], X)
+    if isinstance(gate, ControlledSwap):
+        return reduce(
+            np.matmul,
+            [_dense(total, gate.controls, [a, b], SWAP) for a, b in zip(gate.left, gate.right)],
+        )
+    return _dense(total, gate.controls, list(gate.targets), gate.matrix_array())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    circuit=small_circuits(),
+    seed=st.integers(0, 2**31),
+    padded=st.booleans(),
+    support=st.floats(0.3, 1.0),
+)
+def test_simulate_matches_dense_unitary(circuit, seed, padded, support):
+    rng = np.random.default_rng(seed)
+    total = circuit.total_wires
+    width = total if padded else circuit.n
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    # Zero part of the input, keeping two entries, so sparse inputs are covered.
+    amps[rng.permutation(1 << width)[2:]] *= rng.random((1 << width) - 2) < support
+    amps /= np.linalg.norm(amps)
+    expected = amps if padded else np.kron(amps, np.eye(1 << (total - circuit.n))[0])
+    for gate in circuit.gates:
+        expected = _dense_gate(total, gate) @ expected
+    assert np.allclose(simulate_circuit(circuit, amps), expected, rtol=0, atol=1e-12)
