@@ -246,7 +246,7 @@ class _Builder:
             before = self.wrap("pre", self.translate(term.before))
             rec = self.fresh("rec")
             case = self._selection_qcase(term, rec, controls=[_q_at(i + 1) for i in range(term.k)])
-            recursive = Seq(Call(before, None, _Q), Seq(case, Call(after, None, _Q)))
+            recursive = Seq(Call(before, None, _Q), case, Call(after, None, _Q))
             body = If(
                 BoolCmp(">", SetSize(_Q), IntLit(term.t)),
                 recursive,

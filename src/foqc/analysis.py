@@ -160,9 +160,7 @@ def statement_width(
     if isinstance(stmt, (Skip, Assign)):
         w = 0
     elif isinstance(stmt, Seq):
-        w = statement_width(stmt.first, group, memo) + statement_width(
-            stmt.second, group, memo
-        )
+        w = sum(statement_width(item, group, memo) for item in stmt.items)
     elif isinstance(stmt, If):
         w = max(
             statement_width(stmt.then_branch, group, memo),

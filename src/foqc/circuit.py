@@ -3,9 +3,9 @@
 Circuits act on n input wires plus ancilla wires numbered n+1 … n+ancillas,
 each created in |0>.  Every gate carries a control structure: a partial map
 from wires to required bit values; the gate acts only on the basis states
-satisfying all controls.  Two control structures are orthogonal when some
-wire is pinned to different bits in both — orthogonal regions are never
-simultaneously active, which is what makes gate merging sound.
+satisfying all controls.  The compiler merges calls only under control
+structures that are never active on the same basis state; it checks that
+on their regions over the input wires (`compiler.Regions`).
 
 Gate kinds:
   - ControlledU: a 2^m x 2^m unitary on m target wires.
@@ -82,11 +82,6 @@ class ControlStructure:
                 raise CircuitError(f"wire {wire} already pinned to {current}")
             return self
         return ControlStructure(tuple(sorted(self.bits + ((wire, bit),))))
-
-    def orthogonal(self, other: "ControlStructure") -> bool:
-        """True when no basis state satisfies both structures."""
-        theirs = other.as_dict()
-        return any(w in theirs and theirs[w] != b for w, b in self.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -303,54 +298,6 @@ def routing_swaps(
         at[w_to] = i
         holder[i] = w_to
     return gates
-
-
-# ---------------------------------------------------------------------------
-# Gate merging: k orthogonally-controlled instances of one unitary collapse
-# into a single ancilla-controlled instance plus fan-in and routing.
-# ---------------------------------------------------------------------------
-
-
-def merge_gates(
-    instances: list[tuple[ControlStructure, tuple[int, ...]]],
-    matrix: np.ndarray,
-    n: int,
-    label: str | None = None,
-) -> Circuit:
-    """Merge controlled instances (cs_i, l_i) of one unitary into one gate.
-
-    Construction: fresh ancillas a_1..a_k; NOT(cs_i, a_i) marks which
-    instance fires; NOT(a_i=1, a_k) for i<k fans the mark into a_k; swaps
-    controlled on a_i route l_i's wires into l_k's; a single ControlledU on
-    (a_k=1, l_k) applies the unitary; the mirrored prefix restores ancillas
-    and wire positions.  Every ancilla returns to |0> on basis inputs.
-    """
-    if not instances:
-        raise CircuitError("merge_gates requires at least one instance")
-    arity = len(instances[0][1])
-    for _, l in instances:
-        if len(l) != arity:
-            raise CircuitError("all merged instances must have equal arity")
-    for i, (cs_i, _) in enumerate(instances):
-        for cs_j, _ in instances[i + 1 :]:
-            if not cs_i.orthogonal(cs_j):
-                raise CircuitError("merged control structures must be pairwise orthogonal")
-    k = len(instances)
-    anc = [n + i + 1 for i in range(k)]
-    a_k = anc[-1]
-    l_k = tuple(instances[-1][1])
-
-    prefix: list[Gate] = []
-    for (cs_i, _), a_i in zip(instances, anc):
-        prefix.append(ControlledNot(cs_i, a_i))
-    for a_i in anc[:-1]:
-        prefix.append(ControlledNot(ControlStructure.of({a_i: 1}), a_k))
-    for (_, l_i), a_i in zip(instances[:-1], anc[:-1]):
-        prefix.extend(routing_swaps(ControlStructure.of({a_i: 1}), tuple(l_i), l_k))
-
-    u_gate = controlled_u_gate(ControlStructure.of({a_k: 1}), l_k, matrix, label)
-    gates = tuple(prefix) + (u_gate,) + tuple(reversed(prefix))
-    return Circuit(n, k, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -161,22 +161,6 @@ class Regions:
 
 
 @dataclass
-class AncTable:
-    """Ancilla table of one worklist pass.
-
-    Maps (procedure, classical argument, set size) to the control ancilla
-    and wire list of the first instance compiled for that key.
-    """
-
-    entries: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]] = field(
-        default_factory=dict
-    )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
 class _Context:
     decls: dict
     widths: dict[str, int]
@@ -257,41 +241,56 @@ def compr(
     ctx: _Context, stmt: Statement, l: tuple[int, ...], cs: ControlStructure
 ) -> list[Gate]:
     """Directly compile a statement whose recursive width is zero or whose
-    recursive calls each start their own worklist pass."""
-    if isinstance(stmt, Skip):
-        return []
-    if isinstance(stmt, Assign):
-        return _assign_gates(stmt, l, cs)
-    if isinstance(stmt, Seq):
-        return compr(ctx, stmt.first, l, cs) + compr(ctx, stmt.second, l, cs)
-    if isinstance(stmt, If):
-        branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-        return compr(ctx, branch, l, cs)
-    if isinstance(stmt, QCase):
-        pos = eval_qubit(stmt.qubit, l)
-        if pos < 1:
-            raise CompileError("quantum case on an out-of-range qubit reached the compiler")
-        return compr(ctx, stmt.if_zero, l, _extend_control(cs, pos, 0)) + compr(
-            ctx, stmt.if_one, l, _extend_control(cs, pos, 1)
-        )
-    if isinstance(stmt, Call):
-        sub_l, _, body = _call_parts(ctx, stmt, l)
-        if not sub_l:
-            return []
-        if not ctx.merge or ctx.widths[stmt.proc] == 0:
-            return compr(ctx, body, sub_l, cs)
-        worklist: deque = deque([(cs, body, sub_l)])
-        return optimize(ctx, worklist, stmt.proc, AncTable())
-    raise TypeError(f"not a statement: {stmt!r}")
+    recursive calls each start their own worklist pass.
+
+    Runs on an explicit stack of (statement, list, control) entries, popped
+    in program order, so neither sequence length nor a chain of expanded
+    calls deepens the Python stack; only a width-1 call enters `optimize`.
+    """
+    gates: list[Gate] = []
+    stack = [(stmt, l, cs)]
+    while stack:
+        stmt, l, cs = stack.pop()
+        if isinstance(stmt, Skip):
+            continue
+        if isinstance(stmt, Assign):
+            gates += _assign_gates(stmt, l, cs)
+        elif isinstance(stmt, Seq):
+            stack += [(item, l, cs) for item in reversed(stmt.items)]
+        elif isinstance(stmt, If):
+            branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
+            stack.append((branch, l, cs))
+        elif isinstance(stmt, QCase):
+            pos = eval_qubit(stmt.qubit, l)
+            if pos < 1:
+                raise CompileError("quantum case on an out-of-range qubit reached the compiler")
+            stack.append((stmt.if_one, l, _extend_control(cs, pos, 1)))
+            stack.append((stmt.if_zero, l, _extend_control(cs, pos, 0)))
+        elif isinstance(stmt, Call):
+            sub_l, _, body = _call_parts(ctx, stmt, l)
+            if not sub_l:
+                continue
+            if not ctx.merge or ctx.widths[stmt.proc] == 0:
+                stack.append((body, sub_l, cs))
+            else:
+                gates += optimize(ctx, deque([(cs, body, sub_l)]), stmt.proc, {})
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return gates
 
 
 def optimize(
     ctx: _Context,
     worklist: deque,
     proc: str,
-    anc: AncTable,
+    anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]],
 ) -> list[Gate]:
-    """Worklist compilation of one mutually recursive procedure group."""
+    """Worklist compilation of one mutually recursive procedure group.
+
+    `anc` is the pass's ancilla table: it maps (procedure, classical
+    argument, set size) to the control ancilla and wire list of the first
+    instance compiled for that key.
+    """
     group = ctx.equiv[proc]
     c_left: list[Gate] = []
     c_right: list[Gate] = []
@@ -312,12 +311,18 @@ def optimize(
             c_left += compr(ctx, stmt, l, cs)
             continue
         if isinstance(stmt, Seq):
-            if ctx.width(stmt.first, group) == 1:
-                worklist.append((cs, stmt.first, l))
-                c_right = compr(ctx, stmt.second, l, cs) + c_right
-            else:
-                worklist.append((cs, stmt.second, l))
-                c_left += compr(ctx, stmt.first, l, cs)
+            # The prefix before the width-1 item goes to C_L, the item to
+            # the worklist, the suffix to C_R.
+            items = stmt.items
+            k = next(
+                (i for i, item in enumerate(items) if ctx.width(item, group) == 1),
+                len(items) - 1,
+            )
+            for item in items[:k]:
+                c_left += compr(ctx, item, l, cs)
+            worklist.append((cs, items[k], l))
+            suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, cs)]
+            c_right = suffix + c_right
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
             worklist.append((cs, branch, l))
@@ -348,8 +353,8 @@ def optimize(
                 worklist.append((cs, body, sub_l))
                 continue
             key = (stmt.proc, narg, len(sub_l))
-            if key in anc.entries:
-                a, seen_l = anc.entries[key]
+            if key in anc:
+                a, seen_l = anc[key]
                 ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
                 if sub_l == seen_l:
                     c_left.append(ControlledNot(cs, a))
@@ -369,7 +374,7 @@ def optimize(
             else:
                 a = ctx.new_ancilla()
                 ctx.meanings[a] = ctx.resolve(cs)
-                anc.entries[key] = (a, sub_l)
+                anc[key] = (a, sub_l)
                 ctx.anc_keys += 1
                 if len(anc) > ctx.key_budget():
                     raise CompileError(

@@ -293,11 +293,19 @@ def _eval(
         _apply_single_qubit(t, pos, gate_matrix(stmt.op, arg))
         return TOP, 0, None
     if isinstance(stmt, Seq):
-        t1, m1, err1 = _eval(stmt.first, t, allowed, l, run)
-        if t1 == BOTTOM:
-            return BOTTOM, m1, err1
-        t2, m2, err2 = _eval(stmt.second, t, allowed, l, run)
-        return t2, m1 + m2, err2
+        # A k-item sequence costs k - 1 steps, as k - 1 nested binary
+        # sequences did: the entry tick pays for the first item, and each
+        # later item but the last is charged just before it runs.
+        last = len(stmt.items) - 1
+        level = 0
+        for i, item in enumerate(stmt.items):
+            if 0 < i < last:
+                run.tick()
+            terminal, m, err = _eval(item, t, allowed, l, run)
+            level += m
+            if terminal == BOTTOM:
+                return BOTTOM, level, err
+        return TOP, level, None
     if isinstance(stmt, If):
         branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
         return _eval(branch, t, allowed, l, run)
@@ -347,8 +355,8 @@ def eval_program(
     allowed = frozenset(range(1, n + 1))
     l = tuple(range(1, n + 1))
     psi = state.amplitudes.copy()
-    # Deep call chains consume Python stack frames faster than budget
-    # units; give the evaluator headroom and report exhaustion of either
+    # Sequences are evaluated in a loop, but every call nests two frames;
+    # give deep call chains headroom and report exhaustion of either
     # resource the same way.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
@@ -399,7 +407,7 @@ def guard_statement(stmt: Statement) -> Statement:
     if isinstance(stmt, Assign):
         return If(_bounds_guard(stmt.qubit), stmt, Skip())
     if isinstance(stmt, Seq):
-        return Seq(guard_statement(stmt.first), guard_statement(stmt.second))
+        return Seq(*(guard_statement(item) for item in stmt.items))
     if isinstance(stmt, If):
         return If(
             stmt.cond,

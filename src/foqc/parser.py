@@ -40,7 +40,9 @@ Line comments start with `//`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Assign,
@@ -108,6 +110,26 @@ class ParseError(FoqError):
         self.message = message
 
 
+class _Source:
+    """Source text that turns offsets into spans, for error messages only.
+
+    The line-start table is built on the first request and shared by every
+    later one, so each span costs a binary search.
+    """
+
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
+        self._line_starts: list[int] | None = None
+
+    def span(self, begin: int, end: int) -> SourceSpan:
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        line = bisect_right(self._line_starts, begin)
+        column = begin - self._line_starts[line - 1] + 1
+        return SourceSpan(self.filename, begin, end, line, column)
+
+
 KEYWORDS = {
     "decl",
     "skip",
@@ -135,47 +157,33 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>::|->|\*=|<=|>=|&&|\|\||[{}()\[\],;\\+\-*/^<>=!])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", keyword text, symbol text, or "eof"
     text: str
-    span: SourceSpan
+    begin: int  # offset into the source text
 
 
 def tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(filename, pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(span, f"unexpected character {text[pos]!r}")
-        span = SourceSpan(filename, m.start(), m.end(), line, m.start() - line_start + 1)
-        if m.lastgroup in ("ws", "comment"):
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + chunk.rindex("\n") + 1
-        elif m.lastgroup == "int":
-            tokens.append(Token("int", m.group(), span))
-        elif m.lastgroup == "name":
-            word = m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "name":
             kind = word if word in KEYWORDS else "name"
-            tokens.append(Token(kind, word, span))
-        else:
-            tokens.append(Token(m.group(), m.group(), span))
-        pos = m.end()
-    tokens.append(
-        Token("eof", "", SourceSpan(filename, len(text), len(text), line, len(text) - line_start + 1))
-    )
+        elif kind == "sym":
+            kind = word
+        elif kind == "bad":
+            span = _Source(text, filename).span(m.start(), m.end())
+            raise ParseError(span, f"unexpected character {word!r}")
+        tokens.append(Token(kind, word, m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -195,7 +203,7 @@ def cnot_statement(control: QubitExpr, target: QubitExpr) -> Statement:
 
 
 def swap_statement(a: QubitExpr, b: QubitExpr) -> Statement:
-    return Seq(cnot_statement(a, b), Seq(cnot_statement(b, a), cnot_statement(a, b)))
+    return Seq(cnot_statement(a, b), cnot_statement(b, a), cnot_statement(a, b))
 
 
 def expand_multiqcase(
@@ -219,9 +227,13 @@ def expand_multiqcase(
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str):
+        self.source = _Source(text, filename)
+        self.tokens = tokenize(text, filename)
         self.pos = 0
+
+    def error(self, tok: Token, message: str) -> ParseError:
+        return ParseError(self.source.span(tok.begin, tok.begin + len(tok.text)), message)
 
     # -- token helpers ----------------------------------------------------
 
@@ -237,7 +249,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(tok.span, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
+            raise self.error(tok, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def accept(self, kind: str) -> Token | None:
@@ -337,7 +349,7 @@ class _Parser:
             result = self.parse_op_assignment(q)
             self.expect(";")
             return result
-        raise ParseError(tok.span, f"expected a statement, found {tok.text or 'end of input'!r}")
+        raise self.error(tok, f"expected a statement, found {tok.text or 'end of input'!r}")
 
     def parse_op_assignment(self, q: QubitExpr) -> Statement:
         tok = self.next()
@@ -354,11 +366,11 @@ class _Parser:
             self.expect(")")
             kind = OP_RY if tok.kind == "RY" else OP_PH
             return Assign(q, Operator(kind, phase, arg))
-        raise ParseError(tok.span, f"expected an operator, found {tok.text!r}")
+        raise self.error(tok, f"expected an operator, found {tok.text!r}")
 
     def parse_qcase(self) -> Statement:
         self.expect("qcase")
-        start = self.peek().span
+        start = self.peek()
         s = self.parse_sexpr()
         self.expect("[")
         indices = [self.parse_iexpr()]
@@ -373,19 +385,19 @@ class _Parser:
             label_tok = self.expect("int")
             label = label_tok.text
             if len(label) != k or set(label) - {"0", "1"}:
-                raise ParseError(
-                    label_tok.span,
+                raise self.error(
+                    label_tok,
                     f"quantum case over {k} qubit(s) needs length-{k} bitstring labels, got {label!r}",
                 )
             if label in branches:
-                raise ParseError(label_tok.span, f"duplicate quantum case label {label!r}")
+                raise self.error(label_tok, f"duplicate quantum case label {label!r}")
             self.expect("->")
             branches[label] = self.parse_stmts(stop={",", "}"})
             if not self.accept(","):
                 break
         self.expect("}")
         if len(branches) != 1 << k:
-            raise ParseError(
+            raise self.error(
                 start,
                 f"quantum case over {k} qubit(s) needs {1 << k} branches, got {len(branches)}",
             )
@@ -403,7 +415,7 @@ class _Parser:
             self.next()
             base = SetVar(tok.text)
         else:
-            raise ParseError(tok.span, f"expected a sorted set, found {tok.text!r}")
+            raise self.error(tok, f"expected a sorted set, found {tok.text!r}")
         while self.peek().kind == "\\":
             self.next()
             self.expect("[")
@@ -448,7 +460,7 @@ class _Parser:
             expr = self.parse_iexpr()
             self.expect(")")
             return expr
-        raise ParseError(tok.span, f"expected an integer expression, found {tok.text!r}")
+        raise self.error(tok, f"expected an integer expression, found {tok.text!r}")
 
     def parse_bexpr(self) -> BoolExpr:
         expr = self.parse_band()
@@ -494,7 +506,7 @@ class _Parser:
             self.next()
             right = self.parse_iexpr()
             return BoolCmp(">" if tok.kind == "<" else ">=", right, left)
-        raise ParseError(tok.span, f"expected a comparison operator, found {tok.text!r}")
+        raise self.error(tok, f"expected a comparison operator, found {tok.text!r}")
 
     # -- phase expressions ------------------------------------------------------
 
@@ -523,7 +535,7 @@ class _Parser:
             self.next()
             if self.peek().kind == "^":
                 if tok.text != "2":
-                    raise ParseError(tok.span, "only base-2 exponentials are supported")
+                    raise self.error(tok, "only base-2 exponentials are supported")
                 self.next()
                 return PhasePow2(self.parse_phase_factor())
             return PhaseConst(int(tok.text))
@@ -538,17 +550,17 @@ class _Parser:
             expr = self.parse_phase()
             self.expect(")")
             return expr
-        raise ParseError(tok.span, f"expected a phase expression, found {tok.text!r}")
+        raise self.error(tok, f"expected a phase expression, found {tok.text!r}")
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse .foq source text into a Program; raises ParseError."""
-    return _Parser(tokenize(text, filename)).parse_program()
+    return _Parser(text, filename).parse_program()
 
 
 def parse_phase_text(text: str, filename: str = "<phase>") -> PhaseExpr:
     """Parse a standalone phase expression (used by the algebra term reader)."""
-    parser = _Parser(tokenize(text, filename))
+    parser = _Parser(text, filename)
     expr = parser.parse_phase()
     parser.expect("eof")
     return expr

@@ -280,10 +280,28 @@ class Assign(Statement):
     op: Operator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq(Statement):
-    first: Statement
-    second: Statement
+    """Two or more statements in order.  The constructor splices nested
+    sequences, so sequences of the same statements are equal."""
+
+    items: tuple[Statement, ...]
+
+    def __init__(self, *stmts: Statement):
+        items = tuple(item for stmt in stmts for item in seq_items(stmt))
+        if len(items) < 2:
+            raise ValueError("a sequence holds at least two statements")
+        object.__setattr__(self, "items", items)
+
+    # The binary reading Seq(first, second), for outside callers; `second`
+    # builds a new Seq on every read.
+    @property
+    def first(self) -> Statement:
+        return self.items[0]
+
+    @property
+    def second(self) -> Statement:
+        return self.items[1] if len(self.items) == 2 else Seq(*self.items[1:])
 
 
 @dataclass(frozen=True)
@@ -325,25 +343,20 @@ class Program:
 
 
 def seq_all(stmts: list[Statement]) -> Statement:
-    """Fold a statement list into a right-nested sequence.
-
-    Nested sequences among the inputs are flattened first, so sequences
-    built from the same statements always share one normal form.
-    """
-    flat = [item for stmt in stmts for item in seq_items(stmt)]
-    if not flat:
+    """The sequence of a statement list: skip when empty, the statement
+    itself when alone, otherwise a flat Seq."""
+    if not stmts:
         return Skip()
-    result = flat[-1]
-    for stmt in reversed(flat[:-1]):
-        result = Seq(stmt, result)
-    return result
+    if len(stmts) == 1:
+        return stmts[0]
+    return Seq(*stmts)
 
 
-def seq_items(stmt: Statement) -> list[Statement]:
-    """Flatten nested sequences into a statement list."""
+def seq_items(stmt: Statement) -> tuple[Statement, ...]:
+    """The items of a sequence, or the statement alone."""
     if isinstance(stmt, Seq):
-        return seq_items(stmt.first) + seq_items(stmt.second)
-    return [stmt]
+        return stmt.items
+    return (stmt,)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +441,7 @@ def substitute_int(stmt: Statement, var: str, n: int) -> Statement:
             op = Operator(op.kind, op.phase, _subst_int(op.arg, var, n))
         return Assign(_subst_qubit(stmt.qubit, var, n), op)
     if isinstance(stmt, Seq):
-        return Seq(substitute_int(stmt.first, var, n), substitute_int(stmt.second, var, n))
+        return Seq(*(substitute_int(item, var, n) for item in stmt.items))
     if isinstance(stmt, If):
         return If(
             _subst_bool(stmt.cond, var, n),
@@ -466,17 +479,6 @@ def substituted_body(
 # ---------------------------------------------------------------------------
 # Variable collection and well-formedness.
 # ---------------------------------------------------------------------------
-
-
-def _int_vars(e: IntExpr | None, out: set[str]) -> None:
-    if e is None or isinstance(e, IntLit):
-        return
-    if isinstance(e, IntVar):
-        out.add(e.name)
-    elif isinstance(e, (IntAdd, IntSub)):
-        _int_vars(e.base, out)
-    elif isinstance(e, SetSize):
-        _set_vars(e.set_expr, out, set())
 
 
 def _set_vars(s: SetExpr, set_out: set[str], int_out: set[str]) -> None:
@@ -523,8 +525,8 @@ def statement_vars(stmt: Statement) -> tuple[set[str], set[str]]:
             if s.op.arg is not None:
                 _int_vars_full(s.op.arg, set_out, int_out)
         elif isinstance(s, Seq):
-            walk(s.first)
-            walk(s.second)
+            for item in s.items:
+                walk(item)
         elif isinstance(s, If):
             _bool_vars(s.cond, set_out, int_out)
             walk(s.then_branch)
@@ -548,8 +550,8 @@ def statement_calls(stmt: Statement) -> list[Call]:
 
     def walk(s: Statement) -> None:
         if isinstance(s, Seq):
-            walk(s.first)
-            walk(s.second)
+            for item in s.items:
+                walk(item)
         elif isinstance(s, If):
             walk(s.then_branch)
             walk(s.else_branch)
@@ -723,8 +725,8 @@ def _print_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
     elif isinstance(stmt, Assign):
         out.append(f"{pad}{format_qubit(stmt.qubit)} *= {format_operator(stmt.op)};")
     elif isinstance(stmt, Seq):
-        _print_stmt(stmt.first, indent, out)
-        _print_stmt(stmt.second, indent, out)
+        for item in stmt.items:
+            _print_stmt(item, indent, out)
     elif isinstance(stmt, If):
         out.append(f"{pad}if {format_bool(stmt.cond)} then {{")
         _print_stmt(stmt.then_branch, indent + 1, out)

@@ -30,7 +30,7 @@ def invert_statement(stmt: Statement) -> Statement:
     if isinstance(stmt, Assign):
         return Assign(stmt.qubit, invert_operator(stmt.op))
     if isinstance(stmt, Seq):
-        return Seq(invert_statement(stmt.second), invert_statement(stmt.first))
+        return Seq(*(invert_statement(item) for item in reversed(stmt.items)))
     if isinstance(stmt, If):
         return If(
             stmt.cond,

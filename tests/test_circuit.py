@@ -11,7 +11,6 @@ from foqc.circuit import (
     ControlStructure,
     ControlledNot,
     ControlledSwap,
-    ControlledU,
     ancilla_residue,
     circuit_size,
     controlled_gate,
@@ -20,7 +19,6 @@ from foqc.circuit import (
     export_json,
     gate_wires,
     import_json,
-    merge_gates,
     pad_ancillas,
     routing_swaps,
     simulate_circuit,
@@ -56,16 +54,6 @@ def test_extension_conflict_detected():
     assert cs.extended(2, 1).as_dict() == {1: 0, 2: 1}
     with pytest.raises(CircuitError):
         cs.extended(1, 1)
-
-
-def test_orthogonality():
-    a = ControlStructure.of({1: 0, 2: 1})
-    b = ControlStructure.of({1: 1})
-    c = ControlStructure.of({3: 0})
-    assert a.orthogonal(b) and b.orthogonal(a)
-    assert not a.orthogonal(c)
-    assert not a.orthogonal(a)  # identical structures can both fire
-    assert not ControlStructure.empty().orthogonal(a)
 
 
 def test_controlled_u_requires_unitary():
@@ -160,52 +148,6 @@ def test_routing_swaps_route_and_reverse():
 def test_routing_rejects_mismatched_lengths():
     with pytest.raises(CircuitError):
         routing_swaps(ControlStructure.empty(), (1, 2), (3,))
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_merge_matches_sequential_application(k):
-    n = 4
-    # k pairwise-orthogonal controls on wire 1/2 and distinct targets.
-    patterns = [{1: 0}, {1: 1, 2: 0}, {1: 1, 2: 1}][:k]
-    targets = [(3,), (4,), (3,)][:k]
-    instances = [(ControlStructure.of(p), t) for p, t in zip(patterns, targets)]
-    merged = merge_gates(instances, H, n, "H")
-    sequential = Circuit(
-        n,
-        0,
-        tuple(controlled_u_gate(cs, t, H, "H") for cs, t in instances),
-    )
-    for index in range(1 << n):
-        psi = basis(n, index)
-        out_merged = trace_ancillas(simulate_circuit(merged, psi), merged.ancillas)
-        out_seq = simulate_circuit(sequential, psi)
-        assert np.allclose(out_merged, out_seq, atol=1e-12)
-        residue = ancilla_residue(
-            simulate_circuit(merged, psi), merged.ancillas
-        )
-        assert residue < 1e-12  # ancillas restored to |0>
-
-
-def test_merge_uses_one_copy_of_the_unitary():
-    instances = [
-        (ControlStructure.of({1: 0}), (2,)),
-        (ControlStructure.of({1: 1}), (3,)),
-    ]
-    merged = merge_gates(instances, H, 3, "H")
-    assert sum(isinstance(g, ControlledU) for g in merged.gates) == 1
-    assert merged.ancillas == 2
-
-
-def test_merge_rejects_non_orthogonal_instances():
-    with pytest.raises(CircuitError):
-        merge_gates(
-            [
-                (ControlStructure.of({1: 0}), (2,)),
-                (ControlStructure.of({2: 0}), (3,)),
-            ],
-            H,
-            3,
-        )
 
 
 def test_pad_and_trace_ancillas():

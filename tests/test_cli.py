@@ -76,6 +76,23 @@ def test_run_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert dispatch(["run", str(path), "--state", "0"]) == 3
 
 
+def test_sequence_steps_match_the_binary_sequencing_rule(tmp_path, capsys):
+    # Each sequencing rule of a k-statement sequence costs one step, charged
+    # before the statement it opens; the largest failing budgets are pinned.
+    straight = tmp_path / "straight.foq"
+    straight.write_text(
+        ":: q[1] *= H; CNOT(q[1], q[2]); q[3] *= PH[pi / 4](0);\n"
+        "if size(q) > 2 then { q[2] *= NOT; q[3] *= NOT; } else { skip; }\n"
+        "SWAP(q[1], q[3]); skip;\n"
+    )
+    assert dispatch(["run", str(straight), "--state", "000", "--budget", "27"]) == 3
+    assert dispatch(["run", str(straight), "--state", "000", "--budget", "28"]) == 0
+    bottom = tmp_path / "bottom.foq"
+    bottom.write_text(":: q[1] *= NOT; q[2] *= NOT; q[5] *= NOT; q[3] *= NOT; q[1] *= NOT;")
+    assert dispatch(["run", str(bottom), "--state", "000", "--budget", "5"]) == 3
+    assert dispatch(["run", str(bottom), "--state", "000", "--budget", "6"]) == 2
+
+
 def test_level_command(qft_file, capsys):
     assert dispatch(["level", qft_file, "-n", "4"]) == 0
     assert out_json(capsys) == {"n": 4, "level": 18}

@@ -161,3 +161,32 @@ def test_phase_grammar():
 def test_non_base_two_exponential_rejected():
     with pytest.raises(ParseError, match="base-2"):
         parse_program(":: q[1] *= PH[3^x](0);")
+
+
+@pytest.mark.parametrize(
+    "text, location, message",
+    [
+        ("// header\n\n:: skip;\n  skip; @\n", "in.foq:4:9", "unexpected character '@'"),
+        (
+            "decl f(p) {\n  // no operator\n\n  p[1] *= ;\n},\n:: call f(q);\n",
+            "in.foq:4:11",
+            "expected an operator",
+        ),
+        (":: skip;\n// trailing comment\n\nskip", "in.foq:4:5", "end of input"),
+        (
+            ":: skip;\n\n  // a case\n  qcase q[1, 2] of { 00 -> skip; }\n",
+            "in.foq:4:9",
+            "needs 4 branches",
+        ),
+        (
+            ":: skip; // (\n\n// backtracks\nif (size(q) > 1 then { skip; } else { skip; }\n",
+            "in.foq:4:13",
+            "expected ')', found '>'",
+        ),
+    ],
+)
+def test_error_location_on_later_lines(text, location, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(text, filename="in.foq")
+    assert str(excinfo.value).startswith(location + ": ")
+    assert message in str(excinfo.value)

@@ -69,24 +69,6 @@ def test_compile_is_deterministic_bytes(n):
     )
 
 
-control_structures = st.dictionaries(
-    st.integers(1, 4), st.integers(0, 1), max_size=4
-).map(ControlStructure.of)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=control_structures, b=control_structures)
-def test_orthogonality_is_symmetric(a, b):
-    assert a.orthogonal(b) == b.orthogonal(a)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=control_structures)
-def test_orthogonality_is_irreflexive(a):
-    # A structure can always fire together with itself.
-    assert not a.orthogonal(a)
-
-
 @st.composite
 def region_problems(draw):
     """n <= 6 input wires, ancillas meaning ORs of input-wire control
