@@ -6,7 +6,7 @@ Modules:
   - interpreter: exact statevector semantics with levels and bounds guards
   - analysis: call relations, recursion widths/ranks, tractability verdict
   - transform: program inversion
-  - circuit: controlled-gate IR, simulator, merging primitive, JSON
+  - circuit: controlled-gate IR, simulator, JSON
   - compiler: worklist compilation with ancilla-table merging
   - algebra: function-algebra terms, evaluator, and program translation
   - programs: bundled example programs

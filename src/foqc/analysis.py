@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .interpreter import guard_errors
 from .syntax import (
     Assign,
     Call,
@@ -120,10 +119,10 @@ def _is_strict_restriction(set_expr, param: str) -> bool:
     return removals >= 1 and isinstance(base, SetVar) and base.name == param
 
 
-def check_wf(p: Program) -> tuple[bool, list[str]]:
+def check_wf(p: Program, relations: ProcRelations | None = None) -> tuple[bool, list[str]]:
     """Check that mutual recursion always shrinks the set argument."""
     diags = wellformed_check(p)
-    relations = call_relations(p)
+    relations = relations or call_relations(p)
     for d in p.decls:
         for call in statement_calls(d.body):
             _tick()
@@ -229,17 +228,12 @@ class PfoqVerdict:
         )
 
 
-def check_pfoq(p: Program) -> PfoqVerdict:
-    """Decide membership in the tractable fragment.
-
-    The program is bounds-guarded first, so the verdict matches what the
-    compiler actually consumes; guarding never changes the call structure.
-    """
-    guarded = guard_errors(p)
-    ok, diags = check_wf(guarded)
-    relations = call_relations(guarded)
-    width_map = widths(guarded, relations)
-    rank_map = ranks(guarded, relations)
+def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
+    """The tractability verdict and the call relations it was decided on."""
+    relations = call_relations(p)
+    ok, diags = check_wf(p, relations)
+    width_map = widths(p, relations)
+    rank_map = ranks(p, relations)
     for name, w in width_map.items():
         if w > 1:
             diags.append(
@@ -250,11 +244,20 @@ def check_pfoq(p: Program) -> PfoqVerdict:
     degree = None
     if accepted:
         reachable: set[str] = set()
-        for call in statement_calls(guarded.main):
+        for call in statement_calls(p.main):
             reachable |= relations.reaches.get(call.proc, set())
         max_rank = max((rank_map[name] for name in reachable), default=0)
         degree = max_rank + 1
-    return PfoqVerdict(accepted, width_map, rank_map, degree, diags)
+    return PfoqVerdict(accepted, width_map, rank_map, degree, diags), relations
+
+
+def check_pfoq(p: Program) -> PfoqVerdict:
+    """Decide membership in the tractable fragment.
+
+    Guarding (`guard_errors`) only wraps assignments and quantum cases in a
+    classical test, so the verdict is the same on the guarded program.
+    """
+    return analyse(p)[0]
 
 
 def level_bound_degree(p: Program) -> int:

@@ -25,8 +25,6 @@ import numpy as np
 
 from .syntax import FoqError
 
-MATRIX_TOLERANCE = 1e-12
-
 
 class CircuitError(FoqError):
     """Invalid circuit construction (conflicting controls, bad wires)."""
@@ -198,6 +196,8 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.n < 0 or self.ancillas < 0:
+            raise CircuitError("wire counts n and ancillas must be nonnegative")
         total = self.n + self.ancillas
         for gate in self.gates:
             highest = max(gate_wires(gate), default=1)
@@ -527,8 +527,10 @@ def import_json(text: str) -> Circuit:
         raise CircuitSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not {"n", "ancillas", "gates"} <= set(obj):
         raise CircuitSchemaError("circuit JSON needs keys n, ancillas, gates")
+    if not isinstance(obj["gates"], list):
+        raise CircuitSchemaError("circuit JSON 'gates' must be a list")
     try:
         gates = tuple(_gate_from_json(g) for g in obj["gates"])
         return Circuit(int(obj["n"]), int(obj["ancillas"]), gates)
-    except CircuitError as exc:
+    except (CircuitError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(str(exc)) from exc

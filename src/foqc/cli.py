@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 analysis rejection (or tolerance exceeded in
 `diff`); 2 runtime error terminal; 3 step budget exceeded; 4 I/O, parse,
-or schema errors.  The step budget defaults to 10^6 statement rules and
-can be overridden with --budget or the FOQC_BUDGET environment variable.
+schema or argument errors.  The step budget defaults to 10^6 statement
+rules and can be overridden with --budget or the FOQC_BUDGET environment
+variable.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
+def _qubits(args) -> int:
+    if args.n < 0:
+        raise _CliIOError(f"-n must be a nonnegative qubit count, got {args.n}")
+    return args.n
+
+
 def _input_state(args) -> QuantumState:
     if args.state is not None:
         return QuantumState.from_bits(args.state)
@@ -119,9 +126,9 @@ def cmd_run(args) -> int:
 
 def cmd_level(args) -> int:
     program = _load_program(args.file)
-    state = QuantumState.zero(args.n)
-    outcome = run(program, state, budget=_budget(args))
-    print(json.dumps({"n": args.n, "level": outcome.level}))
+    n = _qubits(args)
+    outcome = run(program, QuantumState.zero(n), budget=_budget(args))
+    print(json.dumps({"n": n, "level": outcome.level}))
     return EXIT_OK
 
 
@@ -133,7 +140,7 @@ def cmd_invert(args) -> int:
 
 def cmd_compile(args) -> int:
     program = _load_program(args.file)
-    circuit, stats = compile_with_stats(program, args.n)
+    circuit, stats = compile_with_stats(program, _qubits(args))
     _write_output(export_json(circuit), args.output)
     if args.stats:
         print(
@@ -167,7 +174,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_diff(args) -> int:
     program = _load_program(args.file)
-    report = diff_check(program, args.n, seed=args.seed)
+    report = diff_check(program, _qubits(args), seed=args.seed)
     print(report.to_json())
     ok = (
         report.max_deviation < DIFF_TOLERANCE
@@ -269,6 +276,10 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_RUNTIME
     except (FoqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RecursionError:
+        # Parsers descend once per nesting level of the input.
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_IO
 
 

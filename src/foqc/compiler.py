@@ -24,8 +24,10 @@ diagram (BDD) over the input wires; two structures are disjoint exactly
 when the AND of their BDDs is the false node.  Merging ORs a caller's
 region into the ancilla's.
 
-The bounds guards inserted by `guard_errors` are classical and compile to
-zero gates, so compilation always operates on the guarded program.
+The program is compiled as written: a bounds guard is classical control,
+settled where a qubit position is evaluated.  An out-of-range position
+compiles to nothing, as the guard would skip it; one that an enclosing
+quantum case controls raises the interpreter's `BottomError`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NotPfoqError, call_relations, check_pfoq, statement_width, widths
+from .analysis import NotPfoqError, analyse, statement_width
 from .circuit import (
     Circuit,
     ControlledNot,
@@ -48,7 +50,17 @@ from .circuit import (
     simulate_circuit,
     trace_ancillas,
 )
-from .interpreter import QuantumState, eval_bool, eval_int, eval_qubit, eval_set, guard_errors, run
+from .interpreter import (
+    BottomError,
+    QuantumState,
+    access_error,
+    eval_bool,
+    eval_int,
+    eval_qubit,
+    eval_set,
+    guard_errors,
+    run,
+)
 from .syntax import (
     Assign,
     Call,
@@ -213,13 +225,21 @@ class _Context:
         return region
 
 
-def _assign_gates(stmt: Assign, l: tuple[int, ...], cs: ControlStructure) -> list[Gate]:
+def _position(stmt: Assign | QCase, l: tuple[int, ...], cs: ControlStructure) -> int:
+    """The position stmt acts on, or 0 when it is out of range.
+
+    Raises BottomError when an enclosing quantum case controls the position.
+    """
     pos = eval_qubit(stmt.qubit, l)
+    if cs.get(pos) is not None:
+        raise BottomError(access_error(stmt, pos))
+    return pos
+
+
+def _assign_gates(stmt: Assign, l: tuple[int, ...], cs: ControlStructure) -> list[Gate]:
+    pos = _position(stmt, l, cs)
     if pos < 1:
-        raise CompileError(
-            "assignment to an out-of-range qubit reached the compiler; "
-            "programs are bounds-guarded, so this indicates an internal bug"
-        )
+        return []
     op = stmt.op
     if op.kind == OP_NOT:
         return [ControlledNot(cs, pos)]
@@ -261,9 +281,9 @@ def compr(
             branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
             stack.append((branch, l, cs))
         elif isinstance(stmt, QCase):
-            pos = eval_qubit(stmt.qubit, l)
+            pos = _position(stmt, l, cs)
             if pos < 1:
-                raise CompileError("quantum case on an out-of-range qubit reached the compiler")
+                continue
             stack.append((stmt.if_one, l, _extend_control(cs, pos, 1)))
             stack.append((stmt.if_zero, l, _extend_control(cs, pos, 0)))
         elif isinstance(stmt, Call):
@@ -327,9 +347,9 @@ def optimize(
             branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
             worklist.append((cs, branch, l))
         elif isinstance(stmt, QCase):
-            pos = eval_qubit(stmt.qubit, l)
+            pos = _position(stmt, l, cs)
             if pos < 1:
-                raise CompileError("quantum case on an out-of-range qubit reached the compiler")
+                continue
             w0 = ctx.width(stmt.if_zero, group)
             w1 = ctx.width(stmt.if_one, group)
             cs0 = _extend_control(cs, pos, 0)
@@ -390,23 +410,20 @@ def optimize(
 
 
 def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Context]:
-    if check:
-        verdict = check_pfoq(p)
-        if not verdict.accepted:
-            raise NotPfoqError(
-                "program rejected by the tractability check: "
-                + "; ".join(verdict.diagnostics)
-            )
-    guarded = guard_errors(p)
-    relations = call_relations(guarded)
+    verdict, relations = analyse(p)
+    if check and not verdict.accepted:
+        raise NotPfoqError(
+            "program rejected by the tractability check: "
+            + "; ".join(verdict.diagnostics)
+        )
     ctx = _Context(
-        decls=guarded.decl_map(),
-        widths=widths(guarded, relations),
+        decls=p.decl_map(),
+        widths=verdict.widths,
         equiv=relations.equiv,
         n=n,
         merge=merge,
     )
-    gates = compr(ctx, guarded.main, tuple(range(1, n + 1)), ControlStructure.empty())
+    gates = compr(ctx, p.main, tuple(range(1, n + 1)), ControlStructure.empty())
     return Circuit(n, ctx.ancillas, tuple(gates)), ctx
 
 

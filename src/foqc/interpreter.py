@@ -18,7 +18,9 @@ set (for instance an out-of-range index, which evaluates to position 0).
 The error terminal leaves the state unchanged.
 
 `guard_errors` rewrites a program so that every qubit access is wrapped in
-a classical bounds test, making the error terminal unreachable.
+a classical bounds test, so out-of-range accesses become skips.  Reusing a
+quantum case's control qubit inside its branches still reaches the error
+terminal on the guarded program.
 """
 
 from __future__ import annotations
@@ -243,6 +245,12 @@ def _apply_single_qubit(t: np.ndarray, pos: int, matrix: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+def access_error(stmt: Assign | QCase, pos: int) -> str:
+    """The error-terminal diagnostic for stmt touching inaccessible position pos."""
+    what = "assignment to" if isinstance(stmt, Assign) else "quantum case on"
+    return f"{what} {format_qubit(stmt.qubit)}: position {pos} is not accessible"
+
+
 @dataclass
 class EvalOutcome:
     terminal: str  # TOP or BOTTOM
@@ -286,9 +294,7 @@ def _eval(
     if isinstance(stmt, Assign):
         pos = eval_qubit(stmt.qubit, l)
         if pos not in allowed:
-            return BOTTOM, 0, (
-                f"assignment to {format_qubit(stmt.qubit)}: position {pos} is not accessible"
-            )
+            return BOTTOM, 0, access_error(stmt, pos)
         arg = eval_int(stmt.op.arg, l) if stmt.op.arg is not None else 0
         _apply_single_qubit(t, pos, gate_matrix(stmt.op, arg))
         return TOP, 0, None
@@ -312,9 +318,7 @@ def _eval(
     if isinstance(stmt, QCase):
         pos = eval_qubit(stmt.qubit, l)
         if pos not in allowed:
-            return BOTTOM, 0, (
-                f"quantum case on {format_qubit(stmt.qubit)}: position {pos} is not accessible"
-            )
+            return BOTTOM, 0, access_error(stmt, pos)
         # Each branch gets the width-1 slice where the control holds its
         # bit; the branches cannot touch the control, so axes keep their
         # global positions and the two halves need no recombination.
@@ -425,8 +429,9 @@ def guard_statement(stmt: Statement) -> Statement:
 def guard_errors(p: Program) -> Program:
     """Wrap every qubit access in a classical bounds test.
 
-    On the guarded program the error terminal is unreachable: any access
-    whose index falls outside the current sorted set collapses to skip.
+    On the guarded program any access whose index falls outside the
+    current sorted set collapses to skip; only reuse of a quantum case's
+    control qubit inside its branches still reaches the error terminal.
     The guarded program computes the same states as the original wherever
     the original terminates normally.
     """

@@ -118,7 +118,10 @@ def _eval_phase_raw(f: PhaseExpr, n: int) -> float:
 
 def eval_phase(f: PhaseExpr, n: int) -> float:
     """Evaluate a phase function at integer n, reduced into [0, 2*pi)."""
-    value = _eval_phase_raw(f, n) % TWO_PI
+    try:
+        value = _eval_phase_raw(f, n) % TWO_PI
+    except OverflowError:
+        raise PhaseEvalError(f"phase expression overflows at n={n}") from None
     if not math.isfinite(value):
         raise PhaseEvalError(f"phase expression is not finite at n={n}")
     # The modulo can land exactly on 2*pi through rounding; normalize.

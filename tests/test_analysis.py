@@ -3,6 +3,7 @@ import json
 import pytest
 
 from foqc import parse_program
+from foqc.algebra import to_pfoq
 from foqc.analysis import (
     NotPfoqError,
     call_relations,
@@ -14,6 +15,8 @@ from foqc.analysis import (
     reset_op_count,
     widths,
 )
+from foqc.interpreter import guard_errors
+from test_acceptance import exhaustive_terms, random_terms
 
 WIDTH_TWO_SOURCE = """
 decl bad(p) {
@@ -28,6 +31,12 @@ decl bad(p) {
 NON_SHRINKING_SOURCE = """
 decl loop(p) { call loop(p); },
 :: call loop(q);
+"""
+
+MUTUAL_SOURCE = """
+decl f(p) { call g(p \\ [1]); },
+decl g(p) { call f(p); },
+:: call f(q);
 """
 
 
@@ -92,13 +101,7 @@ def test_non_shrinking_recursion_rejected():
 
 
 def test_mutual_recursion_both_need_restriction():
-    program = parse_program(
-        """
-decl f(p) { call g(p \\ [1]); },
-decl g(p) { call f(p); },
-:: call f(q);
-"""
-    )
+    program = parse_program(MUTUAL_SOURCE)
     ok, diags = check_wf(program)
     assert not ok
     assert any("procedure g" in d for d in diags)
@@ -115,6 +118,18 @@ def test_level_bound_degree(qft):
     assert level_bound_degree(qft) == 2
     with pytest.raises(NotPfoqError):
         level_bound_degree(parse_program(WIDTH_TWO_SOURCE))
+
+
+def test_guarding_does_not_change_the_verdict(corpus):
+    # check_pfoq reads the program as written; guarding only wraps
+    # assignments and quantum cases in a classical test.
+    programs = list(corpus.values())
+    programs += [
+        parse_program(src) for src in (WIDTH_TWO_SOURCE, NON_SHRINKING_SOURCE, MUTUAL_SOURCE)
+    ]
+    programs += [to_pfoq(term) for term in (*exhaustive_terms(), *random_terms())]
+    for program in programs:
+        assert check_pfoq(program).to_json() == check_pfoq(guard_errors(program)).to_json()
 
 
 def _chain_program(k: int) -> str:

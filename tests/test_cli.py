@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import foqc
+from foqc.circuit import CircuitSchemaError, import_json
 from foqc.cli import dispatch
 from foqc.programs import BRANCHING_SOURCE, QFT_SOURCE
 
@@ -210,3 +211,71 @@ def test_python_dash_m_runs_the_cli(qft_file):
     result = run_cli("check", qft_file)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["accepted"]
+
+
+CONTROL_REUSE_SOURCES = [
+    ":: qcase q[1] of { 0 -> q[1] *= NOT; , 1 -> skip; }",
+    ":: qcase q[1] of { 0 -> qcase q[1] of { 0 -> skip; , 1 -> skip; } , 1 -> skip; }",
+    "decl proc(p) { p[1] *= NOT; },"
+    " :: qcase q[1] of { 0 -> call proc(q \\ [2]); , 1 -> skip; }",
+]
+
+
+@pytest.mark.parametrize("source", CONTROL_REUSE_SOURCES, ids=["assign", "qcase", "call"])
+def test_control_reuse_is_the_error_terminal_in_compile_and_diff(tmp_path, capsys, source):
+    path = tmp_path / "reuse.foq"
+    path.write_text(source)
+    assert dispatch(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert dispatch(["run", str(path), "--state", "00"]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error:") and expected.count("\n") == 1
+    for argv in (["compile", str(path), "-n", "2"], ["diff", str(path), "-n", "2"]):
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == expected
+
+
+def assert_input_error(capsys, argv):
+    assert dispatch(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":1,"ancillas":0,"gates":5}',
+        '{"n":-1,"ancillas":0,"gates":[]}',
+        '{"n":1,"ancillas":-2,"gates":[]}',
+    ],
+    ids=["gates-not-a-list", "negative-n", "negative-ancillas"],
+)
+def test_malformed_circuit_json_is_a_schema_error(tmp_path, capsys, text):
+    with pytest.raises(CircuitSchemaError):
+        import_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert_input_error(capsys, ["simulate", str(path), "--state", "0"])
+
+
+def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
+    path = tmp_path / "huge.foq"
+    path.write_text(":: q[1] *= RY[2^99999](0);")
+    err = assert_input_error(capsys, ["run", str(path), "--state", "0"])
+    assert "phase expression overflows" in err
+
+
+def test_negative_qubit_count_is_refused(qft_file, capsys):
+    for argv in (["compile", "-n", "-1"], ["level", "-n", "-1"], ["diff", "-n", "-2"]):
+        assert_input_error(capsys, [argv[0], qft_file, *argv[1:]])
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    depth = 1000
+    program = tmp_path / "deep.foq"
+    program.write_text(":: q[1] *= RY[" + "(" * depth + "pi" + ")" * depth + "](0);")
+    assert_input_error(capsys, ["check", str(program)])
+    term = tmp_path / "deep.alg"
+    term.write_text("(" * depth + "i" + ")" * depth)
+    assert_input_error(capsys, ["algebra", str(term)])

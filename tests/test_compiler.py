@@ -1,12 +1,15 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import foqc.analysis as analysis
 import foqc.compiler as compiler
+import foqc.interpreter as interpreter
 from foqc import parse_program
 from foqc.analysis import NotPfoqError
-from foqc.circuit import elementary_gate_count, export_json
+from foqc.circuit import elementary_gate_count, export_json, simulate_circuit
 from foqc.compiler import (
     OrthogonalityError,
     compile_naive,
@@ -14,6 +17,7 @@ from foqc.compiler import (
     compile_with_stats,
     diff_check,
 )
+from foqc.interpreter import guard_errors
 
 WIDTH_TWO_SOURCE = """
 decl bad(p) {
@@ -178,3 +182,49 @@ def test_ancilla_table_reuse_bounds_ancillas(branching):
     _, stats = compile_with_stats(branching, 14)
     assert stats["ancillas"] == 13
     assert stats["anc_keys"] == stats["ancillas"]
+
+
+def all_wire_outputs(circuit):
+    """The full output state, ancillas included, on every basis input."""
+    dim = 1 << circuit.n
+    return [simulate_circuit(circuit, np.eye(dim, dtype=complex)[b]) for b in range(dim)]
+
+
+OUT_OF_RANGE_SOURCE = ":: q[5] *= RY[1/0](0);"
+
+
+def test_compiling_the_guarded_program_changes_nothing(corpus):
+    # The compiler settles bounds tests where it evaluates positions, so
+    # guarding first may reorder the worklist but not change the circuit.
+    cases = [(program, n) for program in corpus.values() for n in range(1, 8)]
+    cases.append((parse_program(OUT_OF_RANGE_SOURCE), 1))
+    for program, n in cases:
+        plain = compile_program(program, n)
+        guarded = compile_program(guard_errors(program), n)
+        assert (plain.n, plain.ancillas) == (guarded.n, guarded.ancillas)
+        assert Counter(plain.gates) == Counter(guarded.gates)
+        for a, b in zip(all_wire_outputs(plain), all_wire_outputs(guarded)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_out_of_range_access_compiles_to_nothing():
+    # The bounds test comes before the operator's phase is evaluated.
+    assert compile_program(parse_program(OUT_OF_RANGE_SOURCE), 1).gates == ()
+
+
+def test_compile_builds_call_relations_once_and_never_guards(branching, monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module in (analysis, interpreter, compiler):
+        for name in ("call_relations", "guard_errors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    compile_with_stats(branching, 7)
+    assert calls == {"call_relations": 1}
