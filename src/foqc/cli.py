@@ -2,9 +2,11 @@
 
 Exit codes: 0 success; 1 analysis rejection (or tolerance exceeded in
 `diff`); 2 runtime error terminal; 3 step budget exceeded; 4 I/O, parse,
-schema or argument errors.  The step budget defaults to 10^6 statement
-rules and can be overridden with --budget or the FOQC_BUDGET environment
-variable.
+schema or argument errors.  A malformed command line (a missing or
+ill-typed option, an unknown subcommand) is an argument error: it exits 4
+with one `error:` line, while `--help` still exits 0.  The step budget
+defaults to 10^6 statement rules and can be overridden with --budget or
+the FOQC_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import programs
 from .algebra import AlgebraError, parse_term, to_pfoq
@@ -67,6 +70,13 @@ class _CliIOError(FoqError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _CliIOError(message)
+
+
 def _load_program(path: str):
     return parse_program(_read_text(path), filename=path)
 
@@ -100,6 +110,11 @@ def _input_state(args) -> QuantumState:
     raise _CliIOError("provide an input state with --state or --amplitudes")
 
 
+def _amplitudes(amps) -> list[list[float]]:
+    """A state's amplitudes as [re, im] pairs for JSON output."""
+    return [[float(a.real), float(a.imag)] for a in amps]
+
+
 def cmd_check(args) -> int:
     verdict = check_pfoq(_load_program(args.file))
     print(verdict.to_json())
@@ -115,9 +130,7 @@ def cmd_run(args) -> int:
             {
                 "n": outcome.state.n,
                 "level": outcome.level,
-                "amplitudes": [
-                    [float(a.real), float(a.imag)] for a in outcome.state.amplitudes
-                ],
+                "amplitudes": _amplitudes(outcome.state.amplitudes),
             }
         )
     )
@@ -164,7 +177,7 @@ def cmd_simulate(args) -> int:
             {
                 "n": circuit.n,
                 "ancillas": circuit.ancillas,
-                "amplitudes": [[float(a.real), float(a.imag)] for a in full],
+                "amplitudes": _amplitudes(full),
                 "ancilla_residue": float(ancilla_residue(full, circuit.ancillas)),
             }
         )
@@ -202,7 +215,7 @@ def cmd_examples(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="foqc",
         description="Toolchain for a first-order quantum programming language.",
     )
@@ -258,9 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, CircuitSchemaError, AlgebraError, _CliIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)

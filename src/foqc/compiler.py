@@ -3,8 +3,9 @@
 `compile_program` turns an accepted (width <= 1, shrinking-recursion)
 program on n qubits into a circuit whose non-ancilla behaviour matches the
 interpreter exactly.  Classical control (conditionals, indices, set
-expressions) is evaluated at compile time; quantum cases split the control
-structure; recursive calls are the interesting part.
+expressions, a procedure's classical argument, bound in an environment
+beside the current list) is evaluated at compile time; quantum cases split
+the control structure; recursive calls are the interesting part.
 
 A width-1 procedure call starts a worklist pass (`optimize`): controlled
 statement instances (cs, S, l) are peeled left context into C_L and right
@@ -51,13 +52,15 @@ from .circuit import (
     trace_ancillas,
 )
 from .interpreter import (
+    NO_ENV,
     BottomError,
+    Env,
     QuantumState,
     access_error,
+    bind_call,
     eval_bool,
     eval_int,
     eval_qubit,
-    eval_set,
     guard_errors,
     run,
 )
@@ -74,7 +77,6 @@ from .syntax import (
     Statement,
     format_phase,
     gate_matrix,
-    substituted_body,
 )
 
 
@@ -189,9 +191,6 @@ class _Context:
     # For each ancilla wire, the input-wire region where it holds 1: the OR
     # of the regions of every call merged into it.
     meanings: dict[int, int] = field(default_factory=dict)
-    # Substituted procedure bodies per (procedure, argument).  Keeping them
-    # for the whole compile keeps the ids in `stmt_widths` valid.
-    bodies: dict[tuple[str, int], Statement] = field(default_factory=dict)
     # statement_width of every subtree measured so far, keyed by id(stmt).
     # A body only ever reaches the worklist of its own procedure's group.
     stmt_widths: dict[int, int] = field(default_factory=dict)
@@ -225,75 +224,74 @@ class _Context:
         return region
 
 
-def _position(stmt: Assign | QCase, l: tuple[int, ...], cs: ControlStructure) -> int:
+def _position(
+    stmt: Assign | QCase, l: tuple[int, ...], env: Env, cs: ControlStructure
+) -> int:
     """The position stmt acts on, or 0 when it is out of range.
 
     Raises BottomError when an enclosing quantum case controls the position.
     """
-    pos = eval_qubit(stmt.qubit, l)
+    pos = eval_qubit(stmt.qubit, l, env)
     if cs.get(pos) is not None:
         raise BottomError(access_error(stmt, pos))
     return pos
 
 
-def _assign_gates(stmt: Assign, l: tuple[int, ...], cs: ControlStructure) -> list[Gate]:
-    pos = _position(stmt, l, cs)
+def _assign_gates(
+    stmt: Assign, l: tuple[int, ...], env: Env, cs: ControlStructure
+) -> list[Gate]:
+    pos = _position(stmt, l, env, cs)
     if pos < 1:
         return []
     op = stmt.op
     if op.kind == OP_NOT:
         return [ControlledNot(cs, pos)]
-    arg = eval_int(op.arg, l)
+    arg = eval_int(op.arg, l, env)
     matrix = gate_matrix(op, arg)
     label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
     return [controlled_u_gate(cs, (pos,), matrix, label)]
 
 
-def _call_parts(ctx: _Context, stmt: Call, l: tuple[int, ...]):
-    """Evaluate a call's argument list and substituted body."""
-    sub_l = eval_set(stmt.set_expr, l)
-    decl = ctx.decls[stmt.proc]
-    narg = eval_int(stmt.arg, l) if decl.param is not None else None
-    return sub_l, narg, substituted_body(decl, narg, ctx.bodies)
-
-
 def compr(
-    ctx: _Context, stmt: Statement, l: tuple[int, ...], cs: ControlStructure
+    ctx: _Context, stmt: Statement, l: tuple[int, ...], env: Env, cs: ControlStructure
 ) -> list[Gate]:
     """Directly compile a statement whose recursive width is zero or whose
     recursive calls each start their own worklist pass.
 
-    Runs on an explicit stack of (statement, list, control) entries, popped
-    in program order, so neither sequence length nor a chain of expanded
-    calls deepens the Python stack; only a width-1 call enters `optimize`.
+    Runs on an explicit stack of (statement, list, env, control) entries,
+    popped in program order, so neither sequence length nor a chain of
+    expanded calls deepens the Python stack; only a width-1 call enters
+    `optimize`.
     """
     gates: list[Gate] = []
-    stack = [(stmt, l, cs)]
+    stack = [(stmt, l, env, cs)]
     while stack:
-        stmt, l, cs = stack.pop()
+        stmt, l, env, cs = stack.pop()
         if isinstance(stmt, Skip):
             continue
         if isinstance(stmt, Assign):
-            gates += _assign_gates(stmt, l, cs)
+            gates += _assign_gates(stmt, l, env, cs)
         elif isinstance(stmt, Seq):
-            stack += [(item, l, cs) for item in reversed(stmt.items)]
+            stack += [(item, l, env, cs) for item in reversed(stmt.items)]
         elif isinstance(stmt, If):
-            branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-            stack.append((branch, l, cs))
+            branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
+            stack.append((branch, l, env, cs))
         elif isinstance(stmt, QCase):
-            pos = _position(stmt, l, cs)
+            pos = _position(stmt, l, env, cs)
             if pos < 1:
                 continue
-            stack.append((stmt.if_one, l, _extend_control(cs, pos, 1)))
-            stack.append((stmt.if_zero, l, _extend_control(cs, pos, 0)))
+            stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1)))
+            stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0)))
         elif isinstance(stmt, Call):
-            sub_l, _, body = _call_parts(ctx, stmt, l)
-            if not sub_l:
+            bound = bind_call(stmt, ctx.decls, l, env)
+            if bound is None:
                 continue
+            sub_l, decl, sub_env = bound
             if not ctx.merge or ctx.widths[stmt.proc] == 0:
-                stack.append((body, sub_l, cs))
+                stack.append((decl.body, sub_l, sub_env, cs))
             else:
-                gates += optimize(ctx, deque([(cs, body, sub_l)]), stmt.proc, {})
+                worklist = deque([(cs, decl.body, sub_l, sub_env)])
+                gates += optimize(ctx, worklist, stmt.proc, {})
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return gates
@@ -316,7 +314,7 @@ def optimize(
     c_right: list[Gate] = []
     while worklist:
         ctx.max_worklist = max(ctx.max_worklist, len(worklist))
-        resolved = [ctx.resolve(cs_i) for cs_i, _, _ in worklist]
+        resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
         for i, r_i in enumerate(resolved):
             for r_j in resolved[i + 1 :]:
                 ctx.orthogonality_checks += 1
@@ -325,10 +323,10 @@ def optimize(
                         "two worklist instances share a satisfiable control region; "
                         "merging would corrupt the circuit"
                     )
-        cs, stmt, l = worklist.popleft()
+        cs, stmt, l, env = worklist.popleft()
         w = ctx.width(stmt, group)
         if w == 0:
-            c_left += compr(ctx, stmt, l, cs)
+            c_left += compr(ctx, stmt, l, env, cs)
             continue
         if isinstance(stmt, Seq):
             # The prefix before the width-1 item goes to C_L, the item to
@@ -339,15 +337,15 @@ def optimize(
                 len(items) - 1,
             )
             for item in items[:k]:
-                c_left += compr(ctx, item, l, cs)
-            worklist.append((cs, items[k], l))
-            suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, cs)]
+                c_left += compr(ctx, item, l, env, cs)
+            worklist.append((cs, items[k], l, env))
+            suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, env, cs)]
             c_right = suffix + c_right
         elif isinstance(stmt, If):
-            branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-            worklist.append((cs, branch, l))
+            branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
+            worklist.append((cs, branch, l, env))
         elif isinstance(stmt, QCase):
-            pos = _position(stmt, l, cs)
+            pos = _position(stmt, l, env, cs)
             if pos < 1:
                 continue
             w0 = ctx.width(stmt.if_zero, group)
@@ -355,24 +353,25 @@ def optimize(
             cs0 = _extend_control(cs, pos, 0)
             cs1 = _extend_control(cs, pos, 1)
             if w0 == 1 and w1 == 1:
-                worklist.append((cs0, stmt.if_zero, l))
-                worklist.append((cs1, stmt.if_one, l))
+                worklist.append((cs0, stmt.if_zero, l, env))
+                worklist.append((cs1, stmt.if_one, l, env))
             elif w1 == 0:
-                worklist.append((cs0, stmt.if_zero, l))
-                c_right = compr(ctx, stmt.if_one, l, cs1) + c_right
+                worklist.append((cs0, stmt.if_zero, l, env))
+                c_right = compr(ctx, stmt.if_one, l, env, cs1) + c_right
             else:
-                worklist.append((cs1, stmt.if_one, l))
-                c_right = compr(ctx, stmt.if_zero, l, cs0) + c_right
+                worklist.append((cs1, stmt.if_one, l, env))
+                c_right = compr(ctx, stmt.if_zero, l, env, cs0) + c_right
         elif isinstance(stmt, Call):
-            sub_l, narg, body = _call_parts(ctx, stmt, l)
-            if not sub_l:
+            bound = bind_call(stmt, ctx.decls, l, env)
+            if bound is None:
                 continue
+            sub_l, decl, sub_env = bound
             if not cs.bits:
                 # Nothing controls this instance, so there is nothing to
                 # merge under: expand the body directly.
-                worklist.append((cs, body, sub_l))
+                worklist.append((cs, decl.body, sub_l, sub_env))
                 continue
-            key = (stmt.proc, narg, len(sub_l))
+            key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
             if key in anc:
                 a, seen_l = anc[key]
                 ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
@@ -403,7 +402,7 @@ def optimize(
                     )
                 c_left.append(ControlledNot(cs, a))
                 c_right = [ControlledNot(cs, a)] + c_right
-                worklist.append((ControlStructure.of({a: 1}), body, sub_l))
+                worklist.append((ControlStructure.of({a: 1}), decl.body, sub_l, sub_env))
         else:
             raise CompileError(f"width-1 statement of unexpected shape: {stmt!r}")
     return c_left + c_right
@@ -423,7 +422,7 @@ def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Co
         n=n,
         merge=merge,
     )
-    gates = compr(ctx, p.main, tuple(range(1, n + 1)), ControlStructure.empty())
+    gates = compr(ctx, p.main, tuple(range(1, n + 1)), NO_ENV, ControlStructure.empty())
     return Circuit(n, ctx.ancillas, tuple(gates)), ctx
 
 

@@ -1,10 +1,13 @@
 """Exact statevector semantics for FOQ programs.
 
 The interpreter evaluates a statement against a configuration made of the
-full n-qubit statevector, the set of accessible qubit positions, and the
-current sorted list of qubit indices.  Qubit 1 is the most significant bit
-of the basis-state index.  Evaluation is exact (no measurement, no
-sampling) and works in place on a [2] * n tensor view of one copy of the
+full n-qubit statevector, the set of accessible qubit positions, the
+current sorted list of qubit indices, and an environment binding the
+running procedure's classical parameter.  A call binds its callee's
+parameter afresh, so a body is evaluated as written and never sees its
+caller's bindings.  Qubit 1 is the most significant bit of the
+basis-state index.  Evaluation is exact (no measurement, no sampling)
+and works in place on a [2] * n tensor view of one copy of the
 input amplitudes, one axis per qubit: an assignment updates the two halves
 of its qubit's axis, and a quantum case evaluates each branch on the
 width-1 slice where the control qubit holds that branch's bit, with the
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,7 +66,6 @@ from .syntax import (
     Statement,
     format_qubit,
     gate_matrix,
-    substituted_body,
 )
 
 TOP = "top"
@@ -143,25 +147,33 @@ class QuantumState:
 
 
 # ---------------------------------------------------------------------------
-# Classical expression evaluation against the current sorted list l.
+# Classical expression evaluation against the current sorted list l and the
+# environment env, which binds the running procedure's classical parameter.
 # ---------------------------------------------------------------------------
 
+Env = Mapping[str, int]
 
-def eval_int(e: IntExpr, l: tuple[int, ...]) -> int:
+NO_ENV: Env = MappingProxyType({})
+
+
+def eval_int(e: IntExpr, l: tuple[int, ...], env: Env = NO_ENV) -> int:
     if isinstance(e, IntLit):
         return e.value
     if isinstance(e, IntVar):
-        raise EvalError(f"unsubstituted integer variable {e.name!r}")
+        value = env.get(e.name)
+        if value is None:
+            raise EvalError(f"unbound integer variable {e.name!r}")
+        return value
     if isinstance(e, IntAdd):
-        return eval_int(e.base, l) + e.offset
+        return eval_int(e.base, l, env) + e.offset
     if isinstance(e, IntSub):
-        return eval_int(e.base, l) - e.offset
+        return eval_int(e.base, l, env) - e.offset
     if isinstance(e, SetSize):
-        return len(eval_set(e.set_expr, l))
+        return len(eval_set(e.set_expr, l, env))
     raise TypeError(f"not an integer expression: {e!r}")
 
 
-def eval_set(s: SetExpr, l: tuple[int, ...]) -> tuple[int, ...]:
+def eval_set(s: SetExpr, l: tuple[int, ...], env: Env = NO_ENV) -> tuple[int, ...]:
     """Evaluate a sorted-set expression to a list of qubit positions.
 
     A removal's index is evaluated against the list produced by the base
@@ -173,17 +185,17 @@ def eval_set(s: SetExpr, l: tuple[int, ...]) -> tuple[int, ...]:
     if isinstance(s, SetVar):
         return l
     if isinstance(s, SetRemove):
-        base = eval_set(s.base, l)
-        k = eval_int(s.index, base)
+        base = eval_set(s.base, l, env)
+        k = eval_int(s.index, base, env)
         if 1 <= k <= len(base):
             return base[: k - 1] + base[k:]
         return ()
     raise TypeError(f"not a set expression: {s!r}")
 
 
-def eval_bool(b: BoolExpr, l: tuple[int, ...]) -> bool:
+def eval_bool(b: BoolExpr, l: tuple[int, ...], env: Env = NO_ENV) -> bool:
     if isinstance(b, BoolCmp):
-        lhs, rhs = eval_int(b.left, l), eval_int(b.right, l)
+        lhs, rhs = eval_int(b.left, l, env), eval_int(b.right, l, env)
         if b.op == ">":
             return lhs > rhs
         if b.op == ">=":
@@ -192,21 +204,43 @@ def eval_bool(b: BoolExpr, l: tuple[int, ...]) -> bool:
             return lhs == rhs
         raise ValueError(f"unknown comparison {b.op!r}")
     if isinstance(b, BoolAnd):
-        return eval_bool(b.left, l) and eval_bool(b.right, l)
+        return eval_bool(b.left, l, env) and eval_bool(b.right, l, env)
     if isinstance(b, BoolOr):
-        return eval_bool(b.left, l) or eval_bool(b.right, l)
+        return eval_bool(b.left, l, env) or eval_bool(b.right, l, env)
     if isinstance(b, BoolNot):
-        return not eval_bool(b.inner, l)
+        return not eval_bool(b.inner, l, env)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def eval_qubit(q: QubitExpr, l: tuple[int, ...]) -> int:
+def eval_qubit(q: QubitExpr, l: tuple[int, ...], env: Env = NO_ENV) -> int:
     """The global position of s[i], or 0 when the index is out of range."""
-    positions = eval_set(q.set_expr, l)
-    k = eval_int(q.index, l)
+    positions = eval_set(q.set_expr, l, env)
+    k = eval_int(q.index, l, env)
     if 1 <= k <= len(positions):
         return positions[k - 1]
     return 0
+
+
+def bind_call(
+    call: Call, decls: Mapping[str, ProcDecl], l: tuple[int, ...], env: Env
+) -> tuple[tuple[int, ...], ProcDecl, Env] | None:
+    """Evaluate a call's arguments: the callee's list, declaration and env.
+
+    The callee's env binds only its own classical parameter, so a body never
+    sees its caller's bindings.  None when the list is empty: such a call
+    does nothing, and neither the callee nor its argument is looked at.
+    """
+    sub_l = eval_set(call.set_expr, l, env)
+    if not sub_l:
+        return None
+    decl = decls.get(call.proc)
+    if decl is None:
+        raise EvalError(f"call to undeclared procedure {call.proc!r}")
+    if decl.param is None:
+        return sub_l, decl, NO_ENV
+    if call.arg is None:
+        raise EvalError(f"procedure {call.proc!r} requires a classical argument")
+    return sub_l, decl, {decl.param: eval_int(call.arg, l, env)}
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +294,13 @@ class EvalOutcome:
 
 
 class _Run:
-    """What one evaluation shares: declarations, step budget, call bodies."""
+    """What one evaluation shares: declarations and the step budget."""
 
-    __slots__ = ("decls", "remaining", "bodies")
+    __slots__ = ("decls", "remaining")
 
     def __init__(self, decls: dict[str, ProcDecl], steps: int):
         self.decls = decls
         self.remaining = steps
-        # Substituted bodies per (procedure, classical argument).
-        self.bodies: dict[tuple[str, int], Statement] = {}
 
     def tick(self) -> None:
         self.remaining -= 1
@@ -281,6 +313,7 @@ def _eval(
     t: np.ndarray,
     allowed: frozenset[int],
     l: tuple[int, ...],
+    env: Env,
     run: _Run,
 ) -> tuple[str, int, str | None]:
     """Evaluate stmt, updating the tensor view t in place.
@@ -292,10 +325,10 @@ def _eval(
     if isinstance(stmt, Skip):
         return TOP, 0, None
     if isinstance(stmt, Assign):
-        pos = eval_qubit(stmt.qubit, l)
+        pos = eval_qubit(stmt.qubit, l, env)
         if pos not in allowed:
             return BOTTOM, 0, access_error(stmt, pos)
-        arg = eval_int(stmt.op.arg, l) if stmt.op.arg is not None else 0
+        arg = eval_int(stmt.op.arg, l, env) if stmt.op.arg is not None else 0
         _apply_single_qubit(t, pos, gate_matrix(stmt.op, arg))
         return TOP, 0, None
     if isinstance(stmt, Seq):
@@ -307,42 +340,34 @@ def _eval(
         for i, item in enumerate(stmt.items):
             if 0 < i < last:
                 run.tick()
-            terminal, m, err = _eval(item, t, allowed, l, run)
+            terminal, m, err = _eval(item, t, allowed, l, env, run)
             level += m
             if terminal == BOTTOM:
                 return BOTTOM, level, err
         return TOP, level, None
     if isinstance(stmt, If):
-        branch = stmt.then_branch if eval_bool(stmt.cond, l) else stmt.else_branch
-        return _eval(branch, t, allowed, l, run)
+        branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
+        return _eval(branch, t, allowed, l, env, run)
     if isinstance(stmt, QCase):
-        pos = eval_qubit(stmt.qubit, l)
+        pos = eval_qubit(stmt.qubit, l, env)
         if pos not in allowed:
             return BOTTOM, 0, access_error(stmt, pos)
         # Each branch gets the width-1 slice where the control holds its
         # bit; the branches cannot touch the control, so axes keep their
         # global positions and the two halves need no recombination.
         sub_allowed = allowed - {pos}
-        t0, m0, err0 = _eval(stmt.if_zero, _half(t, pos, 0), sub_allowed, l, run)
-        t1, m1, err1 = _eval(stmt.if_one, _half(t, pos, 1), sub_allowed, l, run)
+        t0, m0, err0 = _eval(stmt.if_zero, _half(t, pos, 0), sub_allowed, l, env, run)
+        t1, m1, err1 = _eval(stmt.if_one, _half(t, pos, 1), sub_allowed, l, env, run)
         level = max(m0, m1)
         if t0 == BOTTOM or t1 == BOTTOM:
             return BOTTOM, level, err0 if t0 == BOTTOM else err1
         return TOP, level, None
     if isinstance(stmt, Call):
-        sub_l = eval_set(stmt.set_expr, l)
-        if not sub_l:
+        bound = bind_call(stmt, run.decls, l, env)
+        if bound is None:
             return TOP, 1, None
-        decl = run.decls.get(stmt.proc)
-        if decl is None:
-            raise EvalError(f"call to undeclared procedure {stmt.proc!r}")
-        arg = None
-        if decl.param is not None:
-            if stmt.arg is None:
-                raise EvalError(f"procedure {stmt.proc!r} requires a classical argument")
-            arg = eval_int(stmt.arg, l)
-        body = substituted_body(decl, arg, run.bodies)
-        terminal, m, err = _eval(body, t, allowed, sub_l, run)
+        sub_l, decl, sub_env = bound
+        terminal, m, err = _eval(decl.body, t, allowed, sub_l, sub_env, run)
         return terminal, m + 1, err
     raise TypeError(f"not a statement: {stmt!r}")
 
@@ -366,7 +391,7 @@ def eval_program(
     sys.setrecursionlimit(max(limit, 20_000))
     try:
         terminal, level, error = _eval(
-            p.main, psi.reshape([2] * n), allowed, l, _Run(p.decl_map(), budget)
+            p.main, psi.reshape([2] * n), allowed, l, NO_ENV, _Run(p.decl_map(), budget)
         )
     except RecursionError:
         raise BudgetExceededError(

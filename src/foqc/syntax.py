@@ -4,8 +4,8 @@ FOQ is a first-order quantum programming language: a program is a list of
 procedure declarations over a sorted set of qubits, followed by a main
 statement.  This module defines the expression and statement trees, the
 phase-function DSL used by the rotation and phase operators, plus the basic
-operations on them: well-formedness diagnostics, integer substitution,
-operator matrix evaluation, and a pretty printer whose output re-parses to a
+operations on them: well-formedness diagnostics, operator matrix
+evaluation, and a pretty printer whose output re-parses to a
 structurally identical program.
 
 All node types are immutable dataclasses, safe to share freely.
@@ -390,96 +390,6 @@ def invert_operator(op: Operator) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# Substitution of classical parameters.
-# ---------------------------------------------------------------------------
-
-
-def _subst_int(e: IntExpr | None, var: str, n: int) -> IntExpr | None:
-    if e is None:
-        return None
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, IntVar):
-        return IntLit(n) if e.name == var else e
-    if isinstance(e, IntAdd):
-        return IntAdd(_subst_int(e.base, var, n), e.offset)
-    if isinstance(e, IntSub):
-        return IntSub(_subst_int(e.base, var, n), e.offset)
-    if isinstance(e, SetSize):
-        return SetSize(_subst_set(e.set_expr, var, n))
-    raise TypeError(f"not an integer expression: {e!r}")
-
-
-def _subst_set(s: SetExpr, var: str, n: int) -> SetExpr:
-    if isinstance(s, (SetNil, SetVar)):
-        return s
-    if isinstance(s, SetRemove):
-        return SetRemove(_subst_set(s.base, var, n), _subst_int(s.index, var, n))
-    raise TypeError(f"not a set expression: {s!r}")
-
-
-def _subst_bool(b: BoolExpr, var: str, n: int) -> BoolExpr:
-    if isinstance(b, BoolCmp):
-        return BoolCmp(b.op, _subst_int(b.left, var, n), _subst_int(b.right, var, n))
-    if isinstance(b, BoolAnd):
-        return BoolAnd(_subst_bool(b.left, var, n), _subst_bool(b.right, var, n))
-    if isinstance(b, BoolOr):
-        return BoolOr(_subst_bool(b.left, var, n), _subst_bool(b.right, var, n))
-    if isinstance(b, BoolNot):
-        return BoolNot(_subst_bool(b.inner, var, n))
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-def _subst_qubit(q: QubitExpr, var: str, n: int) -> QubitExpr:
-    return QubitExpr(_subst_set(q.set_expr, var, n), _subst_int(q.index, var, n))
-
-
-def substitute_int(stmt: Statement, var: str, n: int) -> Statement:
-    """Replace every occurrence of the integer variable var by the literal n."""
-    if isinstance(stmt, Skip):
-        return stmt
-    if isinstance(stmt, Assign):
-        op = stmt.op
-        if op.arg is not None:
-            op = Operator(op.kind, op.phase, _subst_int(op.arg, var, n))
-        return Assign(_subst_qubit(stmt.qubit, var, n), op)
-    if isinstance(stmt, Seq):
-        return Seq(*(substitute_int(item, var, n) for item in stmt.items))
-    if isinstance(stmt, If):
-        return If(
-            _subst_bool(stmt.cond, var, n),
-            substitute_int(stmt.then_branch, var, n),
-            substitute_int(stmt.else_branch, var, n),
-        )
-    if isinstance(stmt, QCase):
-        return QCase(
-            _subst_qubit(stmt.qubit, var, n),
-            substitute_int(stmt.if_zero, var, n),
-            substitute_int(stmt.if_one, var, n),
-        )
-    if isinstance(stmt, Call):
-        return Call(stmt.proc, _subst_int(stmt.arg, var, n), _subst_set(stmt.set_expr, var, n))
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def substituted_body(
-    decl: ProcDecl, arg: int | None, memo: dict[tuple[str, int], Statement]
-) -> Statement:
-    """decl's body with its classical parameter replaced by arg.
-
-    Each (procedure, argument) body is built once and kept in `memo`, so a
-    caller that owns the memo gets the same Statement objects every time.
-    """
-    if decl.param is None:
-        return decl.body
-    key = (decl.name, arg)
-    body = memo.get(key)
-    if body is None:
-        body = memo[key] = substitute_int(decl.body, decl.param, arg)
-    return body
-
-
-# ---------------------------------------------------------------------------
 # Variable collection and well-formedness.
 # ---------------------------------------------------------------------------
 
@@ -572,8 +482,8 @@ def wellformed_check(p: Program) -> list[str]:
     """Diagnostics for the static well-formedness rules; empty means OK.
 
     Checks: pairwise-distinct procedure names, every called name declared
-    with matching classical-argument arity, procedure bodies only using
-    their own parameters, and the main statement using at most one sorted
+    with matching classical-argument arity, each procedure body only using
+    its own parameters, and the main statement using at most one sorted
     set variable and no integer variables.
     """
     diags: list[str] = []

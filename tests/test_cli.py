@@ -279,3 +279,41 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     term = tmp_path / "deep.alg"
     term.write_text("(" * depth + "i" + ")" * depth)
     assert_input_error(capsys, ["algebra", str(term)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compile", "{file}"], ["level", "{file}", "-n", "x"], ["frobnicate"], []],
+    ids=["missing-n", "non-integer-n", "unknown-command", "no-command"],
+)
+def test_usage_errors_are_input_errors(qft_file, capsys, argv):
+    assert_input_error(capsys, [arg.format(file=qft_file) for arg in argv])
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["compile", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_callee_does_not_see_the_callers_parameter(tmp_path, capsys):
+    path = tmp_path / "scope.foq"
+    path.write_text(
+        "decl g(p) { p[x] *= NOT; }, decl f[x](p) { call g(p); }, :: call f[1](q);"
+    )
+    assert_input_error(capsys, ["run", str(path), "--state", "0"])
+    assert dispatch(["compile", str(path), "-n", "1"]) == 1
+
+
+def test_access_error_names_the_source_expression(tmp_path, capsys):
+    path = tmp_path / "access.foq"
+    path.write_text(
+        "decl f[x](p) { p[x] *= NOT; },"
+        " :: qcase q[1] of { 0 -> call f[1](q); , 1 -> skip; }"
+    )
+    expected = "error: assignment to p[x]: position 1 is not accessible\n"
+    assert dispatch(["run", str(path), "--state", "00"]) == 2
+    assert capsys.readouterr().err == expected
+    assert dispatch(["compile", str(path), "-n", "2"]) == 2
+    assert capsys.readouterr().err == expected

@@ -1,0 +1,108 @@
+"""Byte-level fingerprints of compiler, analysis and interpreter output.
+
+Each test hashes the exact text the toolchain produces on a fixed corpus:
+circuit JSON and compile statistics, verdict JSON, `foqc run` stdout, and
+the circuits of a few algebra terms.  A refactor that is meant to leave
+outputs unchanged must leave every digest unchanged; a change that moves
+them on purpose records the new digests here and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from foqc import check_pfoq, compile_with_stats, export_json, parse_program
+from foqc.algebra import parse_term, to_pfoq
+from foqc.cli import dispatch
+from foqc.programs import EXAMPLES
+
+# A procedure whose classical parameter reaches every position it can
+# occupy: a qubit index, a removal index, an operator argument, a condition
+# and a recursive call's argument.
+PARAMETERISED_SOURCE = """\
+decl f[x](p) {
+  if (size(p) >= x && x > 1) then {
+    p[x] *= RY[pi / 2^x](x);
+    qcase p[1] of {
+      0 -> p[x] *= PH[pi / x](x + 1);
+      ,
+      1 -> skip;
+    }
+    call f[x - 1](p \\ [x]);
+  } else {
+    p[1] *= NOT;
+  }
+},
+:: call f[3](q);
+"""
+
+CORPUS = dict(EXAMPLES, **{"parameterised.foq": PARAMETERISED_SOURCE})
+
+TERMS = [
+    "(comp (branch i not) swap (ph pi))",
+    "(comp (rot pi / 4) (branch (ph pi / 2) swap))",
+    "(kqrec :k 1 :t 0 :f i :g (rot pi / 4) :h i :sel (0 rec) (1 i))",
+    "(kqrec :k 1 :t 1 :f not :g (ph pi / 3) :h swap :sel (0 rec) (1 rec))",
+    "(kqrec :k 2 :t 1 :f not :g i :h swap :sel (00 rec) (01 i) (10 i) (11 rec))",
+    "(kqrec :k 2 :t 2 :f (rot pi / 8) :g not :h (ph pi) :sel (00 i) (01 rec) (10 rec) (11 i))",
+]
+
+RUN_STATES = ["0", "1", "0110", "10110", "110100"]
+
+
+def digest(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def programs():
+    return {name: parse_program(src, name) for name, src in CORPUS.items()}
+
+
+def test_example_circuits_and_stats(programs):
+    chunks = []
+    for name, program in programs.items():
+        for n in range(1, 11):
+            circuit, stats = compile_with_stats(program, n)
+            chunks += [name, str(n), export_json(circuit), json.dumps(stats, sort_keys=True)]
+    assert digest(chunks) == (
+        "fadfd3a13683e0f8343bcaab6419086f524f5d4e625ced2b7db3573ce0f471e5"
+    )
+
+
+def test_example_verdicts(programs):
+    chunks = [check_pfoq(program).to_json() for program in programs.values()]
+    assert digest(chunks) == (
+        "cfb34fca16d15aca9130696d9630b2aea6d91aeae133dd8a670af282759da9e1"
+    )
+
+
+def test_run_stdout(tmp_path, capsys):
+    chunks = []
+    for name, src in CORPUS.items():
+        path = tmp_path / name
+        path.write_text(src)
+        for bits in RUN_STATES:
+            code = dispatch(["run", str(path), "--state", bits])
+            captured = capsys.readouterr()
+            chunks += [name, bits, str(code), captured.out, captured.err]
+    assert digest(chunks) == (
+        "7d44afc2087e5919537fb6f4b3795633862e1c07d12769cb8e754be656147e05"
+    )
+
+
+def test_algebra_circuits():
+    chunks = []
+    for text in TERMS:
+        program = to_pfoq(parse_term(text))
+        for n in (2, 4, 7):
+            circuit, stats = compile_with_stats(program, n)
+            chunks += [text, str(n), export_json(circuit), json.dumps(stats, sort_keys=True)]
+    assert digest(chunks) == (
+        "9e75343953cba62dda2271bbcbd2bbe1107d0a813c47d59b839a626c0f94a9a0"
+    )

@@ -9,6 +9,7 @@ from foqc.interpreter import (
     TOP,
     BottomError,
     BudgetExceededError,
+    EvalError,
     QuantumState,
     eval_int,
     eval_program,
@@ -18,7 +19,7 @@ from foqc.interpreter import (
     level_of,
     run,
 )
-from foqc.syntax import IntLit, QubitExpr, SetNil, SetRemove, SetSize, SetVar
+from foqc.syntax import IntAdd, IntLit, IntVar, QubitExpr, SetNil, SetRemove, SetSize, SetVar
 
 
 Q = SetVar("q")
@@ -63,6 +64,14 @@ def test_eval_qubit_out_of_range_is_zero():
 
 def test_eval_int_size():
     assert eval_int(SetSize(SetRemove(Q, IntLit(1))), (1, 2, 3)) == 2
+
+
+def test_integer_variables_read_the_environment():
+    x = IntVar("x")
+    assert eval_int(IntAdd(x, 1), (), {"x": 3}) == 4
+    assert eval_qubit(QubitExpr(SetRemove(Q, x), x), (5, 7, 9), {"x": 2}) == 9
+    with pytest.raises(EvalError, match="unbound integer variable 'x'"):
+        eval_int(x, (1, 2))
 
 
 def test_quantum_state_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from foqc import parse_program
+from foqc import QuantumState, compile_program, export_json, parse_program, run
 from foqc.syntax import (
     IntLit,
     IntVar,
@@ -26,8 +26,6 @@ from foqc.syntax import (
     pretty_print,
     seq_all,
     seq_items,
-    statement_calls,
-    substitute_int,
     wellformed_check,
 )
 
@@ -85,27 +83,82 @@ def test_invert_operator():
     assert np.allclose(m, np.eye(2), atol=1e-12)
 
 
-def test_substitute_int_reaches_all_positions():
-    src = """
+PARAMETERISED = """
 decl f[x](p) {
-  if x > 0 then {
-    p[x] *= PH[pi](x + 1);
+  if (size(p) >= x && x > 1) then {
+    p[x] *= RY[pi / 2^x](x);
+    qcase p[1] of {
+      0 -> p[x] *= PH[pi / x](x + 1);
+      ,
+      1 -> skip;
+    }
     call f[x - 1](p \\ [x]);
-  } else { skip; }
+    p[x - 1] *= RY[x](x - 1);
+  } else {
+    p[1] *= NOT;
+  }
 },
 :: call f[3](q);
 """
-    program = parse_program(src)
-    body = substitute_int(program.decls[0].body, "x", 3)
-    text = pretty_print(parse_program(src))
-    assert "x" in text  # original keeps the variable
-    rendered_calls = statement_calls(body)
-    assert rendered_calls[0].arg is not None
-    # After substitution no integer variable named x remains anywhere.
-    from foqc.syntax import statement_vars
 
-    _, int_vars = statement_vars(body)
-    assert int_vars == set()
+# The same program with the argument of each call written in by hand.
+HANDWRITTEN = """
+decl f3(p) {
+  if (size(p) >= 3 && 3 > 1) then {
+    p[3] *= RY[pi / 2^x](3);
+    qcase p[1] of {
+      0 -> p[3] *= PH[pi / x](4);
+      ,
+      1 -> skip;
+    }
+    call f2(p \\ [3]);
+    p[2] *= RY[x](2);
+  } else {
+    p[1] *= NOT;
+  }
+},
+decl f2(p) {
+  if (size(p) >= 2 && 2 > 1) then {
+    p[2] *= RY[pi / 2^x](2);
+    qcase p[1] of {
+      0 -> p[2] *= PH[pi / x](3);
+      ,
+      1 -> skip;
+    }
+    call f1(p \\ [2]);
+    p[1] *= RY[x](1);
+  } else {
+    p[1] *= NOT;
+  }
+},
+decl f1(p) {
+  if (size(p) >= 1 && 1 > 1) then {
+    p[1] *= RY[pi / 2^x](1);
+    qcase p[1] of {
+      0 -> p[1] *= PH[pi / x](2);
+      ,
+      1 -> skip;
+    }
+    skip;
+    p[0] *= RY[x](0);
+  } else {
+    p[1] *= NOT;
+  }
+},
+:: call f3(q);
+"""
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_parameter_binding_matches_handwritten_literals(n):
+    bound, literal = parse_program(PARAMETERISED), parse_program(HANDWRITTEN)
+    assert export_json(compile_program(bound, n)) == export_json(
+        compile_program(literal, n)
+    )
+    rng = np.random.default_rng(n)
+    state = QuantumState.random(n, rng)
+    a, b = run(bound, state), run(literal, state)
+    assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
 
 
 def test_seq_all_normalizes_nesting():
