@@ -415,7 +415,8 @@ class _SparseState:
         mixed = (block @ gate.matrix_array().T).reshape(-1)
         new_index = (bases[:, None] | np.array(offsets)).reshape(-1)
         keep = mixed != 0
-        new_index, mixed = new_index[keep], mixed[keep]
+        if not keep.all():
+            new_index, mixed = new_index[keep], mixed[keep]
         if sat is not True:
             new_index = np.concatenate([self.index[~sat], new_index])
             mixed = np.concatenate([self.amp[~sat], mixed])
@@ -451,6 +452,46 @@ def simulate_circuit(c: Circuit, psi) -> np.ndarray:
     for gate in c.gates:
         state.apply(gate)
     return state.dense()
+
+
+# The widest index a sparse state may hold: wires plus column-tag bits fit
+# a nonnegative int64.
+MAX_SPARSE_BITS = 62
+
+
+def simulate_basis(c: Circuit, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Run the circuit on each basis input, with the ancillas summed out.
+
+    Returns the (2^n, k) outputs, column j being
+    `trace_ancillas(simulate_circuit(c, b), c.ancillas)` for b = basis[j],
+    and the k ancilla residues (`ancilla_residue` of each column's state).
+    All k inputs run as one sparse state: column j's entries carry j in the
+    index bits above the circuit's wires, which no gate touches, so no
+    dense state over all wires is built.
+    """
+    check_dense_wires(c.n)
+    total, k = c.total_wires, len(basis)
+    if total + k.bit_length() > MAX_SPARSE_BITS:
+        raise WireLimitError(
+            f"{total} wires and {k} basis inputs exceed the {MAX_SPARSE_BITS}-bit sparse index"
+        )
+    column = np.arange(k, dtype=np.int64)
+    index = (np.asarray(basis, dtype=np.int64) << c.ancillas) | (column << total)
+    state = _SparseState(total, index, np.ones(k, dtype=complex))
+    for gate in c.gates:
+        state.apply(gate)
+    column = state.index >> total
+    row = (state.index >> c.ancillas) & ((1 << c.n) - 1)
+    dirty = (state.index & ((1 << c.ancillas) - 1)) != 0
+    out = np.zeros((1 << c.n, k), dtype=complex)
+    residue = np.zeros(k)
+    if dirty.any():
+        # Entries of one column that differ only on the ancillas add up.
+        np.add.at(out, (row, column), state.amp)
+        np.add.at(residue, column[dirty], np.abs(state.amp[dirty]) ** 2)
+    else:  # every (row, column) holds at most one entry
+        out[row, column] = state.amp
+    return out, residue
 
 
 # ---------------------------------------------------------------------------

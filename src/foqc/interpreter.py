@@ -7,12 +7,15 @@ running procedure's classical parameter.  A call binds its callee's
 parameter afresh, so a body is evaluated as written and never sees its
 caller's bindings.  Qubit 1 is the most significant bit of the
 basis-state index.  Evaluation is exact (no measurement, no sampling)
-and works in place on a [2] * n tensor view of one copy of the
-input amplitudes, one axis per qubit: an assignment updates the two halves
-of its qubit's axis, and a quantum case evaluates each branch on the
-width-1 slice where the control qubit holds that branch's bit, with the
-control removed from the accessible set.  The branches cannot touch the
-control, so the slices are independent and nothing is recombined.
+and works in place on a [2] * n + [k] tensor view of k columns of
+amplitudes, one axis per qubit and a trailing column axis: an assignment
+updates the two halves of its qubit's axis, and a quantum case evaluates
+each branch on the width-1 slice where the control qubit holds that
+branch's bit, with the control removed from the accessible set.  The
+branches cannot touch the control, so the slices are independent and
+nothing is recombined.  Classical control never depends on the state, so
+`run_basis` evaluates k basis states as the columns of one matrix in one
+pass; `eval_program` is the one-column case.
 
 Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
@@ -319,7 +322,7 @@ def _eval(
     """Evaluate stmt, updating the tensor view t in place.
 
     Returns (terminal, level, error).  On the error terminal t may be left
-    partly updated; `eval_program` then discards it.
+    partly updated; the caller then discards it.
     """
     run.tick()
     if isinstance(stmt, Skip):
@@ -372,6 +375,36 @@ def _eval(
     raise TypeError(f"not a statement: {stmt!r}")
 
 
+def _evaluate(p: Program, n: int, psi: np.ndarray, budget: int) -> tuple[str, int, str | None]:
+    """Evaluate the main statement in place on the (2^n, k) columns psi.
+
+    Returns (terminal, level, error).  Classical control does not depend
+    on the state, so the steps taken, the level and the terminal are those
+    of evaluating each column alone.  On the error terminal psi may be
+    left partly updated.
+    """
+    # Sequences are evaluated in a loop, but every call nests two frames;
+    # give deep call chains headroom and report exhaustion of either
+    # resource the same way.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        return _eval(
+            p.main,
+            psi.reshape([2] * n + [psi.shape[1]]),
+            frozenset(range(1, n + 1)),
+            tuple(range(1, n + 1)),
+            NO_ENV,
+            _Run(p.decl_map(), budget),
+        )
+    except RecursionError:
+        raise BudgetExceededError(
+            "call recursion exceeded the interpreter stack"
+        ) from None
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def eval_program(
     p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET
 ) -> EvalOutcome:
@@ -380,36 +413,43 @@ def eval_program(
     The input is copied once and updated in place; on the error terminal
     the outcome carries the untouched input state.
     """
-    n = state.n
-    allowed = frozenset(range(1, n + 1))
-    l = tuple(range(1, n + 1))
     psi = state.amplitudes.copy()
-    # Sequences are evaluated in a loop, but every call nests two frames;
-    # give deep call chains headroom and report exhaustion of either
-    # resource the same way.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        terminal, level, error = _eval(
-            p.main, psi.reshape([2] * n), allowed, l, NO_ENV, _Run(p.decl_map(), budget)
-        )
-    except RecursionError:
-        raise BudgetExceededError(
-            "call recursion exceeded the interpreter stack"
-        ) from None
-    finally:
-        sys.setrecursionlimit(limit)
+    terminal, level, error = _evaluate(p, state.n, psi.reshape(-1, 1), budget)
     if terminal == BOTTOM:
         psi = state.amplitudes
-    return EvalOutcome(terminal, QuantumState(n, psi), level, error)
+    return EvalOutcome(terminal, QuantumState(state.n, psi), level, error)
+
+
+def _bottom(error: str | None) -> BottomError:
+    return BottomError(error or "program reached the error terminal")
 
 
 def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOutcome:
     """Like eval_program, but raises BottomError on the error terminal."""
     outcome = eval_program(p, state, budget)
     if outcome.terminal == BOTTOM:
-        raise BottomError(outcome.error or "program reached the error terminal")
+        raise _bottom(outcome.error)
     return outcome
+
+
+def run_basis(
+    p: Program, n: int, basis, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """The outputs of `run` on the basis states `basis`, as (2^n, k) columns.
+
+    Column j is the output on basis state basis[j] (qubit 1 the most
+    significant bit).  All k states are evaluated in one pass, which ticks
+    the budget as one `run` does; the error terminal raises BottomError
+    with `run`'s message.
+    """
+    check_dense_wires(n)
+    k = len(basis)
+    psi = np.zeros((1 << n, k), dtype=complex)
+    psi[np.asarray(basis, dtype=np.int64), np.arange(k)] = 1.0
+    terminal, _, error = _evaluate(p, n, psi, budget)
+    if terminal == BOTTOM:
+        raise _bottom(error)
+    return psi
 
 
 def level_of(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -11,6 +11,7 @@ from foqc.circuit import (
     ControlStructure,
     ControlledNot,
     ControlledSwap,
+    WireLimitError,
     ancilla_residue,
     circuit_size,
     controlled_gate,
@@ -21,9 +22,11 @@ from foqc.circuit import (
     import_json,
     pad_ancillas,
     routing_swaps,
+    simulate_basis,
     simulate_circuit,
     trace_ancillas,
 )
+from foqc.compiler import compile_program
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -212,3 +215,44 @@ def test_gate_wires_helper():
     assert gate_wires(gate) == frozenset({1, 2, 3})
     c = controlled_gate(X, ControlStructure.of({1: 0}), 2)
     assert c.n == 2 and c.gate_count() == 1
+
+
+def per_basis(c, basis):
+    """simulate_basis rebuilt from one dense simulation per basis input."""
+    fulls = [simulate_circuit(c, np.eye(1 << c.n)[b]) for b in basis]
+    outs = np.stack([trace_ancillas(full, c.ancillas) for full in fulls], axis=1)
+    return outs, np.array([ancilla_residue(full, c.ancillas) for full in fulls])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_simulate_basis_matches_per_basis_simulation(corpus, n):
+    for program in corpus.values():
+        c = compile_program(program, n)
+        inputs = list(range(0, 1 << n, 3))
+        outs, residues = simulate_basis(c, inputs)
+        want_outs, want_residues = per_basis(c, inputs)
+        assert outs.shape == (1 << n, len(inputs))
+        assert np.max(np.abs(outs - want_outs)) <= 1e-15
+        assert np.max(np.abs(residues - want_residues)) <= 1e-15
+
+
+def test_simulate_basis_keeps_columns_apart_and_traces_dirty_ancillas():
+    # H on wire 1 sends inputs 00 and 10 to the same two wire indices, with
+    # opposite signs; the CNOT leaves the ancilla set exactly when wire 2 is.
+    c = Circuit(2, 1, (
+        controlled_u_gate(ControlStructure.empty(), (1,), H),
+        ControlledNot(ControlStructure.of({2: 1}), 3),
+    ))
+    outs, residues = simulate_basis(c, [0, 1, 2, 3])
+    want_outs, want_residues = per_basis(c, [0, 1, 2, 3])
+    assert np.max(np.abs(outs - want_outs)) <= 1e-15
+    assert np.max(np.abs(residues - want_residues)) <= 1e-15
+    assert np.allclose(outs[:, 0], [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0])
+    assert np.allclose(outs[:, 2], [1 / math.sqrt(2), 0, -1 / math.sqrt(2), 0])
+    assert residues[0] == residues[2] == 0.0
+    assert residues[1] == pytest.approx(1.0) and residues[3] == pytest.approx(1.0)
+
+
+def test_simulate_basis_refuses_indices_past_62_bits():
+    with pytest.raises(WireLimitError):
+        simulate_basis(Circuit(1, 61), [0, 1])

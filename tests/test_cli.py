@@ -136,6 +136,15 @@ def test_diff_command(branching_file, capsys):
     assert payload["max_deviation"] < 1e-9
 
 
+def test_diff_reaches_past_the_dense_wire_cap(branching_file, capsys):
+    # appendix-b at n=14 compiles to 27 wires; only the n-qubit interpreter
+    # side is dense, so the 26-wire cap does not refuse it.
+    assert dispatch(["diff", branching_file, "-n", "14"]) == 0
+    payload = out_json(capsys)
+    assert payload["max_deviation"] < 1e-9
+    assert payload["max_ancilla_residue"] < 1e-9
+
+
 def test_simulate_schema_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

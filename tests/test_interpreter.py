@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from foqc import parse_program
+from foqc.circuit import WireLimitError
 from foqc.interpreter import (
     BOTTOM,
     TOP,
@@ -18,6 +20,7 @@ from foqc.interpreter import (
     guard_errors,
     level_of,
     run,
+    run_basis,
 )
 from foqc.syntax import IntAdd, IntLit, IntVar, QubitExpr, SetNil, SetRemove, SetSize, SetVar
 
@@ -229,3 +232,45 @@ def test_norm_preserved_on_corpus(corpus):
         state = QuantumState.random(n, rng)
         out = run(program, state)
         assert abs(np.linalg.norm(out.state.amplitudes) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_run_basis_columns_are_per_state_runs(corpus, n):
+    # Every update is elementwise, so on these programs evaluating the basis
+    # states as the columns of one matrix changes not a single bit.  (numpy
+    # may take a different complex-multiply loop on a longer contiguous
+    # run, so this is not a law: on `(comp (ph pi / 4) (ph pi / 4))` at n=1
+    # one amplitude can differ by 4.3e-17.)
+    for program in corpus.values():
+        guarded = guard_errors(program)
+        basis = list(range(1 << n))
+        columns = run_basis(guarded, n, basis)
+        assert columns.shape == (1 << n, len(basis))
+        for j, b in enumerate(basis):
+            alone = run(guarded, QuantumState.from_bits(format(b, f"0{n}b")))
+            assert np.array_equal(columns[:, j], alone.state.amplitudes)
+
+
+def test_run_basis_reports_the_error_terminal_as_run_does():
+    # Control reuse behind a recursive call: the error terminal is reached
+    # on every basis state, with the same message.
+    program = guard_errors(parse_program(
+        "decl proc(p){ if size(p) > 1 then { qcase p[1] of { 0 -> call proc(p \\ [2]); ,"
+        " 1 -> skip; } } else { p[1] *= NOT; } }, :: call proc(q);"
+    ))
+    with pytest.raises(BottomError) as alone:
+        run(program, QuantumState.from_bits("000"))
+    with pytest.raises(BottomError) as batched:
+        run_basis(program, 3, range(8))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_run_basis_refuses_wide_states_before_allocating(qft):
+    tracemalloc.start()
+    try:
+        with pytest.raises(WireLimitError, match="exceeds the limit of 26"):
+            run_basis(qft, 40, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
