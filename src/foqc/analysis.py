@@ -12,12 +12,19 @@ Relations on procedure names:
   - reaches: reflexive-transitive closure of direct.
   - equiv: mutual reachability (every procedure is equivalent to itself).
   - strict: reaches but not equiv.
+
+The check never builds `reaches` or `strict`, which grow quadratically on
+a chain of calls: `equiv` is read off the strongly connected components,
+ranks are longest paths over the graph of components, and the degree's
+reachable set is one search from the main statement's callees.  So the
+check takes time linear in the program.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     Assign,
@@ -63,9 +70,73 @@ class NotPfoqError(FoqError):
 class ProcRelations:
     procedures: tuple[str, ...]
     direct: dict[str, set[str]]
-    reaches: dict[str, set[str]]
     equiv: dict[str, set[str]]
-    strict: dict[str, set[str]]
+    # The strongly connected components (the sets shared by `equiv`), each
+    # listed after every component that one of its procedures calls.
+    components: list[set[str]]
+
+    def reachable(self, roots) -> set[str]:
+        """Every procedure that one of `roots` reaches, the roots included."""
+        seen = set(roots)
+        frontier = list(seen)
+        while frontier:
+            for callee in self.direct[frontier.pop()]:
+                _tick()
+                if callee not in seen:
+                    seen.add(callee)
+                    frontier.append(callee)
+        return seen
+
+    @cached_property
+    def reaches(self) -> dict[str, set[str]]:
+        """Quadratic in size on a chain of calls, so built only on request."""
+        return {name: self.reachable([name]) for name in self.procedures}
+
+    @cached_property
+    def strict(self) -> dict[str, set[str]]:
+        return {name: self.reaches[name] - self.equiv[name] for name in self.procedures}
+
+
+def _components(names: tuple[str, ...], direct: dict[str, set[str]]) -> list[set[str]]:
+    """Tarjan's strongly connected components, on an explicit stack.
+
+    A component is complete only after every component it calls, so the
+    list comes out with callees first.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    done: set[str] = set()
+    components: list[set[str]] = []
+    for root in names:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(direct[root]))]
+        while work:
+            name, callees = work[-1]
+            for callee in callees:
+                _tick()
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    work.append((callee, iter(direct[callee])))
+                    break
+                if callee not in done:  # still on the stack: same component
+                    low[name] = min(low[name], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[name])
+                if low[name] == index[name]:
+                    component = set()
+                    while name not in component:
+                        component.add(stack.pop())
+                    done |= component
+                    components.append(component)
+    return components
 
 
 def call_relations(p: Program) -> ProcRelations:
@@ -82,26 +153,9 @@ def call_relations(p: Program) -> ProcRelations:
     for name in names:
         direct[name] &= set(names)
 
-    reaches: dict[str, set[str]] = {}
-    for name in names:
-        seen = {name}
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            for callee in direct[current]:
-                _tick()
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        reaches[name] = seen
-
-    equiv = {
-        name: {other for other in reaches[name] if name in reaches[other]}
-        for name in names
-    }
-    strict = {name: reaches[name] - equiv[name] for name in names}
-    _tick(sum(len(reaches[name]) for name in names))
-    return ProcRelations(names, direct, reaches, equiv, strict)
+    components = _components(names, direct)
+    equiv = {name: component for component in components for name in component}
+    return ProcRelations(names, direct, equiv, components)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +246,23 @@ def widths(p: Program, relations: ProcRelations | None = None) -> dict[str, int]
 
 
 def ranks(p: Program, relations: ProcRelations | None = None) -> dict[str, int]:
-    """rank(P) = 0 if P strictly dominates nothing, else 1 + max over those."""
+    """rank(P) = 0 if P strictly dominates nothing, else 1 + max over those.
+
+    That is the longest path below P's component in the graph of
+    components, read off in one pass over the components, callees first.
+    """
     relations = relations or call_relations(p)
-    memo: dict[str, int] = {}
-
-    def rank_of(name: str) -> int:
-        if name in memo:
-            return memo[name]
-        below = relations.strict[name]
-        memo[name] = 1 + max(rank_of(q) for q in below) if below else 0
-        return memo[name]
-
-    return {name: rank_of(name) for name in relations.procedures}
+    rank: dict[str, int] = {}
+    for component in relations.components:
+        below = -1
+        for name in component:
+            for callee in relations.direct[name]:
+                _tick()
+                if callee not in component:
+                    below = max(below, rank[callee])
+        for name in component:
+            rank[name] = below + 1
+    return {name: rank[name] for name in relations.procedures}
 
 
 @dataclass
@@ -243,9 +302,8 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     accepted = ok and all(w <= 1 for w in width_map.values())
     degree = None
     if accepted:
-        reachable: set[str] = set()
-        for call in statement_calls(p.main):
-            reachable |= relations.reaches.get(call.proc, set())
+        roots = {call.proc for call in statement_calls(p.main)} & set(relations.direct)
+        reachable = relations.reachable(roots)
         max_rank = max((rank_map[name] for name in reachable), default=0)
         degree = max_rank + 1
     return PfoqVerdict(accepted, width_map, rank_map, degree, diags), relations

@@ -1,7 +1,10 @@
 """Concrete surface syntax for .foq files.
 
-A hand-written lexer and recursive-descent parser producing the syntax
-module's AST.  The surface grammar:
+A one-pass tokenizer and a recursive-descent parser producing the syntax
+module's AST.  The tokenizer is one regex `findall` over the text; the
+parser reads token kinds and texts by position from two flat lists, and
+offsets and line numbers are computed only for a `ParseError`.  The
+surface grammar:
 
     program  := decl* "::" stmt+
     decl     := "decl" NAME ("[" NAME "]")? "(" NAME ")" "{" stmt+ "}" ","
@@ -110,26 +113,6 @@ class ParseError(FoqError):
         self.message = message
 
 
-class _Source:
-    """Source text that turns offsets into spans, for error messages only.
-
-    The line-start table is built on the first request and shared by every
-    later one, so each span costs a binary search.
-    """
-
-    def __init__(self, text: str, filename: str):
-        self.text = text
-        self.filename = filename
-        self._line_starts: list[int] | None = None
-
-    def span(self, begin: int, end: int) -> SourceSpan:
-        if self._line_starts is None:
-            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
-        line = bisect_right(self._line_starts, begin)
-        column = begin - self._line_starts[line - 1] + 1
-        return SourceSpan(self.filename, begin, end, line, column)
-
-
 KEYWORDS = {
     "decl",
     "skip",
@@ -150,17 +133,22 @@ KEYWORDS = {
     "SWAP",
 }
 
+# Whitespace and comments, skipped before the first token and after each.
+_SKIP = r"\s*(?://[^\n]*\s*)*"
+_LEADING_SKIP = re.compile(_SKIP)
+# One token and the text skipped after it.  Every match starts where the
+# previous one ended, so one `findall` reads the whole text.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>::|->|\*=|<=|>=|&&|\|\||[{}()\[\],;\\+\-*/^<>=!])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"(\d+"  # integer
+    r"|[A-Za-z_][A-Za-z0-9_]*"  # name or keyword
+    r"|::|->|\*=|<=|>=|&&|\|\||[{}()\[\],;\\+\-*/^<>=!]"  # symbol
+    r"|\S)"  # stray character
+    + _SKIP
 )
+# Keywords and the symbols of _TOKEN_RE are their own kind.
+_SYMBOLS = ("::", "->", "*=", "<=", ">=", "&&", "||", *"{}()[],;\\+-*/^<>=!")
+_KINDS = {word: word for word in (*KEYWORDS, *_SYMBOLS)}
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class Token(NamedTuple):
@@ -169,22 +157,55 @@ class Token(NamedTuple):
     begin: int  # offset into the source text
 
 
+class _Source:
+    """Source text read as flat lists of token kinds and texts.
+
+    A keyword or symbol is its own kind.  Any other token is a name, an
+    integer or a stray character, told apart by its first character (the
+    regex's `\\d` and `str.isdecimal` accept the same Unicode digits).
+    Token offsets, and the line-start table that turns them into spans,
+    are built when the first `ParseError` needs a span, and kept.
+    The last token is always `eof`.
+    """
+
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
+        self._lead = _LEADING_SKIP.match(text).end()
+        self.texts = _TOKEN_RE.findall(text, self._lead)
+        kind = _KINDS.get
+        self.kinds = [
+            kind(w) or ("name" if w[0] in _NAME_START else "int" if w[0].isdecimal() else "bad")
+            for w in self.texts
+        ]
+        self.kinds.append("eof")
+        self.texts.append("")
+        self._begins: list[int] | None = None
+        self._line_starts: list[int] | None = None
+        if "bad" in self.kinds:
+            i = self.kinds.index("bad")
+            raise ParseError(self.span(i), f"unexpected character {self.texts[i]!r}")
+
+    def begins(self) -> list[int]:
+        """The offset of every token, `eof` (at the end of the text) included."""
+        if self._begins is None:
+            self._begins = [m.start() for m in _TOKEN_RE.finditer(self.text, self._lead)]
+            self._begins.append(len(self.text))
+        return self._begins
+
+    def span(self, i: int) -> SourceSpan:
+        """The span of token `i`."""
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        begin = self.begins()[i]
+        line = bisect_right(self._line_starts, begin)
+        column = begin - self._line_starts[line - 1] + 1
+        return SourceSpan(self.filename, begin, begin + len(self.texts[i]), line, column)
+
+
 def tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "name":
-            kind = word if word in KEYWORDS else "name"
-        elif kind == "sym":
-            kind = word
-        elif kind == "bad":
-            span = _Source(text, filename).span(m.start(), m.end())
-            raise ParseError(span, f"unexpected character {word!r}")
-        tokens.append(Token(kind, word, m.start()))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+    source = _Source(text, filename)
+    return list(map(Token._make, zip(source.kinds, source.texts, source.begins())))
 
 
 _PI_OVER_4 = PhaseDiv(PhasePi(), PhaseConst(4))
@@ -229,39 +250,49 @@ def expand_multiqcase(
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.source = _Source(text, filename)
-        self.tokens = tokenize(text, filename)
+        self.kinds = self.source.kinds
+        self.texts = self.source.texts
         self.pos = 0
 
-    def error(self, tok: Token, message: str) -> ParseError:
-        return ParseError(self.source.span(tok.begin, tok.begin + len(tok.text)), message)
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """An error at token `pos`, by default the current one."""
+        return ParseError(self.source.span(self.pos if pos is None else pos), message)
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        """The current token's kind.  A caller that has just peeked a kind
+        other than `eof` moves past it with `self.pos += 1`."""
+        return self.kinds[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def next(self) -> str:
+        """The current token's text; moves past it unless it is `eof`."""
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return self.texts[pos]
+
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            found = self.texts[pos] or "end of input"
+            raise self.error(f"expected {kind!r}, found {found!r}")
+        if kind != "eof":
+            self.pos = pos + 1
+        return self.texts[pos]
+
+    def accept(self, kind: str) -> bool:
+        """Move past the current token if it is a `kind` (never `eof`)."""
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(tok, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
+            return True
+        return False
 
     # -- program structure -------------------------------------------------
 
     def parse_program(self) -> Program:
         decls: list[ProcDecl] = []
-        while self.peek().kind == "decl":
+        while self.peek() == "decl":
             decls.append(self.parse_decl())
         self.expect("::")
         main = self.parse_stmts(stop={"eof"})
@@ -270,13 +301,13 @@ class _Parser:
 
     def parse_decl(self) -> ProcDecl:
         self.expect("decl")
-        name = self.expect("name").text
+        name = self.expect("name")
         param = None
         if self.accept("["):
-            param = self.expect("name").text
+            param = self.expect("name")
             self.expect("]")
         self.expect("(")
-        set_param = self.expect("name").text
+        set_param = self.expect("name")
         self.expect(")")
         self.expect("{")
         body = self.parse_stmts(stop={"}"})
@@ -288,7 +319,7 @@ class _Parser:
 
     def parse_stmts(self, stop: set[str]) -> Statement:
         stmts = [self.parse_stmt(stop)]
-        while self.peek().kind not in stop:
+        while self.peek() not in stop:
             stmts.append(self.parse_stmt(stop))
         return seq_all(stmts)
 
@@ -300,24 +331,30 @@ class _Parser:
         return self.parse_stmts(stop)
 
     def parse_stmt(self, stop: set[str]) -> Statement:
-        tok = self.peek()
-        if tok.kind == "skip":
-            self.next()
+        kind = self.peek()
+        if kind == "name" or kind == "nil":
+            q = self.parse_qubit()
+            self.expect("*=")
+            result = self.parse_op_assignment(q)
+            self.expect(";")
+            return result
+        if kind == "skip":
+            self.pos += 1
             self.expect(";")
             return Skip()
-        if tok.kind == "if":
-            self.next()
+        if kind == "if":
+            self.pos += 1
             cond = self.parse_bexpr()
             self.expect("then")
             then_branch = self.parse_block(stop={"else"})
             self.expect("else")
             else_branch = self.parse_block(stop)
             return If(cond, then_branch, else_branch)
-        if tok.kind == "qcase":
+        if kind == "qcase":
             return self.parse_qcase()
-        if tok.kind == "call":
-            self.next()
-            name = self.expect("name").text
+        if kind == "call":
+            self.pos += 1
+            name = self.expect("name")
             arg = None
             if self.accept("["):
                 arg = self.parse_iexpr()
@@ -327,50 +364,46 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return Call(name, arg, s)
-        if tok.kind == "H":
-            self.next()
+        if kind == "H":
+            self.pos += 1
             self.expect("(")
             q = self.parse_qubit()
             self.expect(")")
             self.expect(";")
             return hadamard_statement(q)
-        if tok.kind in ("CNOT", "SWAP"):
-            self.next()
+        if kind == "CNOT" or kind == "SWAP":
+            self.pos += 1
             self.expect("(")
             a = self.parse_qubit()
             self.expect(",")
             b = self.parse_qubit()
             self.expect(")")
             self.expect(";")
-            return cnot_statement(a, b) if tok.kind == "CNOT" else swap_statement(a, b)
-        if tok.kind in ("name", "nil"):
-            q = self.parse_qubit()
-            self.expect("*=")
-            result = self.parse_op_assignment(q)
-            self.expect(";")
-            return result
-        raise self.error(tok, f"expected a statement, found {tok.text or 'end of input'!r}")
+            return cnot_statement(a, b) if kind == "CNOT" else swap_statement(a, b)
+        found = self.texts[self.pos] or "end of input"
+        raise self.error(f"expected a statement, found {found!r}")
 
     def parse_op_assignment(self, q: QubitExpr) -> Statement:
-        tok = self.next()
-        if tok.kind == "NOT":
+        pos = self.pos
+        kind = self.peek()
+        text = self.next()
+        if kind == "NOT":
             return Assign(q, Operator(OP_NOT))
-        if tok.kind == "H":
+        if kind == "H":
             return hadamard_statement(q)
-        if tok.kind in ("RY", "PH"):
+        if kind == "RY" or kind == "PH":
             self.expect("[")
             phase = self.parse_phase()
             self.expect("]")
             self.expect("(")
             arg = self.parse_iexpr()
             self.expect(")")
-            kind = OP_RY if tok.kind == "RY" else OP_PH
-            return Assign(q, Operator(kind, phase, arg))
-        raise self.error(tok, f"expected an operator, found {tok.text!r}")
+            return Assign(q, Operator(OP_RY if kind == "RY" else OP_PH, phase, arg))
+        raise self.error(f"expected an operator, found {text!r}", pos)
 
     def parse_qcase(self) -> Statement:
         self.expect("qcase")
-        start = self.peek()
+        start = self.pos
         s = self.parse_sexpr()
         self.expect("[")
         indices = [self.parse_iexpr()]
@@ -382,15 +415,15 @@ class _Parser:
         k = len(indices)
         branches: dict[str, Statement] = {}
         while True:
-            label_tok = self.expect("int")
-            label = label_tok.text
+            label_pos = self.pos
+            label = self.expect("int")
             if len(label) != k or set(label) - {"0", "1"}:
                 raise self.error(
-                    label_tok,
                     f"quantum case over {k} qubit(s) needs length-{k} bitstring labels, got {label!r}",
+                    label_pos,
                 )
             if label in branches:
-                raise self.error(label_tok, f"duplicate quantum case label {label!r}")
+                raise self.error(f"duplicate quantum case label {label!r}", label_pos)
             self.expect("->")
             branches[label] = self.parse_stmts(stop={",", "}"})
             if not self.accept(","):
@@ -398,8 +431,8 @@ class _Parser:
         self.expect("}")
         if len(branches) != 1 << k:
             raise self.error(
-                start,
                 f"quantum case over {k} qubit(s) needs {1 << k} branches, got {len(branches)}",
+                start,
             )
         controls = [QubitExpr(s, i) for i in indices]
         return expand_multiqcase(controls, branches)
@@ -407,17 +440,16 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_sexpr(self) -> SetExpr:
-        tok = self.peek()
-        if tok.kind == "nil":
-            self.next()
-            base: SetExpr = SetNil()
-        elif tok.kind == "name":
-            self.next()
-            base = SetVar(tok.text)
+        kind = self.peek()
+        if kind == "name":
+            base: SetExpr = SetVar(self.next())
+        elif kind == "nil":
+            self.pos += 1
+            base = SetNil()
         else:
-            raise self.error(tok, f"expected a sorted set, found {tok.text!r}")
-        while self.peek().kind == "\\":
-            self.next()
+            raise self.error(f"expected a sorted set, found {self.texts[self.pos]!r}")
+        while self.peek() == "\\":
+            self.pos += 1
             self.expect("[")
             base = SetRemove(base, self.parse_iexpr())
             while self.accept(","):
@@ -434,33 +466,30 @@ class _Parser:
 
     def parse_iexpr(self) -> IntExpr:
         expr = self.parse_iatom()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            lit = self.expect("int")
-            offset = int(lit.text)
-            expr = IntAdd(expr, offset) if op.kind == "+" else IntSub(expr, offset)
+        while self.peek() in ("+", "-"):
+            plus = self.next() == "+"
+            offset = int(self.expect("int"))
+            expr = IntAdd(expr, offset) if plus else IntSub(expr, offset)
         return expr
 
     def parse_iatom(self) -> IntExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text))
-        if tok.kind == "name":
-            self.next()
-            return IntVar(tok.text)
-        if tok.kind == "size":
-            self.next()
+        kind = self.peek()
+        if kind == "int":
+            return IntLit(int(self.next()))
+        if kind == "name":
+            return IntVar(self.next())
+        if kind == "size":
+            self.pos += 1
             self.expect("(")
             s = self.parse_sexpr()
             self.expect(")")
             return SetSize(s)
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos += 1
             expr = self.parse_iexpr()
             self.expect(")")
             return expr
-        raise self.error(tok, f"expected an integer expression, found {tok.text!r}")
+        raise self.error(f"expected an integer expression, found {self.texts[self.pos]!r}")
 
     def parse_bexpr(self) -> BoolExpr:
         expr = self.parse_band()
@@ -475,15 +504,15 @@ class _Parser:
         return expr
 
     def parse_bunary(self) -> BoolExpr:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
+        kind = self.peek()
+        if kind == "!":
+            self.pos += 1
             return BoolNot(self.parse_bunary())
-        if tok.kind == "(":
+        if kind == "(":
             # Either a parenthesized boolean or a parenthesized integer
             # starting a comparison; try the boolean reading first.
             saved = self.pos
-            self.next()
+            self.pos += 1
             try:
                 inner = self.parse_bexpr()
                 self.expect(")")
@@ -494,63 +523,61 @@ class _Parser:
 
     def parse_cmp(self) -> BoolExpr:
         left = self.parse_iexpr()
-        tok = self.peek()
-        if tok.kind in (">", ">="):
-            self.next()
-            return BoolCmp(tok.kind, left, self.parse_iexpr())
-        if tok.kind == "=":
-            self.next()
-            return BoolCmp("=", left, self.parse_iexpr())
-        if tok.kind in ("<", "<="):
+        kind = self.peek()
+        if kind == ">" or kind == ">=" or kind == "=":
+            self.pos += 1
+            return BoolCmp(kind, left, self.parse_iexpr())
+        if kind == "<" or kind == "<=":
             # Sugar: a < b is b > a, a <= b is b >= a.
-            self.next()
+            self.pos += 1
             right = self.parse_iexpr()
-            return BoolCmp(">" if tok.kind == "<" else ">=", right, left)
-        raise self.error(tok, f"expected a comparison operator, found {tok.text!r}")
+            return BoolCmp(">" if kind == "<" else ">=", right, left)
+        raise self.error(f"expected a comparison operator, found {self.texts[self.pos]!r}")
 
     # -- phase expressions ------------------------------------------------------
 
     def parse_phase(self) -> PhaseExpr:
         expr = self.parse_phase_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
+        while self.peek() in ("+", "-"):
+            plus = self.next() == "+"
             right = self.parse_phase_term()
-            expr = PhaseAdd(expr, right) if op.kind == "+" else PhaseSub(expr, right)
+            expr = PhaseAdd(expr, right) if plus else PhaseSub(expr, right)
         return expr
 
     def parse_phase_term(self) -> PhaseExpr:
         expr = self.parse_phase_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.next()
+        while self.peek() in ("*", "/"):
+            times = self.next() == "*"
             right = self.parse_phase_factor()
-            expr = PhaseMul(expr, right) if op.kind == "*" else PhaseDiv(expr, right)
+            expr = PhaseMul(expr, right) if times else PhaseDiv(expr, right)
         return expr
 
     def parse_phase_factor(self) -> PhaseExpr:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
+        kind = self.peek()
+        if kind == "-":
+            self.pos += 1
             return PhaseNeg(self.parse_phase_factor())
-        if tok.kind == "int":
-            self.next()
-            if self.peek().kind == "^":
-                if tok.text != "2":
-                    raise self.error(tok, "only base-2 exponentials are supported")
-                self.next()
+        if kind == "int":
+            pos = self.pos
+            text = self.next()
+            if self.peek() == "^":
+                if text != "2":
+                    raise self.error("only base-2 exponentials are supported", pos)
+                self.pos += 1
                 return PhasePow2(self.parse_phase_factor())
-            return PhaseConst(int(tok.text))
-        if tok.kind == "pi":
-            self.next()
+            return PhaseConst(int(text))
+        if kind == "pi":
+            self.pos += 1
             return PhasePi()
-        if tok.kind == "name":
-            self.next()
+        if kind == "name":
+            self.pos += 1
             return PhaseVar()
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos += 1
             expr = self.parse_phase()
             self.expect(")")
             return expr
-        raise self.error(tok, f"expected a phase expression, found {tok.text!r}")
+        raise self.error(f"expected a phase expression, found {self.texts[self.pos]!r}")
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:

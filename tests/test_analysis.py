@@ -154,3 +154,16 @@ def test_analysis_cost_scales_quadratically():
         costs[k] = op_count()
     assert costs[20] / costs[10] <= 5.0
     assert costs[40] / costs[20] <= 5.0
+
+
+def test_analysis_cost_is_linear_on_a_chain():
+    # Call relations come from strongly connected components, so a chain
+    # of k procedures costs O(k) elementary operations, not O(k^2).
+    costs = {}
+    for k in (40, 80, 160):
+        program = parse_program(_chain_program(k))
+        reset_op_count()
+        check_pfoq(program)
+        costs[k] = op_count()
+    assert costs[80] / costs[40] <= 2.5
+    assert costs[160] / costs[80] <= 2.5

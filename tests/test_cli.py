@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,29 @@ def branching_file(tmp_path):
 
 def out_json(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def readme_quick_start() -> list[list[str]]:
+    """The argument lists of the README's quick-start commands."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["foqc"]:
+            commands.append(words[1:])
+        elif words[:3] == ["python", "-m", "foqc"]:
+            commands.append(words[3:])
+    return commands
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "term.alg").write_text("(comp (branch i not) swap (ph pi))\n")
+    commands = readme_quick_start()
+    assert len(commands) == 10
+    for args in commands:
+        assert dispatch(args) == 0, (args, capsys.readouterr().err)
 
 
 def test_check_accepts_qft(qft_file, capsys):

@@ -1,21 +1,25 @@
-"""Byte-level fingerprints of compiler, analysis and interpreter output.
+"""Byte-level fingerprints of parser, compiler, analysis and interpreter output.
 
 Each test hashes the exact text the toolchain produces on a fixed corpus:
-circuit JSON and compile statistics, verdict JSON, `foqc run` stdout, and
-the circuits of a few algebra terms.  A refactor that is meant to leave
+circuit JSON and compile statistics, verdict JSON, `foqc run` stdout, the
+circuits of a few algebra terms, and the parse errors of mutated programs.  A refactor that is meant to leave
 outputs unchanged must leave every digest unchanged; a change that moves
 them on purpose records the new digests here and says why.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from foqc import check_pfoq, compile_with_stats, export_json, parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.cli import dispatch
+from foqc.parser import ParseError, tokenize
 from foqc.programs import EXAMPLES
+
+from test_long_programs import chain_program, straight_program
 
 # A procedure whose classical parameter reaches every position it can
 # occupy: a qubit index, a removal index, an operator argument, a condition
@@ -105,4 +109,34 @@ def test_algebra_circuits():
             chunks += [text, str(n), export_json(circuit), json.dumps(stats, sort_keys=True)]
     assert digest(chunks) == (
         "9e75343953cba62dda2271bbcbd2bbe1107d0a813c47d59b839a626c0f94a9a0"
+    )
+
+
+def token_mutants(name, text, rng, per_kind=40):
+    """Seeded single-token deletions, duplications and swaps of `text`."""
+    spans = [(t.begin, t.begin + len(t.text)) for t in tokenize(text, name)[:-1]]
+    for _ in range(per_kind):
+        b, e = rng.choice(spans)
+        yield text[:b] + text[e:]
+        b, e = rng.choice(spans)
+        yield text[:b] + text[b:e] + " " + text[b:]
+        (b1, e1), (b2, e2) = sorted(rng.sample(spans, 2))
+        yield text[:b1] + text[b2:e2] + text[e1:b2] + text[b1:e1] + text[e2:]
+
+
+def test_parse_error_texts():
+    sources = dict(EXAMPLES)
+    sources["straight.foq"] = straight_program(120)
+    sources["chain.foq"] = chain_program(30)
+    rng = random.Random(8)
+    chunks = []
+    for name, text in sources.items():
+        for mutant in token_mutants(name, text, rng):
+            try:
+                parse_program(mutant, name)
+                chunks.append("ok")
+            except ParseError as error:
+                chunks.append(str(error))
+    assert digest(chunks) == (
+        "694f5bec56dd07abf2791bbc25bec28a76dc98de039413532a8d5800ecf17820"
     )

@@ -1,6 +1,9 @@
-import pytest
+import re
 
-from foqc.parser import ParseError, parse_program
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foqc.parser import KEYWORDS, ParseError, SourceSpan, parse_program, tokenize
 from foqc.syntax import (
     Assign,
     If,
@@ -190,3 +193,81 @@ def test_error_location_on_later_lines(text, location, message):
         parse_program(text, filename="in.foq")
     assert str(excinfo.value).startswith(location + ": ")
     assert message in str(excinfo.value)
+
+
+# The match-by-match tokenizer that the one-pass one replaced, kept as the
+# reference for its token stream and its error text.
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>::|->|\*=|<=|>=|&&|\|\||[{}()\[\],;\\+\-*/^<>=!])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text, filename):
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "name":
+            kind = word if word in KEYWORDS else "name"
+        elif kind == "sym":
+            kind = word
+        elif kind == "bad":
+            line = text.count("\n", 0, m.start()) + 1
+            column = m.start() - (text.rfind("\n", 0, m.start()) + 1) + 1
+            span = SourceSpan(filename, m.start(), m.end(), line, column)
+            raise ParseError(span, f"unexpected character {word!r}")
+        tokens.append((kind, word, m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+SYMBOLS = ["::", "->", "*=", "<=", ">=", "&&", "||", *"{}()[],;\\+-*/^<>=!"]
+PIECES = [
+    *sorted(KEYWORDS),
+    *SYMBOLS,
+    *"0123456789",
+    "42",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE: a decimal digit
+    "\u00b2",  # SUPERSCRIPT TWO: a digit, but not a decimal one
+    " ",
+    "\n",
+    "\t",
+    "\r",
+    "\u00a0",  # NO-BREAK SPACE
+    "//",
+    "// note",
+    "// note\n",
+    "x",
+    "_p1",
+    *"@#$?:|&.'é",  # stray characters
+]
+
+
+def outcome(tokenizer, text):
+    try:
+        return [tuple(token) for token in tokenizer(text, "t.foq")]
+    except ParseError as error:
+        return str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+def test_tokenizer_matches_the_reference(text):
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+def test_tokenizer_reads_comments_and_unicode_digits():
+    text = "// head\n\u0663 x // tail"
+    assert tokenize(text, "t.foq") == reference_tokenize(text, "t.foq")
+    assert [t.kind for t in tokenize(text, "t.foq")] == ["int", "name", "eof"]
+    with pytest.raises(ParseError, match="t.foq:1:3: unexpected character '\u00b2'"):
+        tokenize("x \u00b2", "t.foq")
