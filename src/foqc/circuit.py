@@ -18,6 +18,7 @@ whitespace variation — identical circuits serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -97,6 +98,22 @@ def _check_wires(controls: ControlStructure, targets: tuple[int, ...]) -> None:
         raise CircuitError(f"control and target wires overlap: {sorted(overlap)}")
 
 
+@functools.lru_cache(maxsize=256)
+def _matrix_error(matrix, targets: int) -> str | None:
+    """Why `matrix` is not a unitary on `targets` wires, or None if it is one.
+
+    A program uses few distinct matrices, so the result is memoised per
+    (matrix, target count) and each gate costs one lookup.
+    """
+    dim = 1 << targets
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        return f"matrix shape {m.shape} does not fit {targets} target wire(s)"
+    if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
+        return "matrix is not unitary"
+    return None
+
+
 @dataclass(frozen=True)
 class ControlledU:
     """A 2^m x 2^m unitary on m target wires, gated by a control structure.
@@ -113,14 +130,13 @@ class ControlledU:
 
     def __post_init__(self) -> None:
         _check_wires(self.controls, self.targets)
-        dim = 1 << len(self.targets)
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise CircuitError(
-                f"matrix shape {m.shape} does not fit {len(self.targets)} target wire(s)"
-            )
-        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
-            raise CircuitError("matrix is not unitary")
+        try:
+            error = _matrix_error(self.matrix, len(self.targets))
+        except TypeError:
+            # An unhashable matrix cannot be memoised; check it directly.
+            error = _matrix_error.__wrapped__(self.matrix, len(self.targets))
+        if error is not None:
+            raise CircuitError(error)
 
     def matrix_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=complex)

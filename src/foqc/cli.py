@@ -7,11 +7,17 @@ ill-typed option, an unknown subcommand) is an argument error: it exits 4
 with one `error:` line, while `--help` still exits 0.  The step budget
 defaults to 10^6 statement rules and can be overridden with --budget or
 the FOQC_BUDGET environment variable.
+
+`dispatch(argv)` runs one request and returns its exit code (`--help`
+raises SystemExit(0), as argparse does).  One process can call it any
+number of times: the argument parser is built on the first call and
+reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,6 +220,7 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="foqc",

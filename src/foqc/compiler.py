@@ -28,7 +28,12 @@ region into the ancilla's.
 The program is compiled as written: a bounds guard is classical control,
 settled where a qubit position is evaluated.  An out-of-range position
 compiles to nothing, as the guard would skip it; one that an enclosing
-quantum case controls raises the interpreter's `BottomError`.
+quantum case controls raises the interpreter's `BottomError`.  A merged
+body runs under its ancilla alone, so each ancilla also keeps the
+positions that its callers' quantum cases pin (`_Context.pinned`).  A
+caller can be found after the body was compiled, so the accesses made
+under each ancilla are checked once the whole program is compiled
+(`_Context.settle_pins`).
 """
 
 from __future__ import annotations
@@ -188,6 +193,16 @@ class _Context:
     # For each ancilla wire, the input-wire region where it holds 1: the OR
     # of the regions of every call merged into it.
     meanings: dict[int, int] = field(default_factory=dict)
+    # For each merge ancilla, the positions of its wire list that some
+    # caller's control structure pins: its body must not touch them.
+    pinned: dict[int, frozenset[int]] = field(default_factory=dict)
+    # Callers of an ancilla can be found after its body has been compiled,
+    # and a caller's own pins grow when callers of an ancilla it holds are.
+    # `carries` keeps the (ancilla, cs, sub_l, seen_l) of every caller whose
+    # cs holds an ancilla, and `touched` the first statement per (ancilla,
+    # position) accessed under an ancilla, for `settle_pins`.
+    carries: list = field(default_factory=list)
+    touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
     # statement_width of every subtree measured so far, keyed by id(stmt).
     # A body only ever reaches the worklist of its own procedure's group.
     stmt_widths: dict[int, int] = field(default_factory=dict)
@@ -220,24 +235,77 @@ class _Context:
             region = regions.conj(region, pin)
         return region
 
+    def pinned_wires(self, cs: ControlStructure) -> set[int]:
+        """The input positions cs pins, directly or through the callers of
+        a merge ancilla that it holds at 1."""
+        wires: set[int] = set()
+        for wire, bit in cs.bits:
+            if wire <= self.n:
+                wires.add(wire)
+            elif bit:
+                wires |= self.pinned[wire]
+        return wires
+
+    def carry_pins(
+        self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
+    ) -> bool:
+        """Add a caller's pins to ancilla a's, moved from the caller's wire
+        list sub_l to the ancilla's wire list seen_l.  Returns whether a's
+        pins grew."""
+        wires = self.pinned_wires(cs)
+        carried = {seen for wire, seen in zip(sub_l, seen_l) if wire in wires}
+        pins = self.pinned[a]
+        if carried <= pins:
+            return False
+        self.pinned[a] = pins | carried
+        return True
+
+    def add_caller(
+        self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
+    ) -> None:
+        """Record a call merged into ancilla a (its first one included)."""
+        self.pinned.setdefault(a, frozenset())
+        self.carry_pins(a, cs, sub_l, seen_l)
+        if any(wire > self.n for wire, _ in cs.bits):
+            self.carries.append((a, cs, sub_l, seen_l))
+
+    def settle_pins(self) -> None:
+        """Carry pins along every recorded caller until none grows, then
+        raise BottomError for the first access, in compile order, to a
+        position pinned for the ancilla it was made under."""
+        grew = True
+        while grew:
+            grew = False
+            for carry in self.carries:
+                grew |= self.carry_pins(*carry)
+        for (a, pos), stmt in self.touched.items():
+            if pos in self.pinned[a]:
+                raise BottomError(access_error(stmt, pos))
+
 
 def _position(
-    stmt: Assign | QCase, l: tuple[int, ...], env: Env, cs: ControlStructure
+    ctx: _Context, stmt: Assign | QCase, l: tuple[int, ...], env: Env, cs: ControlStructure
 ) -> int:
     """The position stmt acts on, or 0 when it is out of range.
 
     Raises BottomError when an enclosing quantum case controls the position.
+    An access under a merge ancilla is recorded instead: whether a case
+    around one of its callers controls the position is known only once
+    every caller has been compiled (`_Context.settle_pins`).
     """
     pos = eval_qubit(stmt.qubit, l, env)
-    if cs.get(pos) is not None:
-        raise BottomError(access_error(stmt, pos))
+    for wire, bit in cs.bits:
+        if wire == pos:
+            raise BottomError(access_error(stmt, pos))
+        if wire > ctx.n and bit:
+            ctx.touched.setdefault((wire, pos), stmt)
     return pos
 
 
 def _assign_gates(
-    stmt: Assign, l: tuple[int, ...], env: Env, cs: ControlStructure
+    ctx: _Context, stmt: Assign, l: tuple[int, ...], env: Env, cs: ControlStructure
 ) -> list[Gate]:
-    pos = _position(stmt, l, env, cs)
+    pos = _position(ctx, stmt, l, env, cs)
     if pos < 1:
         return []
     op = stmt.op
@@ -267,14 +335,14 @@ def compr(
         if isinstance(stmt, Skip):
             continue
         if isinstance(stmt, Assign):
-            gates += _assign_gates(stmt, l, env, cs)
+            gates += _assign_gates(ctx, stmt, l, env, cs)
         elif isinstance(stmt, Seq):
             stack += [(item, l, env, cs) for item in reversed(stmt.items)]
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             stack.append((branch, l, env, cs))
         elif isinstance(stmt, QCase):
-            pos = _position(stmt, l, env, cs)
+            pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
                 continue
             stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1)))
@@ -342,7 +410,7 @@ def optimize(
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             worklist.append((cs, branch, l, env))
         elif isinstance(stmt, QCase):
-            pos = _position(stmt, l, env, cs)
+            pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
                 continue
             w0 = ctx.width(stmt.if_zero, group)
@@ -372,6 +440,7 @@ def optimize(
             if key in anc:
                 a, seen_l = anc[key]
                 ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
+                ctx.add_caller(a, cs, sub_l, seen_l)
                 if sub_l == seen_l:
                     c_left.append(ControlledNot(cs, a))
                     c_right = [ControlledNot(cs, a)] + c_right
@@ -390,6 +459,7 @@ def optimize(
             else:
                 a = ctx.new_ancilla()
                 ctx.meanings[a] = ctx.resolve(cs)
+                ctx.add_caller(a, cs, sub_l, sub_l)
                 anc[key] = (a, sub_l)
                 ctx.anc_keys += 1
                 if len(anc) > ctx.key_budget():
@@ -420,6 +490,7 @@ def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Co
         merge=merge,
     )
     gates = compr(ctx, p.main, tuple(range(1, n + 1)), NO_ENV, ControlStructure.empty())
+    ctx.settle_pins()
     return Circuit(n, ctx.ancillas, tuple(gates)), ctx
 
 

@@ -11,7 +11,9 @@ from foqc.circuit import (
     ControlStructure,
     ControlledNot,
     ControlledSwap,
+    ControlledU,
     WireLimitError,
+    _matrix_error,
     ancilla_residue,
     circuit_size,
     controlled_gate,
@@ -62,6 +64,32 @@ def test_extension_conflict_detected():
 def test_controlled_u_requires_unitary():
     with pytest.raises(CircuitError):
         controlled_u_gate(ControlStructure.empty(), (1,), np.array([[1, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize(
+    "matrix, targets, text",
+    [
+        (((1, 0), (0, 2)), (1,), "matrix is not unitary"),
+        (((0, 1), (1, 0)), (1, 2), "matrix shape (2, 2) does not fit 2 target wire(s)"),
+        ([[1, 0], [0, 2]], (1,), "matrix is not unitary"),
+    ],
+    ids=["not-unitary", "wrong-shape", "unhashable"],
+)
+def test_memoised_matrix_check_still_checks_every_gate(matrix, targets, text):
+    def build(m, t):
+        return ControlledU(ControlStructure.empty(), t, m)
+
+    _matrix_error.cache_clear()
+    with pytest.raises(CircuitError) as before:
+        build(matrix, targets)
+    assert str(before.value) == text
+    # A valid matrix of the same size, memoised, must not excuse the bad one.
+    build(((0, 1), (1, 0)), (1,))
+    build(((0, 1), (1, 0)), (1,))
+    for _ in range(2):
+        with pytest.raises(CircuitError) as after:
+            build(matrix, targets)
+        assert str(after.value) == text
 
 
 def test_gate_wire_disjointness():

@@ -246,15 +246,29 @@ def test_python_dash_m_runs_the_cli(qft_file):
     assert json.loads(result.stdout)["accepted"]
 
 
+def merged_call_source(if_zero: str, if_one: str) -> str:
+    """A recursive procedure whose calls the compiler merges under an ancilla."""
+    return (
+        "decl proc(p){ if size(p) > 1 then { qcase p[1] of { 0 -> "
+        + if_zero
+        + " , 1 -> "
+        + if_one
+        + " } } else { p[1] *= NOT; } }, :: call proc(q);"
+    )
+
+
 CONTROL_REUSE_SOURCES = [
     ":: qcase q[1] of { 0 -> q[1] *= NOT; , 1 -> skip; }",
     ":: qcase q[1] of { 0 -> qcase q[1] of { 0 -> skip; , 1 -> skip; } , 1 -> skip; }",
     "decl proc(p) { p[1] *= NOT; },"
     " :: qcase q[1] of { 0 -> call proc(q \\ [2]); , 1 -> skip; }",
+    merged_call_source("call proc(p \\ [2]);", "skip;"),
 ]
 
 
-@pytest.mark.parametrize("source", CONTROL_REUSE_SOURCES, ids=["assign", "qcase", "call"])
+@pytest.mark.parametrize(
+    "source", CONTROL_REUSE_SOURCES, ids=["assign", "qcase", "call", "merged-call"]
+)
 def test_control_reuse_is_the_error_terminal_in_compile_and_diff(tmp_path, capsys, source):
     path = tmp_path / "reuse.foq"
     path.write_text(source)
@@ -266,6 +280,55 @@ def test_control_reuse_is_the_error_terminal_in_compile_and_diff(tmp_path, capsy
     for argv in (["compile", str(path), "-n", "2"], ["diff", str(path), "-n", "2"]):
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == expected
+
+
+MERGED_BRANCHES = ["call proc(p \\ [1]);", "call proc(p \\ [2]);", "skip;"]
+MERGED_IDS = ["drop-1", "drop-2", "skip"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("if_one", MERGED_BRANCHES, ids=MERGED_IDS)
+@pytest.mark.parametrize("if_zero", MERGED_BRANCHES, ids=MERGED_IDS)
+def test_compile_reaches_the_error_terminal_exactly_when_run_does(
+    tmp_path, capsys, if_zero, if_one, n
+):
+    path = tmp_path / "merged.foq"
+    path.write_text(merged_call_source(if_zero, if_one))
+    run_code = dispatch(["run", str(path), "--state", "0" * n])
+    expected = capsys.readouterr().err
+    assert run_code in (0, 2)
+    code = dispatch(["compile", str(path), "-n", str(n)])
+    err = capsys.readouterr().err
+    assert code == run_code
+    if code == 0:
+        return
+    assert err.startswith("error:") and err.count("\n") == 1
+    # A routed call moves its wires onto the merged instance's wire list,
+    # so its diagnostic may name that list's position instead of run's.
+    routed = if_zero != if_one and "skip;" not in (if_zero, if_one)
+    if not routed:
+        assert err == expected
+
+
+# One caller of the merged key proc(p \\ [1]) sits a quantum case deeper
+# than the other, so the compiler meets it only after the merged body.
+DEEPER_CALLER_SOURCE = merged_call_source(
+    "call proc(p \\ [1]);",
+    "if size(p) > 0 then { qcase p[2] of { 0 -> call proc(p \\ [1]); , 1 -> skip; } }"
+    " else { skip; }",
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_caller_found_after_the_merged_body_still_pins_it(tmp_path, capsys, n):
+    path = tmp_path / "deeper.foq"
+    path.write_text(DEEPER_CALLER_SOURCE)
+    assert dispatch(["run", str(path), "--state", "0" * n]) == 2
+    capsys.readouterr()
+    for argv in (["compile", str(path), "-n", str(n)], ["diff", str(path), "-n", str(n)]):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def assert_input_error(capsys, argv):
@@ -290,6 +353,16 @@ def test_malformed_circuit_json_is_a_schema_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert_input_error(capsys, ["simulate", str(path), "--state", "0"])
+
+
+def test_simulate_refuses_a_non_unitary_gate_on_every_request(tmp_path, capsys):
+    matrix = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+    gate = {"kind": "cu", "controls": [], "targets": [1], "matrix": matrix}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "ancillas": 0, "gates": [gate]}))
+    for _ in range(2):
+        err = assert_input_error(capsys, ["simulate", str(path), "--state", "0"])
+        assert err == "error: matrix is not unitary\n"
 
 
 def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
@@ -328,6 +401,40 @@ def test_help_still_exits_zero(capsys):
         dispatch(["compile", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in (
+        "check", "run", "level", "invert", "compile", "simulate", "diff", "algebra", "examples"
+    ):
+        assert f"    {command} " in out, command
+
+
+def test_one_process_serves_many_requests(qft_file, capsys):
+    assert dispatch(["compile", qft_file, "-n", "3", "--stats"]) == 0
+    assert json.loads(capsys.readouterr().err)["gates"] > 0
+    assert dispatch(["compile", qft_file, "-n", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+    assert dispatch(["run", qft_file, "--state", "0110", "--budget", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert dispatch(["run", qft_file, "--state", "0110"]) == 0
+    assert out_json(capsys)["n"] == 4
+
+    assert_input_error(capsys, ["compile", qft_file])
+    assert dispatch(["compile", qft_file, "-n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["run", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert dispatch(["check", qft_file]) == 0
+    assert out_json(capsys)["accepted"]
 
 
 def test_callee_does_not_see_the_callers_parameter(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import foqc.analysis as analysis
 import foqc.compiler as compiler
 import foqc.interpreter as interpreter
 from foqc import parse_program
+from foqc.algebra import parse_term, to_pfoq
 from foqc.analysis import NotPfoqError
 from foqc.circuit import elementary_gate_count, export_json, simulate_circuit
 from foqc.compiler import (
@@ -17,7 +19,10 @@ from foqc.compiler import (
     compile_with_stats,
     diff_check,
 )
-from foqc.interpreter import guard_errors
+from foqc.interpreter import BottomError, QuantumState, guard_errors, run
+from foqc.programs import EXAMPLES
+
+from test_fingerprint import TERMS
 
 WIDTH_TWO_SOURCE = """
 decl bad(p) {
@@ -228,3 +233,80 @@ def test_compile_builds_call_relations_once_and_never_guards(branching, monkeypa
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     compile_with_stats(branching, 7)
     assert calls == {"call_relations": 1}
+
+
+# (gates, ancillas, anc_keys) at n = 16, 32 and 64: counts only, no
+# timings.  A change that moves one records the new value and says why.
+COMPILE_COUNTS = {
+    TERMS[0]: [(5, 0, 0), (5, 0, 0), (5, 0, 0)],
+    TERMS[1]: [(5, 0, 0), (5, 0, 0), (5, 0, 0)],
+    TERMS[2]: [(46, 15, 15), (94, 31, 31), (190, 63, 63)],
+    TERMS[3]: [(121, 15, 15), (249, 31, 31), (505, 63, 63)],
+    TERMS[4]: [(52, 7, 7), (108, 15, 15), (220, 31, 31)],
+    TERMS[5]: [(43, 7, 7), (91, 15, 15), (187, 31, 31)],
+    "appendix-b.foq": [(58, 15, 15), (122, 31, 31), (250, 63, 63)],
+    "qft.foq": [(176, 0, 0), (608, 0, 0), (2240, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", list(COMPILE_COUNTS))
+def test_compile_counts_are_pinned(name):
+    if name in EXAMPLES:
+        program = parse_program(EXAMPLES[name], name)
+    else:
+        program = to_pfoq(parse_term(name))
+    counts = []
+    for n in (16, 32, 64):
+        stats = compile_with_stats(program, n)[1]
+        counts.append((stats["gates"], stats["ancillas"], stats["anc_keys"]))
+    assert counts == COMPILE_COUNTS[name]
+
+
+def _random_branch(rng: random.Random, depth: int) -> str:
+    """A random statement whose recursive calls sit at varying depths of
+    classical and quantum cases."""
+    r = rng.random()
+    if depth >= 3 or r < 0.3:
+        call = f"call proc(p \\ [{rng.randint(1, 2)}]);"
+        return rng.choice([call, call, call, f"p[{rng.randint(1, 3)}] *= NOT;", "skip;"])
+    if r < 0.65:
+        return (
+            f"qcase p[{rng.randint(1, 3)}] of {{ 0 -> {_random_branch(rng, depth + 1)}"
+            f" , 1 -> {_random_branch(rng, depth + 1)} }}"
+        )
+    return (
+        f"if size(p) > {rng.randint(0, 2)} then {{ {_random_branch(rng, depth + 1)} }}"
+        f" else {{ {_random_branch(rng, depth + 1)} }}"
+    )
+
+
+def _reaches_bottom(action) -> bool:
+    try:
+        action()
+    except BottomError:
+        return True
+    return False
+
+
+def test_compile_reaches_the_error_terminal_exactly_when_run_does_at_any_call_depth():
+    # A merged body's accesses are checked against the pins of every
+    # caller, also those found after the body was compiled; the
+    # interpreter's error terminal does not depend on the basis state.
+    rng = random.Random(2026)
+    checked = bottoms = 0
+    for _ in range(400):
+        body = f"qcase p[1] of {{ 0 -> {_random_branch(rng, 1)} , 1 -> {_random_branch(rng, 1)} }}"
+        source = (
+            f"decl proc(p){{ if size(p) > 1 then {{ {body} }} else {{ p[1] *= NOT; }} }},"
+            " :: call proc(q);"
+        )
+        program = parse_program(source)
+        if not analysis.check_pfoq(program).accepted:
+            continue
+        guarded = guard_errors(program)
+        for n in (2, 3, 4, 5):
+            expected = _reaches_bottom(lambda: run(guarded, QuantumState.zero(n)))
+            assert _reaches_bottom(lambda: compile_program(program, n)) == expected, (n, source)
+            checked += 1
+            bottoms += expected
+    assert checked > 1000 and 0 < bottoms < checked
