@@ -359,67 +359,167 @@ def ancilla_residue(psi: np.ndarray, m: int) -> float:
     return max(0.0, total - clean)
 
 
-class _SparseState:
-    """The non-zero amplitudes of a state over `total` wires.
+# A lowered op is a tuple (kind, mask, want, target, data).  It acts on the
+# entries whose index holds the bits `want` under `mask` (its controls, as
+# one word of index bits); `target` and `data` depend on the kind:
+FLIP = 0  # target: an index bit, which the op flips (NOT, cnot)
+SCALE = 1  # target: an index bit; data: (value, phase) pairs, scaling the
+#            entries whose target bit is `value` by `phase`
+MIX = 2  # target: an index bit; data: the 2x2 entries (u00, u01, u10, u11)
+SWAP = 3  # target: the shifts (a, b) of two index bits, which the op exchanges
+MIX_MANY = 4  # target: index bits, most significant first; data: the matrix
 
-    `index[k]` is a basis-state index (wire 1 is its most significant bit)
-    and `amp[k]` its amplitude; indices are distinct.  Wire permutations
-    rewrite indices in place, diagonal unitaries scale amplitudes in place,
-    and any other ControlledU mixes each group of 2^m entries that differ
-    only on its m targets, dropping the exact zeros it makes.
-    """
 
-    def __init__(self, total: int, index: np.ndarray, amp: np.ndarray):
-        self.total = total
-        self.index = index
-        self.amp = amp
+def one_target_op(mask: int, want: int, bit: int, entries) -> tuple:
+    """The op applying the 2x2 `entries` (u00, u01, u10, u11) to index bit `bit`."""
+    u00, u01, u10, u11 = entries
+    if u01 == 0 and u10 == 0:
+        phases = tuple((v, ph) for v, ph in ((0, u00), (bit, u11)) if ph != 1)
+        return (SCALE, mask, want, bit, phases)
+    if u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+        return (FLIP, mask, want, bit, None)
+    return (MIX, mask, want, bit, entries)
 
-    def bit(self, wire: int) -> int:
-        return 1 << (self.total - wire)
 
-    def holding(self, pins) -> np.ndarray | bool:
-        """Which entries hold every (wire, bit) pin; True when there are none."""
-        if not pins:
-            return True
+def lower(c: Circuit) -> list[tuple]:
+    """The circuit's gates as ops on indices over its n + ancillas wires."""
+    total = c.total_wires
+
+    def bit(wire: int) -> int:
+        return 1 << (total - wire)
+
+    ops: list[tuple] = []
+    for gate in c.gates:
         mask = want = 0
-        for w, b in pins:
-            mask |= self.bit(w)
-            want |= b * self.bit(w)
-        return (self.index & mask) == want
-
-    def apply(self, gate: Gate) -> None:
-        index = self.index
+        for w, b in gate.controls.bits:
+            mask |= bit(w)
+            want |= b * bit(w)
         if isinstance(gate, ControlledNot):
-            sat = self.holding(gate.controls.bits)
-            np.bitwise_xor(index, self.bit(gate.target), out=index, where=sat)
+            ops.append((FLIP, mask, want, bit(gate.target), None))
         elif isinstance(gate, ControlledSwap):
-            sat = self.holding(gate.controls.bits)
             # The pairs are disjoint, so swapping them one by one is exact.
             for a, b in zip(gate.left, gate.right):
-                shift_a, shift_b = self.total - a, self.total - b
-                diff = ((index >> shift_a) ^ (index >> shift_b)) & 1
-                np.bitwise_xor(index, (diff << shift_a) | (diff << shift_b), out=index, where=sat)
-        elif isinstance(gate, ControlledU):
-            if any(z for i, row in enumerate(gate.matrix) for j, z in enumerate(row) if i != j):
-                self._mix(gate)
-                return
-            # A diagonal matrix mixes nothing: scale the entries holding
-            # each target pattern by its phase.
-            m = len(gate.targets)
-            for j, phase in enumerate(np.diagonal(gate.matrix_array())):
-                if phase != 1:
-                    pattern = [(t, (j >> (m - 1 - i)) & 1) for i, t in enumerate(gate.targets)]
-                    hit = self.holding(gate.controls.bits + tuple(pattern))
-                    np.multiply(self.amp, phase, out=self.amp, where=hit)
+                ops.append((SWAP, mask, want, (total - a, total - b), None))
+        elif len(gate.targets) == 1:
+            (u00, u01), (u10, u11) = gate.matrix
+            ops.append(one_target_op(mask, want, bit(gate.targets[0]), (u00, u01, u10, u11)))
         else:
-            raise TypeError(f"not a gate: {gate!r}")
+            ops.append((MIX_MANY, mask, want, tuple(map(bit, gate.targets)), gate.matrix_array()))
+    return ops
 
-    def _mix(self, gate: ControlledU) -> None:
-        sat = self.holding(gate.controls.bits)
+
+def _combine(a0: np.ndarray, a1: np.ndarray, entries) -> None:
+    """a0, a1 := a0*u00 + u01*a1, a1*u11 + u10*a0, in place and in this order."""
+    u00, u01, u10, u11 = entries
+    from0 = u10 * a0
+    a0 *= u00
+    a0 += u01 * a1
+    a1 *= u11
+    a1 += from0
+
+
+class _SparseState:
+    """The non-zero amplitudes of a state, the one kernel that applies ops.
+
+    `index[k]` is a basis-state index and `amp[k]` its amplitude; indices
+    are distinct, and `ordered` says whether they are ascending.  Flips and
+    swaps rewrite indices in place and scalings rewrite amplitudes in
+    place.  A one-target mix pairs each entry with the entry that differs
+    from it on the target bit only, a missing partner counting as zero, and
+    computes `a0*u00 + u01*a1` and `a1*u11 + u10*a0` elementwise; it drops
+    the exact zeros it makes.
+    """
+
+    def __init__(self, index: np.ndarray, amp: np.ndarray):
+        self.index = index
+        self.amp = amp
+        self.ordered = bool(np.all(index[1:] > index[:-1]))
+
+    def replay(self, ops) -> None:
+        for kind, mask, want, target, data in ops:
+            if kind == FLIP:
+                self._flip(mask, want, target)
+            elif kind == SCALE:
+                for value, phase in data:
+                    hit = (self.index & (mask | target)) == want | value
+                    np.multiply(self.amp, phase, out=self.amp, where=hit)
+            elif kind == MIX:
+                self._mix(mask, want, target, data)
+            elif kind == SWAP:
+                a, b = target
+                diff = ((self.index >> a) ^ (self.index >> b)) & 1
+                self._flip(mask, want, (diff << a) | (diff << b))
+            else:
+                self._mix_many(mask, want, target, data)
+
+    def _holding(self, mask: int, want: int) -> np.ndarray:
+        return (self.index & mask) == want
+
+    def _flip(self, mask: int, want: int, bits) -> None:
+        if mask:
+            np.bitwise_xor(self.index, bits, out=self.index, where=self._holding(mask, want))
+        else:
+            self.index ^= bits
+        self.ordered = False
+
+    def _mix(self, mask: int, want: int, bit: int, entries) -> None:
+        sat = self._holding(mask, want) if mask else None
+        if sat is not None and not np.count_nonzero(sat):
+            return
+        if not self.ordered:
+            order = np.argsort(self.index, kind="stable")
+            self.index, self.amp = self.index[order], self.amp[order]
+            sat = None if sat is None else sat[order]
+            self.ordered = True
+        index, amp = self.index, self.amp
+        one = (index & bit) != 0
+        if sat is None:
+            zero = ~one
+        else:
+            one &= sat
+            zero = sat ^ one
+        i0, i1 = index[zero], index[one]
+        if i0.shape == i1.shape and not np.count_nonzero((i0 | bit) != i1):
+            # Every entry has its partner at the same rank (the index is
+            # ascending): mix in place, the index unchanged.
+            a0, a1 = amp[zero], amp[one]
+            _combine(a0, a1, entries)
+            amp[zero], amp[one] = a0, a1
+            self._drop_zeros()
+            return
+        # Some partners are missing and count as zero.  Pair each 1-entry
+        # with its 0-partner by binary search in the ascending i0, and give
+        # each unpaired 1-entry a new zero 0-partner.
+        j1 = i1 ^ bit
+        at = np.searchsorted(i0, j1)
+        paired = np.append(i0, -1)[at] == j1
+        alone = ~paired
+        bases = np.concatenate([i0, j1[alone]])
+        rest = np.zeros(0, dtype=np.int64) if sat is None else np.flatnonzero(~sat)
+        r, g = len(rest), len(bases)
+        self.index = np.concatenate([index[rest], bases, bases | bit])
+        self.amp = np.zeros(r + 2 * g, dtype=complex)
+        self.amp[:r] = amp[rest]
+        a0, a1 = self.amp[r : r + g], self.amp[r + g :]
+        a0[: len(i0)] = amp[zero]
+        moved = amp[one]
+        a1[at[paired]] = moved[paired]
+        a1[len(i0) :] = moved[alone]
+        _combine(a0, a1, entries)
+        self.ordered = False
+        self._drop_zeros()
+
+    def _drop_zeros(self) -> None:
+        if np.count_nonzero(self.amp) < len(self.amp):
+            keep = self.amp != 0
+            self.index, self.amp = self.index[keep], self.amp[keep]
+
+    def _mix_many(self, mask: int, want: int, bits, matrix: np.ndarray) -> None:
+        """Mix each group of 2^m entries that differ only on the m target bits."""
+        sat = self._holding(mask, want) if mask else True
         index, amp = (self.index, self.amp) if sat is True else (self.index[sat], self.amp[sat])
-        bits = [self.bit(t) for t in gate.targets]
-        # local[k]: entry k's basis state on the targets, targets[0] being
-        # its most significant bit; offsets[j]: the target bits of local j.
+        # local[k]: entry k's basis state on the targets, bits[0] being its
+        # most significant bit; offsets[j]: the target bits of local j.
         local = np.zeros(index.shape, dtype=np.int64)
         offsets = [0]
         for b in bits:
@@ -428,7 +528,7 @@ class _SparseState:
         bases, group = np.unique(index & ~sum(bits), return_inverse=True)
         block = np.zeros((bases.shape[0], len(offsets)), dtype=complex)
         block[group, local] = amp
-        mixed = (block @ gate.matrix_array().T).reshape(-1)
+        mixed = (block @ matrix.T).reshape(-1)
         new_index = (bases[:, None] | np.array(offsets)).reshape(-1)
         keep = mixed != 0
         if not keep.all():
@@ -437,11 +537,7 @@ class _SparseState:
             new_index = np.concatenate([self.index[~sat], new_index])
             mixed = np.concatenate([self.amp[~sat], mixed])
         self.index, self.amp = new_index, mixed
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(1 << self.total, dtype=complex)
-        out[self.index] = self.amp
-        return out
+        self.ordered = False
 
 
 def simulate_circuit(c: Circuit, psi) -> np.ndarray:
@@ -463,11 +559,21 @@ def simulate_circuit(c: Circuit, psi) -> np.ndarray:
         raise CircuitError(
             f"state has {amps.shape[0]} amplitudes; expected 2^{c.n} or 2^{c.total_wires}"
         )
+    return replay_dense(lower(c), amps, c.total_wires, shift)
+
+
+def replay_dense(ops, amps: np.ndarray, wires: int, shift: int = 0) -> np.ndarray:
+    """The dense state over `wires` wires after replaying `ops` on `amps`.
+
+    Only the non-zero amplitudes are replayed; their indices are shifted
+    left by `shift`, appending that many wires in |0>.
+    """
     support = np.flatnonzero(amps)
-    state = _SparseState(c.total_wires, support << shift, amps[support])
-    for gate in c.gates:
-        state.apply(gate)
-    return state.dense()
+    state = _SparseState(support << shift, amps[support])
+    state.replay(ops)
+    out = np.zeros(1 << wires, dtype=complex)
+    out[state.index] = state.amp
+    return out
 
 
 # The widest index a sparse state may hold: wires plus column-tag bits fit
@@ -475,31 +581,29 @@ def simulate_circuit(c: Circuit, psi) -> np.ndarray:
 MAX_SPARSE_BITS = 62
 
 
-def simulate_basis(c: Circuit, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on each basis input, with the ancillas summed out.
+def replay_basis(ops, n: int, ancillas: int, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Replay `ops` over n + ancillas wires on each basis input.
 
-    Returns the (2^n, k) outputs, column j being
-    `trace_ancillas(simulate_circuit(c, b), c.ancillas)` for b = basis[j],
-    and the k ancilla residues (`ancilla_residue` of each column's state).
-    All k inputs run as one sparse state: column j's entries carry j in the
-    index bits above the circuit's wires, which no gate touches, so no
-    dense state over all wires is built.
+    Returns the (2^n, k) outputs with the ancillas summed out, column j
+    being the output on input basis[j] with the ancillas in |0>, and the k
+    ancilla residues (the probability mass with an ancilla not in |0>).
+    All k inputs run as one sparse state: column j's entries carry j in
+    the index bits above the wires, which no op touches, so no dense state
+    over all wires is built.
     """
-    check_dense_wires(c.n)
-    total, k = c.total_wires, len(basis)
+    total, k = n + ancillas, len(basis)
     if total + k.bit_length() > MAX_SPARSE_BITS:
         raise WireLimitError(
             f"{total} wires and {k} basis inputs exceed the {MAX_SPARSE_BITS}-bit sparse index"
         )
     column = np.arange(k, dtype=np.int64)
-    index = (np.asarray(basis, dtype=np.int64) << c.ancillas) | (column << total)
-    state = _SparseState(total, index, np.ones(k, dtype=complex))
-    for gate in c.gates:
-        state.apply(gate)
+    index = (np.asarray(basis, dtype=np.int64) << ancillas) | (column << total)
+    state = _SparseState(index, np.ones(k, dtype=complex))
+    state.replay(ops)
     column = state.index >> total
-    row = (state.index >> c.ancillas) & ((1 << c.n) - 1)
-    dirty = (state.index & ((1 << c.ancillas) - 1)) != 0
-    out = np.zeros((1 << c.n, k), dtype=complex)
+    row = (state.index >> ancillas) & ((1 << n) - 1)
+    dirty = (state.index & ((1 << ancillas) - 1)) != 0
+    out = np.zeros((1 << n, k), dtype=complex)
     residue = np.zeros(k)
     if dirty.any():
         # Entries of one column that differ only on the ancillas add up.
@@ -508,6 +612,18 @@ def simulate_basis(c: Circuit, basis) -> tuple[np.ndarray, np.ndarray]:
     else:  # every (row, column) holds at most one entry
         out[row, column] = state.amp
     return out, residue
+
+
+def simulate_basis(c: Circuit, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Run the circuit on each basis input, with the ancillas summed out.
+
+    Returns `replay_basis` of the circuit's ops: the (2^n, k) outputs,
+    column j being `trace_ancillas(simulate_circuit(c, b), c.ancillas)` for
+    b = basis[j], and the k ancilla residues (`ancilla_residue` of each
+    column's state).
+    """
+    check_dense_wires(c.n)
+    return replay_basis(lower(c), c.n, c.ancillas, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .analysis import NotPfoqError, check_pfoq
 from .circuit import (
     CircuitSchemaError,
     ancilla_residue,
+    check_dense_wires,
     export_json,
     import_json,
     simulate_circuit,
@@ -41,6 +42,7 @@ from .interpreter import (
     BudgetExceededError,
     QuantumState,
     run,
+    walk,
 )
 from .parser import ParseError, parse_program
 from .syntax import FoqError, pretty_print
@@ -146,8 +148,9 @@ def cmd_run(args) -> int:
 def cmd_level(args) -> int:
     program = _load_program(args.file)
     n = _qubits(args)
-    outcome = run(program, QuantumState.zero(n), budget=_budget(args))
-    print(json.dumps({"n": n, "level": outcome.level}))
+    check_dense_wires(n)
+    walked = walk(program, n, budget=_budget(args)).checked()
+    print(json.dumps({"n": n, "level": walked.level}))
     return EXIT_OK
 
 

@@ -50,9 +50,11 @@ from .circuit import (
     ControlledNot,
     ControlStructure,
     Gate,
+    check_dense_wires,
     controlled_u_gate,
+    lower,
+    replay_basis,
     routing_swaps,
-    simulate_basis,
 )
 from .interpreter import (
     NO_ENV,
@@ -64,7 +66,7 @@ from .interpreter import (
     eval_int,
     eval_qubit,
     guard_errors,
-    run_basis,
+    walk,
 )
 from .syntax import (
     Assign,
@@ -545,8 +547,9 @@ class DiffReport:
         )
 
 
-# Basis states per `diff_check` chunk times 2^n amplitudes: each chunk's
-# (2^n, k) complex columns take at most 512 KiB (one column once n > 15).
+# Basis states per `diff_check` chunk times 2^n amplitudes: a chunk's
+# sparse pass holds at most 2^15 interpreter entries, and its (2^n, k)
+# complex outputs take at most 512 KiB (one column once n > 15).
 DIFF_CHUNK_AMPLITUDES = 1 << 15
 
 
@@ -554,14 +557,17 @@ def diff_check(p: Program, n: int, seed: int = 0, samples: int = 32) -> DiffRepo
     """Compare interpreter and compiled circuit on basis states.
 
     Exhaustive over all 2^n basis states when that is at most 64, otherwise
-    over `samples` basis states drawn at random.  The states are taken in
-    chunks, each evaluated as the columns of one matrix: one interpreter
-    pass (`run_basis`) and one sparse simulation that sums the ancillas out
-    on the sparse state (`simulate_basis`), so the circuit side never
-    builds a state over all wires.
+    over `samples` basis states drawn at random.  The interpreter walks the
+    program once and the circuit is lowered once, into ops of one sparse
+    kernel; the states are taken in chunks, and each chunk replays both
+    sides' ops on its states as the columns of one sparse state
+    (`replay_basis`), the circuit's ancillas summed out on it, so neither
+    side builds a state over all wires.
     """
     circuit = compile_program(p, n)
-    guarded = guard_errors(p)
+    check_dense_wires(n)
+    expected_ops = walk(guard_errors(p), n).checked().ops
+    actual_ops = lower(circuit)
     dim = 1 << n
     if dim <= 64:
         basis = list(range(dim))
@@ -573,8 +579,8 @@ def diff_check(p: Program, n: int, seed: int = 0, samples: int = 32) -> DiffRepo
     max_residue = 0.0
     for start in range(0, len(basis), chunk):
         columns = basis[start : start + chunk]
-        expected = run_basis(guarded, n, columns)
-        actual, residue = simulate_basis(circuit, columns)
+        expected, _ = replay_basis(expected_ops, n, 0, columns)
+        actual, residue = replay_basis(actual_ops, n, circuit.ancillas, columns)
         max_dev = max(max_dev, float(np.max(np.abs(actual - expected))))
         max_residue = max(max_residue, float(np.max(residue)))
     return DiffReport(n, len(basis), max_dev, max_residue)

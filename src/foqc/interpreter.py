@@ -1,27 +1,25 @@
 """Exact statevector semantics for FOQ programs.
 
-The interpreter evaluates a statement against a configuration made of the
-full n-qubit statevector, the set of accessible qubit positions, the
-current sorted list of qubit indices, and an environment binding the
-running procedure's classical parameter.  A call binds its callee's
-parameter afresh, so a body is evaluated as written and never sees its
-caller's bindings.  Qubit 1 is the most significant bit of the
-basis-state index.  Evaluation is exact (no measurement, no sampling)
-and works in place on a [2] * n + [k] tensor view of k columns of
-amplitudes, one axis per qubit and a trailing column axis: an assignment
-updates the two halves of its qubit's axis, and a quantum case evaluates
-each branch on the width-1 slice where the control qubit holds that
-branch's bit, with the control removed from the accessible set.  The
-branches cannot touch the control, so the slices are independent and
-nothing is recombined.  Classical control never depends on the state, so
-`run_basis` evaluates k basis states as the columns of one matrix in one
-pass; `eval_program` is the one-column case.
+Evaluation is a walk, then a replay.  Classical control never depends on
+the state, so the walk evaluates it alone, on an explicit stack: it
+carries the current sorted list of qubit indices, an environment binding
+the running procedure's classical parameter (a call binds its callee's
+parameter afresh, so a body never sees its caller's bindings), and the
+positions the enclosing quantum cases pin.  It records each executed
+assignment as one op (`circuit.one_target_op`): the target qubit, the
+pins as a control mask and wanted bits, and the 2x2 entries, or a flip
+for NOT.  The replay applies the ops to the non-zero amplitudes of the
+input, on the kernel that simulates circuits (`circuit._SparseState`);
+`run_basis` replays one walk on k basis states at once.  Qubit 1 is the
+most significant bit of the basis-state index, and evaluation is exact
+(no measurement, no sampling).
 
 Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
-exactly when a statement touches a qubit position outside the accessible
-set (for instance an out-of-range index, which evaluates to position 0).
-The error terminal leaves the state unchanged.
+exactly when a statement touches a qubit outside the accessible set: an
+index outside the current list, or a position an enclosing quantum case
+controls.  The error terminal leaves the state unchanged, so no op is
+replayed there.
 
 `guard_errors` rewrites a program so that every qubit access is wrapped in
 a classical bounds test, so out-of-range accesses become skips.  Reusing a
@@ -32,14 +30,13 @@ terminal on the guarded program.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import check_dense_wires
+from .circuit import check_dense_wires, one_target_op, replay_basis, replay_dense
 from .syntax import (
     Assign,
     BoolAnd,
@@ -247,45 +244,153 @@ def bind_call(
 
 
 # ---------------------------------------------------------------------------
-# In-place state updates on the [2] * n tensor view of the amplitudes.
+# The walk: classical control and the ops it reaches.
 # ---------------------------------------------------------------------------
 
 
-def _half(t: np.ndarray, pos: int, bit: int) -> np.ndarray:
-    """The width-1 view of t where qubit position pos holds `bit`."""
-    return t[(slice(None),) * (pos - 1) + (slice(bit, bit + 1),)]
-
-
-def _apply_single_qubit(t: np.ndarray, pos: int, matrix: np.ndarray) -> None:
-    """Apply a 2x2 unitary in place to qubit position pos (1-based)."""
-    a0, a1 = _half(t, pos, 0), _half(t, pos, 1)
-    (u00, u01), (u10, u11) = matrix
-    if u01 == 0 and u10 == 0:  # a phase: scale each half
-        if u00 != 1:
-            a0 *= u00
-        if u11 != 1:
-            a1 *= u11
-        return
-    old0 = a0.copy()
-    if u00 == 0 and u11 == 0:  # anti-diagonal, as NOT: exchange the halves
-        np.multiply(a1, u01, out=a0)
-        np.multiply(old0, u10, out=a1)
-        return
-    a0 *= u00
-    a0 += u01 * a1
-    a1 *= u11
-    a1 += u10 * old0
-
-
-# ---------------------------------------------------------------------------
-# Statement evaluation.
-# ---------------------------------------------------------------------------
+def _naming(stmt: Assign | QCase) -> str:
+    what = "assignment to" if isinstance(stmt, Assign) else "quantum case on"
+    return f"{what} {format_qubit(stmt.qubit)}"
 
 
 def access_error(stmt: Assign | QCase, pos: int) -> str:
     """The error-terminal diagnostic for stmt touching inaccessible position pos."""
-    what = "assignment to" if isinstance(stmt, Assign) else "quantum case on"
-    return f"{what} {format_qubit(stmt.qubit)}: position {pos} is not accessible"
+    return f"{_naming(stmt)}: position {pos} is not accessible"
+
+
+def _range_error(stmt: Assign | QCase, index: int, length: int) -> str:
+    return f"{_naming(stmt)}: index {index} is out of range for a list of length {length}"
+
+
+@dataclass(frozen=True)
+class Walk:
+    """What one evaluation's classical control decides.
+
+    The terminal, the mutual-call nesting level, the first access error
+    (depth first) and, in execution order, each executed assignment as one
+    lowered op (`circuit.one_target_op`) on indices over the n qubits.
+    """
+
+    terminal: str  # TOP or BOTTOM
+    level: int
+    error: str | None
+    ops: list
+
+    def checked(self) -> "Walk":
+        """This walk, or BottomError if it reached the error terminal."""
+        if self.terminal == BOTTOM:
+            raise _bottom(self.error)
+        return self
+
+
+def _bottom(error: str | None) -> BottomError:
+    return BottomError(error or "program reached the error terminal")
+
+
+# Frame kinds of the walk's explicit stack; a call's frame holds nothing else.
+_SEQ, _QCASE, _CALL = range(3)
+_CALL_FRAME = (_CALL,)
+
+
+def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
+    """Walk the main statement on n qubits without touching any state.
+
+    Neither long sequences nor deep call chains use the Python stack.  A
+    step is one statement rule: every statement costs one on entry, and a
+    k-item sequence k - 1 more, charged before each item but the first and
+    the last, as k - 1 nested binary sequences did.  The positions the
+    enclosing quantum cases pin are `mask` as index bits, holding `want`.
+    """
+    decls = p.decl_map()
+    remaining = budget
+    ops: list = []
+    entries: dict = {}  # (operator, argument) -> its 2x2 entries
+    frames: list = []
+    stmt, mask, want, l, env = p.main, 0, 0, tuple(range(1, n + 1)), NO_ENV
+    while True:
+        # Descend from stmt until a statement yields (terminal, level, error).
+        remaining -= 1
+        if remaining < 0:
+            raise BudgetExceededError("statement-step budget exceeded")
+        if isinstance(stmt, Seq):
+            frames.append([_SEQ, stmt.items, 0, 0, mask, want, l, env])
+            stmt = stmt.items[0]
+            continue
+        if isinstance(stmt, If):
+            stmt = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
+            continue
+        if isinstance(stmt, Call):
+            bound = bind_call(stmt, decls, l, env)
+            if bound is not None:
+                frames.append(_CALL_FRAME)
+                l, decl, env = bound
+                stmt = decl.body
+                continue
+            result = TOP, 1, None
+        elif isinstance(stmt, (Assign, QCase)):
+            positions = eval_set(stmt.qubit.set_expr, l, env)
+            k = eval_int(stmt.qubit.index, l, env)
+            bit = 1 << (n - positions[k - 1]) if 1 <= k <= len(positions) else 0
+            if not bit:
+                result = BOTTOM, 0, _range_error(stmt, k, len(positions))
+            elif mask & bit:
+                result = BOTTOM, 0, access_error(stmt, positions[k - 1])
+            elif isinstance(stmt, QCase):
+                frames.append([_QCASE, stmt, bit, None, mask, want, l, env])
+                stmt, mask = stmt.if_zero, mask | bit
+                continue
+            else:
+                op = stmt.op
+                arg = eval_int(op.arg, l, env) if op.arg is not None else 0
+                u = entries.get((op, arg))
+                if u is None:
+                    (u00, u01), (u10, u11) = gate_matrix(op, arg).tolist()
+                    u = entries[op, arg] = (u00, u01, u10, u11)
+                ops.append(one_target_op(mask, want, bit, u))
+                result = TOP, 0, None
+        elif isinstance(stmt, Skip):
+            result = TOP, 0, None
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+        # Ascend: hand the result to the enclosing frames until one of
+        # them has a statement left to run.
+        while True:
+            if not frames:
+                return Walk(*result, ops)
+            frame = frames[-1]
+            if frame[0] == _CALL:
+                frames.pop()
+                terminal, level, error = result
+                result = terminal, level + 1, error
+            elif frame[0] == _SEQ:
+                terminal, level, error = result
+                items, i = frame[1], frame[2] + 1
+                frame[3] += level
+                if terminal == BOTTOM or i == len(items):
+                    frames.pop()
+                    result = terminal, frame[3], error
+                    continue
+                if i < len(items) - 1:
+                    # Checked with the item's own step, which comes next.
+                    remaining -= 1
+                frame[2] = i
+                stmt, (mask, want, l, env) = items[i], frame[4:]
+                break
+            elif frame[3] is None:  # the quantum case's 0-branch is done
+                frame[3] = result
+                bit = frame[2]
+                stmt, mask, want = frame[1].if_one, frame[4] | bit, frame[5] | bit
+                l, env = frame[6], frame[7]
+                break
+            else:
+                frames.pop()
+                (t0, m0, err0), (t1, m1, err1) = frame[3], result
+                result = (t0, max(m0, m1), err0) if t0 == BOTTOM else (t1, max(m0, m1), err1)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation: a walk, then its ops replayed on a sparse state.
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -296,132 +401,20 @@ class EvalOutcome:
     error: str | None = None  # description of the first access violation
 
 
-class _Run:
-    """What one evaluation shares: declarations and the step budget."""
-
-    __slots__ = ("decls", "remaining")
-
-    def __init__(self, decls: dict[str, ProcDecl], steps: int):
-        self.decls = decls
-        self.remaining = steps
-
-    def tick(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceededError("statement-step budget exceeded")
-
-
-def _eval(
-    stmt: Statement,
-    t: np.ndarray,
-    allowed: frozenset[int],
-    l: tuple[int, ...],
-    env: Env,
-    run: _Run,
-) -> tuple[str, int, str | None]:
-    """Evaluate stmt, updating the tensor view t in place.
-
-    Returns (terminal, level, error).  On the error terminal t may be left
-    partly updated; the caller then discards it.
-    """
-    run.tick()
-    if isinstance(stmt, Skip):
-        return TOP, 0, None
-    if isinstance(stmt, Assign):
-        pos = eval_qubit(stmt.qubit, l, env)
-        if pos not in allowed:
-            return BOTTOM, 0, access_error(stmt, pos)
-        arg = eval_int(stmt.op.arg, l, env) if stmt.op.arg is not None else 0
-        _apply_single_qubit(t, pos, gate_matrix(stmt.op, arg))
-        return TOP, 0, None
-    if isinstance(stmt, Seq):
-        # A k-item sequence costs k - 1 steps, as k - 1 nested binary
-        # sequences did: the entry tick pays for the first item, and each
-        # later item but the last is charged just before it runs.
-        last = len(stmt.items) - 1
-        level = 0
-        for i, item in enumerate(stmt.items):
-            if 0 < i < last:
-                run.tick()
-            terminal, m, err = _eval(item, t, allowed, l, env, run)
-            level += m
-            if terminal == BOTTOM:
-                return BOTTOM, level, err
-        return TOP, level, None
-    if isinstance(stmt, If):
-        branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
-        return _eval(branch, t, allowed, l, env, run)
-    if isinstance(stmt, QCase):
-        pos = eval_qubit(stmt.qubit, l, env)
-        if pos not in allowed:
-            return BOTTOM, 0, access_error(stmt, pos)
-        # Each branch gets the width-1 slice where the control holds its
-        # bit; the branches cannot touch the control, so axes keep their
-        # global positions and the two halves need no recombination.
-        sub_allowed = allowed - {pos}
-        t0, m0, err0 = _eval(stmt.if_zero, _half(t, pos, 0), sub_allowed, l, env, run)
-        t1, m1, err1 = _eval(stmt.if_one, _half(t, pos, 1), sub_allowed, l, env, run)
-        level = max(m0, m1)
-        if t0 == BOTTOM or t1 == BOTTOM:
-            return BOTTOM, level, err0 if t0 == BOTTOM else err1
-        return TOP, level, None
-    if isinstance(stmt, Call):
-        bound = bind_call(stmt, run.decls, l, env)
-        if bound is None:
-            return TOP, 1, None
-        sub_l, decl, sub_env = bound
-        terminal, m, err = _eval(decl.body, t, allowed, sub_l, sub_env, run)
-        return terminal, m + 1, err
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _evaluate(p: Program, n: int, psi: np.ndarray, budget: int) -> tuple[str, int, str | None]:
-    """Evaluate the main statement in place on the (2^n, k) columns psi.
-
-    Returns (terminal, level, error).  Classical control does not depend
-    on the state, so the steps taken, the level and the terminal are those
-    of evaluating each column alone.  On the error terminal psi may be
-    left partly updated.
-    """
-    # Sequences are evaluated in a loop, but every call nests two frames;
-    # give deep call chains headroom and report exhaustion of either
-    # resource the same way.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        return _eval(
-            p.main,
-            psi.reshape([2] * n + [psi.shape[1]]),
-            frozenset(range(1, n + 1)),
-            tuple(range(1, n + 1)),
-            NO_ENV,
-            _Run(p.decl_map(), budget),
-        )
-    except RecursionError:
-        raise BudgetExceededError(
-            "call recursion exceeded the interpreter stack"
-        ) from None
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def eval_program(
     p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET
 ) -> EvalOutcome:
     """Evaluate the main statement on `state`; never raises on the error terminal.
 
-    The input is copied once and updated in place; on the error terminal
-    the outcome carries the untouched input state.
+    On the error terminal the outcome carries the untouched input state and
+    no op is applied.
     """
-    psi = state.amplitudes.copy()
-    terminal, level, error = _evaluate(p, state.n, psi.reshape(-1, 1), budget)
-    if terminal == BOTTOM:
-        psi = state.amplitudes
-    return EvalOutcome(terminal, QuantumState(state.n, psi), level, error)
-
-
-def _bottom(error: str | None) -> BottomError:
-    return BottomError(error or "program reached the error terminal")
+    walked = walk(p, state.n, budget)
+    if walked.terminal == BOTTOM:
+        untouched = QuantumState(state.n, state.amplitudes)
+        return EvalOutcome(BOTTOM, untouched, walked.level, walked.error)
+    psi = replay_dense(walked.ops, state.amplitudes, state.n)
+    return EvalOutcome(TOP, QuantumState(state.n, psi), walked.level)
 
 
 def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOutcome:
@@ -438,23 +431,22 @@ def run_basis(
     """The outputs of `run` on the basis states `basis`, as (2^n, k) columns.
 
     Column j is the output on basis state basis[j] (qubit 1 the most
-    significant bit).  All k states are evaluated in one pass, which ticks
-    the budget as one `run` does; the error terminal raises BottomError
-    with `run`'s message.
+    significant bit).  One walk serves all k states, and its ops are
+    replayed on them as one sparse state; the error terminal raises
+    BottomError with `run`'s message.
     """
     check_dense_wires(n)
-    k = len(basis)
-    psi = np.zeros((1 << n, k), dtype=complex)
-    psi[np.asarray(basis, dtype=np.int64), np.arange(k)] = 1.0
-    terminal, _, error = _evaluate(p, n, psi, budget)
-    if terminal == BOTTOM:
-        raise _bottom(error)
-    return psi
+    return replay_basis(walk(p, n, budget).checked().ops, n, 0, basis)[0]
 
 
 def level_of(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """The mutual-call nesting level of the program on n qubits."""
-    return eval_program(p, QuantumState.zero(n), budget).level
+    """The mutual-call nesting level of the program on n qubits.
+
+    The walk alone gives it and no state is built, but n keeps the cap of
+    a dense state, as `run` on n qubits has it.
+    """
+    check_dense_wires(n)
+    return walk(p, n, budget).level
 
 
 # ---------------------------------------------------------------------------

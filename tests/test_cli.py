@@ -457,3 +457,27 @@ def test_access_error_names_the_source_expression(tmp_path, capsys):
     assert capsys.readouterr().err == expected
     assert dispatch(["compile", str(path), "-n", "2"]) == 2
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (":: q[5] *= NOT;", "assignment to q[5]: index 5 is out of range for a list of length 2"),
+        (
+            ":: qcase q[3] of { 0 -> skip; , 1 -> skip; }",
+            "quantum case on q[3]: index 3 is out of range for a list of length 2",
+        ),
+        (
+            "decl f(p) { p[0] *= H; }, :: call f(q \\ [1]);",
+            "assignment to p[0]: index 0 is out of range for a list of length 1",
+        ),
+    ],
+    ids=["assignment", "quantum-case", "callee"],
+)
+def test_an_out_of_range_access_names_its_index_and_the_list_length(
+    tmp_path, capsys, source, expected
+):
+    path = tmp_path / "range.foq"
+    path.write_text(source)
+    assert dispatch(["run", str(path), "--state", "00"]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"

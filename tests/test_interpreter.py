@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from foqc import parse_program
-from foqc.circuit import WireLimitError
+from foqc.algebra import parse_term, to_pfoq
+from foqc.circuit import ControlStructure, WireLimitError
 from foqc.interpreter import (
     BOTTOM,
+    NO_ENV,
     TOP,
     BottomError,
     BudgetExceededError,
     EvalError,
     QuantumState,
+    bind_call,
+    eval_bool,
     eval_int,
     eval_program,
     eval_qubit,
@@ -21,8 +25,29 @@ from foqc.interpreter import (
     level_of,
     run,
     run_basis,
+    walk,
 )
-from foqc.syntax import IntAdd, IntLit, IntVar, QubitExpr, SetNil, SetRemove, SetSize, SetVar
+from foqc.programs import EXAMPLES
+from foqc.syntax import (
+    Assign,
+    Call,
+    If,
+    IntAdd,
+    IntLit,
+    IntVar,
+    QCase,
+    QubitExpr,
+    Seq,
+    SetNil,
+    SetRemove,
+    SetSize,
+    SetVar,
+    Skip,
+    gate_matrix,
+)
+
+from test_fingerprint import PARAMETERISED_SOURCE, TERMS
+from test_properties import _dense
 
 
 Q = SetVar("q")
@@ -270,6 +295,93 @@ def test_run_basis_refuses_wide_states_before_allocating(qft):
     try:
         with pytest.raises(WireLimitError, match="exceeds the limit of 26"):
             run_basis(qft, 40, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def dense_run(p, psi):
+    """psi after p, from a reference outside the sparse kernel: each executed
+    assignment is its full 2^n matrix under the pins of its enclosing
+    quantum cases, built from Kronecker products (`test_properties._dense`)."""
+    n = psi.shape[0].bit_length() - 1
+    decls = p.decl_map()
+
+    def visit(stmt, pins, l, env, psi):
+        if isinstance(stmt, Skip):
+            return psi
+        if isinstance(stmt, Seq):
+            for item in stmt.items:
+                psi = visit(item, pins, l, env, psi)
+            return psi
+        if isinstance(stmt, If):
+            branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
+            return visit(branch, pins, l, env, psi)
+        if isinstance(stmt, Call):
+            bound = bind_call(stmt, decls, l, env)
+            if bound is None:
+                return psi
+            sub_l, decl, sub_env = bound
+            return visit(decl.body, pins, sub_l, sub_env, psi)
+        pos = eval_qubit(stmt.qubit, l, env)
+        assert 1 <= pos <= n and pos not in pins
+        if isinstance(stmt, QCase):
+            psi = visit(stmt.if_zero, {**pins, pos: 0}, l, env, psi)
+            return visit(stmt.if_one, {**pins, pos: 1}, l, env, psi)
+        assert isinstance(stmt, Assign)
+        arg = eval_int(stmt.op.arg, l, env) if stmt.op.arg is not None else 0
+        matrix = gate_matrix(stmt.op, arg)
+        return _dense(n, ControlStructure.of(pins), [pos], matrix) @ psi
+
+    return visit(p.main, {}, tuple(range(1, n + 1)), NO_ENV, psi)
+
+
+REFERENCE_PROGRAMS = {
+    **{name: parse_program(src, name) for name, src in EXAMPLES.items()},
+    "parameterised": parse_program(PARAMETERISED_SOURCE),
+    **{term: to_pfoq(parse_term(term)) for term in TERMS},
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_PROGRAMS))
+def test_run_matches_a_dense_reference(name):
+    # Random dense states pair every amplitude with its partner; a basis
+    # state leaves partners missing.
+    program = REFERENCE_PROGRAMS[name]
+    rng = np.random.default_rng(12)
+    for n in range(1, 6):
+        bits = "".join(rng.choice(["0", "1"], size=n))
+        for state in (QuantumState.random(n, rng), QuantumState.from_bits(bits)):
+            expected = dense_run(program, state.amplitudes)
+            out = run(program, state).state.amplitudes
+            assert np.allclose(out, expected, rtol=0, atol=1e-12), (n, bits)
+
+
+def test_the_walk_records_one_op_per_executed_assignment():
+    # Pinned against the number of assignments the dense interpreter this
+    # walk replaced applied on the all-zero state.
+    counts = {
+        name: [len(walk(parse_program(EXAMPLES[f"{name}.foq"]), n).ops) for n in (8, 12, 16)]
+        for name in ("qft", "teleport", "appendix-b")
+    }
+    assert counts == {
+        "qft": [56, 108, 176],
+        "teleport": [16, 32, 40],
+        "appendix-b": [21, 144, 987],
+    }
+
+
+def test_level_of_walks_without_a_state():
+    # The walk alone gives the level, also on the error terminal, and no
+    # state is built: 26 qubits would take 1 GiB of amplitudes.
+    program = parse_program(
+        "decl f(p) { p[1] *= NOT; call f(p \\ [1]); }, :: call f(q); q[30] *= H;"
+    )
+    assert walk(program, 3).terminal == BOTTOM
+    tracemalloc.start()
+    try:
+        assert level_of(program, 26) == 27
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
