@@ -60,9 +60,6 @@ class ControlStructure:
     def of(cls, mapping: dict[int, int]) -> "ControlStructure":
         return cls(tuple(sorted(mapping.items())))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.bits)
-
     @property
     def wires(self) -> frozenset[int]:
         return frozenset(w for w, _ in self.bits)
@@ -232,22 +229,10 @@ class Circuit:
             len(g.left) if isinstance(g, ControlledSwap) else 1 for g in self.gates
         )
 
-    def compose(self, other: "Circuit") -> "Circuit":
-        if self.n != other.n:
-            raise CircuitError("composed circuits must share the input wire count")
-        return Circuit(
-            self.n, max(self.ancillas, other.ancillas), self.gates + other.gates
-        )
-
     def inverse(self) -> "Circuit":
         return Circuit(
             self.n, self.ancillas, tuple(g.inverse() for g in reversed(self.gates))
         )
-
-
-def circuit_size(c: Circuit) -> int:
-    """Size metric: gate count plus wire count (ancillas included)."""
-    return c.gate_count() + c.total_wires
 
 
 def elementary_gate_count(c: Circuit) -> int:
@@ -264,21 +249,6 @@ def elementary_gate_count(c: Circuit) -> int:
         per_unit = 2 * (controls - 1) + 1 if controls >= 2 else 1
         total += units * per_unit
     return total
-
-
-def controlled_gate(
-    matrix: np.ndarray,
-    cs: ControlStructure,
-    targets: int | tuple[int, ...],
-    n: int | None = None,
-    label: str | None = None,
-) -> Circuit:
-    """A one-gate circuit applying `matrix` on `targets` under controls `cs`."""
-    if isinstance(targets, int):
-        targets = (targets,)
-    gate = controlled_u_gate(cs, targets, matrix, label)
-    wires = max(gate_wires(gate), default=1) if n is None else n
-    return Circuit(wires, 0, (gate,))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +304,6 @@ def check_dense_wires(wires: int) -> None:
         raise WireLimitError(
             f"a dense state over {wires} wires exceeds the limit of {MAX_DENSE_WIRES}"
         )
-
-
-def pad_ancillas(psi: np.ndarray, m: int) -> np.ndarray:
-    """chi_m: append m ancilla wires in |0> after the existing wires."""
-    flat = np.asarray(psi, dtype=complex).reshape(-1)
-    check_dense_wires((flat.shape[0] - 1).bit_length() + m)
-    out = np.zeros(flat.shape[0] << m, dtype=complex)
-    out[:: 1 << m] = flat
-    return out
 
 
 def trace_ancillas(psi: np.ndarray, m: int) -> np.ndarray:
@@ -612,18 +573,6 @@ def replay_basis(ops, n: int, ancillas: int, basis) -> tuple[np.ndarray, np.ndar
     else:  # every (row, column) holds at most one entry
         out[row, column] = state.amp
     return out, residue
-
-
-def simulate_basis(c: Circuit, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on each basis input, with the ancillas summed out.
-
-    Returns `replay_basis` of the circuit's ops: the (2^n, k) outputs,
-    column j being `trace_ancillas(simulate_circuit(c, b), c.ancillas)` for
-    b = basis[j], and the k ancilla residues (`ancilla_residue` of each
-    column's state).
-    """
-    check_dense_wires(c.n)
-    return replay_basis(lower(c), c.n, c.ancillas, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .analysis import NotPfoqError, check_pfoq
 from .circuit import (
     CircuitSchemaError,
     ancilla_residue,
-    check_dense_wires,
     export_json,
     import_json,
     simulate_circuit,
@@ -148,7 +147,6 @@ def cmd_run(args) -> int:
 def cmd_level(args) -> int:
     program = _load_program(args.file)
     n = _qubits(args)
-    check_dense_wires(n)
     walked = walk(program, n, budget=_budget(args)).checked()
     print(json.dumps({"n": n, "level": walked.level}))
     return EXIT_OK

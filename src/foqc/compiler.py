@@ -547,17 +547,27 @@ class DiffReport:
         )
 
 
+# Basis states `diff_check` draws once 2^n exceeds 64.
+DIFF_SAMPLES = 32
+
 # Basis states per `diff_check` chunk times 2^n amplitudes: a chunk's
 # sparse pass holds at most 2^15 interpreter entries, and its (2^n, k)
 # complex outputs take at most 512 KiB (one column once n > 15).
+#
+# Each chunk is compared as two dense (2^n, k) arrays because, at this
+# chunk size, that is cheaper than aligning the two sparse states.  On
+# one `qft` n=12 chunk (8 columns, 32 768 entries a side; 2-vCPU Xeon,
+# best of 7), scattering both sides and comparing takes 1.3 ms, while
+# aligning the sparse entries takes 2.3 ms with two argsorts and 5.1 ms
+# with `np.unique` + `bincount`.  The dense arrays cap `diff` at n = 26.
 DIFF_CHUNK_AMPLITUDES = 1 << 15
 
 
-def diff_check(p: Program, n: int, seed: int = 0, samples: int = 32) -> DiffReport:
+def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     """Compare interpreter and compiled circuit on basis states.
 
     Exhaustive over all 2^n basis states when that is at most 64, otherwise
-    over `samples` basis states drawn at random.  The interpreter walks the
+    over `DIFF_SAMPLES` basis states drawn at random.  The interpreter walks the
     program once and the circuit is lowered once, into ops of one sparse
     kernel; the states are taken in chunks, and each chunk replays both
     sides' ops on its states as the columns of one sparse state
@@ -573,7 +583,7 @@ def diff_check(p: Program, n: int, seed: int = 0, samples: int = 32) -> DiffRepo
         basis = list(range(dim))
     else:
         rng = np.random.default_rng(seed)
-        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=samples)))
+        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=DIFF_SAMPLES)))
     chunk = max(1, DIFF_CHUNK_AMPLITUDES >> n)
     max_dev = 0.0
     max_residue = 0.0

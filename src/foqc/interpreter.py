@@ -9,10 +9,9 @@ positions the enclosing quantum cases pin.  It records each executed
 assignment as one op (`circuit.one_target_op`): the target qubit, the
 pins as a control mask and wanted bits, and the 2x2 entries, or a flip
 for NOT.  The replay applies the ops to the non-zero amplitudes of the
-input, on the kernel that simulates circuits (`circuit._SparseState`);
-`run_basis` replays one walk on k basis states at once.  Qubit 1 is the
-most significant bit of the basis-state index, and evaluation is exact
-(no measurement, no sampling).
+input, on the kernel that simulates circuits (`circuit._SparseState`).
+Qubit 1 is the most significant bit of the basis-state index, and
+evaluation is exact (no measurement, no sampling).
 
 Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
@@ -36,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import check_dense_wires, one_target_op, replay_basis, replay_dense
+from .circuit import check_dense_wires, one_target_op, replay_dense
 from .syntax import (
     Assign,
     BoolAnd,
@@ -425,27 +424,11 @@ def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOu
     return outcome
 
 
-def run_basis(
-    p: Program, n: int, basis, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """The outputs of `run` on the basis states `basis`, as (2^n, k) columns.
-
-    Column j is the output on basis state basis[j] (qubit 1 the most
-    significant bit).  One walk serves all k states, and its ops are
-    replayed on them as one sparse state; the error terminal raises
-    BottomError with `run`'s message.
-    """
-    check_dense_wires(n)
-    return replay_basis(walk(p, n, budget).checked().ops, n, 0, basis)[0]
-
-
 def level_of(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """The mutual-call nesting level of the program on n qubits.
 
-    The walk alone gives it and no state is built, but n keeps the cap of
-    a dense state, as `run` on n qubits has it.
+    The walk alone gives it, so no state is built and n is not capped.
     """
-    check_dense_wires(n)
     return walk(p, n, budget).level
 
 

@@ -121,6 +121,9 @@ def test_sequence_steps_match_the_binary_sequencing_rule(tmp_path, capsys):
 def test_level_command(qft_file, capsys):
     assert dispatch(["level", qft_file, "-n", "4"]) == 0
     assert out_json(capsys) == {"n": 4, "level": 18}
+    # `level` only walks the program, so n is not held to the dense cap.
+    assert dispatch(["level", qft_file, "-n", "40"]) == 0
+    assert out_json(capsys) == {"n": 40, "level": 882}
 
 
 def test_invert_round_trips(qft_file, tmp_path, capsys):

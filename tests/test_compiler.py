@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ import foqc.interpreter as interpreter
 from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.analysis import NotPfoqError
-from foqc.circuit import elementary_gate_count, export_json, simulate_circuit
+from foqc.circuit import WireLimitError, elementary_gate_count, export_json, simulate_circuit
 from foqc.compiler import (
     OrthogonalityError,
     compile_naive,
@@ -114,11 +115,23 @@ def test_diff_report_json(qft):
     assert set(payload) == {"n", "cases", "max_deviation", "max_ancilla_residue"}
 
 
-def rebuilt_diff(program, n, seed=0, samples=32):
+def test_diff_refuses_wide_states_before_allocating(qft):
+    # The circuit is compiled, but no (2^40, k) output array is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(WireLimitError, match="exceeds the limit of 26"):
+            diff_check(qft, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def rebuilt_diff(program, n, seed=0):
     """diff_check from the public functions it calls, in the same order."""
     from foqc.analysis import check_pfoq
     from foqc.circuit import ancilla_residue, simulate_circuit, trace_ancillas
-    from foqc.compiler import DiffReport
+    from foqc.compiler import DIFF_SAMPLES, DiffReport
     from foqc.interpreter import QuantumState, guard_errors, run
 
     assert check_pfoq(program).accepted
@@ -129,7 +142,7 @@ def rebuilt_diff(program, n, seed=0, samples=32):
         basis = list(range(dim))
     else:
         rng = np.random.default_rng(seed)
-        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=samples)))
+        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=DIFF_SAMPLES)))
     max_dev = max_residue = 0.0
     for b in basis:
         state = QuantumState.from_bits(format(b, f"0{n}b"))

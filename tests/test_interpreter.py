@@ -6,7 +6,7 @@ import pytest
 
 from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
-from foqc.circuit import ControlStructure, WireLimitError
+from foqc.circuit import ControlStructure, replay_basis
 from foqc.interpreter import (
     BOTTOM,
     NO_ENV,
@@ -24,7 +24,6 @@ from foqc.interpreter import (
     guard_errors,
     level_of,
     run,
-    run_basis,
     walk,
 )
 from foqc.programs import EXAMPLES
@@ -269,7 +268,7 @@ def test_run_basis_columns_are_per_state_runs(corpus, n):
     for program in corpus.values():
         guarded = guard_errors(program)
         basis = list(range(1 << n))
-        columns = run_basis(guarded, n, basis)
+        columns = replay_basis(walk(guarded, n).checked().ops, n, 0, basis)[0]
         assert columns.shape == (1 << n, len(basis))
         for j, b in enumerate(basis):
             alone = run(guarded, QuantumState.from_bits(format(b, f"0{n}b")))
@@ -286,19 +285,8 @@ def test_run_basis_reports_the_error_terminal_as_run_does():
     with pytest.raises(BottomError) as alone:
         run(program, QuantumState.from_bits("000"))
     with pytest.raises(BottomError) as batched:
-        run_basis(program, 3, range(8))
+        replay_basis(walk(program, 3).checked().ops, 3, 0, range(8))
     assert str(batched.value) == str(alone.value)
-
-
-def test_run_basis_refuses_wide_states_before_allocating(qft):
-    tracemalloc.start()
-    try:
-        with pytest.raises(WireLimitError, match="exceeds the limit of 26"):
-            run_basis(qft, 40, [0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def dense_run(p, psi):
@@ -374,7 +362,8 @@ def test_the_walk_records_one_op_per_executed_assignment():
 
 def test_level_of_walks_without_a_state():
     # The walk alone gives the level, also on the error terminal, and no
-    # state is built: 26 qubits would take 1 GiB of amplitudes.
+    # state is built: 26 qubits would take 1 GiB of amplitudes, and 40 are
+    # past the dense cap.
     program = parse_program(
         "decl f(p) { p[1] *= NOT; call f(p \\ [1]); }, :: call f(q); q[30] *= H;"
     )
@@ -382,6 +371,7 @@ def test_level_of_walks_without_a_state():
     tracemalloc.start()
     try:
         assert level_of(program, 26) == 27
+        assert level_of(program, 40) == 41
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

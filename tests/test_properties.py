@@ -180,7 +180,7 @@ def small_circuits(draw):
 def _dense(total, controls, targets, matrix):
     """The full 2^total matrix of `matrix` on `targets` under `controls`,
     summed from Kronecker products of one-wire factors."""
-    pins = controls.as_dict()
+    pins = dict(controls.bits)
     m = len(targets)
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
