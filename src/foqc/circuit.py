@@ -291,12 +291,13 @@ def routing_swaps(
 # ---------------------------------------------------------------------------
 
 # The widest state held as a dense amplitude array: 2^26 complex amplitudes
-# take 1 GiB.  Checked before any such array is allocated.
+# take 1 GiB.  Checked before any such array is allocated.  `diff` holds
+# one basis column to as many sparse entries (`compiler.diff_check`).
 MAX_DENSE_WIRES = 26
 
 
 class WireLimitError(FoqError):
-    """A dense state over more than MAX_DENSE_WIRES wires was requested."""
+    """A state wider than the limits of this module was requested."""
 
 
 def check_dense_wires(wires: int) -> None:
@@ -379,25 +380,72 @@ def _combine(a0: np.ndarray, a1: np.ndarray, entries) -> None:
     a1 += from0
 
 
+def spread_after(op, spread: int) -> int:
+    """The spread word after `op`, given the word `spread` before it.
+
+    A spread word holds the index bits on which two entries of one column
+    of a sparse state may differ, so a column holds at most 2^popcount
+    entries.  A mix adds its targets.  A flip or swap adds its target bits
+    when its mask meets the spread word, as it may then move some entries
+    of a column and not others, or when a swapped bit is already spread.
+    A scaling moves no index.
+    """
+    kind, mask, _, target, _ = op
+    if kind == MIX:
+        return spread | target
+    if kind == MIX_MANY:
+        return spread | sum(target)
+    if kind == FLIP:
+        return spread | target if mask & spread else spread
+    if kind == SWAP:
+        bits = (1 << target[0]) | (1 << target[1])
+        return spread | bits if (mask | bits) & spread else spread
+    return spread
+
+
+def support_bits(ops) -> int:
+    """A bound b such that `ops` take one basis column to at most 2^b entries.
+
+    The bound holds after every prefix of `ops`.  A mix at most doubles a
+    column and a many-target mix on m targets multiplies it by at most 2^m;
+    and a column's entries differ only on the bits of the final spread
+    word (`spread_after`).
+    """
+    mixes = spread = 0
+    for op in ops:
+        if op[0] == MIX:
+            mixes += 1
+        elif op[0] == MIX_MANY:
+            mixes += len(op[3])
+        spread = spread_after(op, spread)
+    return min(mixes, spread.bit_count())
+
+
 class _SparseState:
     """The non-zero amplitudes of a state, the one kernel that applies ops.
 
     `index[k]` is a basis-state index and `amp[k]` its amplitude; indices
-    are distinct, and `ordered` says whether they are ascending.  Flips and
-    swaps rewrite indices in place and scalings rewrite amplitudes in
-    place.  A one-target mix pairs each entry with the entry that differs
-    from it on the target bit only, a missing partner counting as zero, and
-    computes `a0*u00 + u01*a1` and `a1*u11 + u10*a0` elementwise; it drops
-    the exact zeros it makes.
+    are distinct, and `ordered` says whether they are ascending.  `spread`
+    is the state's spread word (`spread_after`): entries of one column
+    differ only on its bits, the column being the bits above the ones the
+    ops touch.  Flips and swaps rewrite indices in place and scalings
+    rewrite amplitudes in place.  A one-target mix pairs each entry with
+    the entry that differs from it on the target bit only, a missing
+    partner counting as zero, and computes `a0*u00 + u01*a1` and
+    `a1*u11 + u10*a0` elementwise; it drops the exact zeros it makes.  On
+    a bit outside `spread` no entry has its partner, so the mix takes the
+    growth branch: each entry becomes a pair, with no sort and no search.
     """
 
-    def __init__(self, index: np.ndarray, amp: np.ndarray):
+    def __init__(self, index: np.ndarray, amp: np.ndarray, spread: int):
         self.index = index
         self.amp = amp
+        self.spread = spread
         self.ordered = bool(np.all(index[1:] > index[:-1]))
 
     def replay(self, ops) -> None:
-        for kind, mask, want, target, data in ops:
+        for op in ops:
+            kind, mask, want, target, data = op
             if kind == FLIP:
                 self._flip(mask, want, target)
             elif kind == SCALE:
@@ -412,6 +460,7 @@ class _SparseState:
                 self._flip(mask, want, (diff << a) | (diff << b))
             else:
                 self._mix_many(mask, want, target, data)
+            self.spread = spread_after(op, self.spread)
 
     def _holding(self, mask: int, want: int) -> np.ndarray:
         return (self.index & mask) == want
@@ -426,6 +475,9 @@ class _SparseState:
     def _mix(self, mask: int, want: int, bit: int, entries) -> None:
         sat = self._holding(mask, want) if mask else None
         if sat is not None and not np.count_nonzero(sat):
+            return
+        if not self.spread & bit:
+            self._grow(sat, bit, entries)
             return
         if not self.ordered:
             order = np.argsort(self.index, kind="stable")
@@ -467,6 +519,23 @@ class _SparseState:
         a1[at[paired]] = moved[paired]
         a1[len(i0) :] = moved[alone]
         _combine(a0, a1, entries)
+        self.ordered = False
+        self._drop_zeros()
+
+    def _grow(self, sat, bit: int, entries) -> None:
+        """The mix on a bit that no two entries of a column differ on: the
+        selected entries' indices with the bit clear, then with it set."""
+        index, amp = self.index, self.amp
+        if sat is not None:
+            index, amp = index[sat], amp[sat]
+        one = (index & bit) != 0
+        a0, a1 = np.where(one, 0, amp), np.where(one, amp, 0)
+        _combine(a0, a1, entries)
+        indices, amps = [index & ~bit, index | bit], [a0, a1]
+        if sat is not None:
+            indices.insert(0, self.index[~sat])
+            amps.insert(0, self.amp[~sat])
+        self.index, self.amp = np.concatenate(indices), np.concatenate(amps)
         self.ordered = False
         self._drop_zeros()
 
@@ -530,7 +599,9 @@ def replay_dense(ops, amps: np.ndarray, wires: int, shift: int = 0) -> np.ndarra
     left by `shift`, appending that many wires in |0>.
     """
     support = np.flatnonzero(amps)
-    state = _SparseState(support << shift, amps[support])
+    index = support << shift
+    spread = int(np.bitwise_or.reduce(index ^ index[:1]))
+    state = _SparseState(index, amps[support], spread)
     state.replay(ops)
     out = np.zeros(1 << wires, dtype=complex)
     out[state.index] = state.amp
@@ -542,15 +613,19 @@ def replay_dense(ops, amps: np.ndarray, wires: int, shift: int = 0) -> np.ndarra
 MAX_SPARSE_BITS = 62
 
 
-def replay_basis(ops, n: int, ancillas: int, basis) -> tuple[np.ndarray, np.ndarray]:
+def replay_basis(
+    ops, n: int, ancillas: int, basis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay `ops` over n + ancillas wires on each basis input.
 
-    Returns the (2^n, k) outputs with the ancillas summed out, column j
-    being the output on input basis[j] with the ancillas in |0>, and the k
-    ancilla residues (the probability mass with an ancilla not in |0>).
-    All k inputs run as one sparse state: column j's entries carry j in
-    the index bits above the wires, which no op touches, so no dense state
-    over all wires is built.
+    Returns the summed sparse columns (keys, amps, residue).  Column j is
+    the output on input basis[j] with the ancillas in |0>, then summed
+    out: it holds amps[i] at row `keys[i] & (2^n - 1)` for every i with
+    `keys[i] >> n == j`.  Keys are distinct and no amplitude is an
+    explicit zero unless a sum cancelled.  residue[j] is column j's
+    probability mass with an ancilla not in |0>.  All k inputs run as one
+    sparse state: column j's entries carry j in the index bits above the
+    wires, which no op touches, so no state over all wires is built.
     """
     total, k = n + ancillas, len(basis)
     if total + k.bit_length() > MAX_SPARSE_BITS:
@@ -559,20 +634,19 @@ def replay_basis(ops, n: int, ancillas: int, basis) -> tuple[np.ndarray, np.ndar
         )
     column = np.arange(k, dtype=np.int64)
     index = (np.asarray(basis, dtype=np.int64) << ancillas) | (column << total)
-    state = _SparseState(index, np.ones(k, dtype=complex))
+    state = _SparseState(index, np.ones(k, dtype=complex), 0)
     state.replay(ops)
-    column = state.index >> total
-    row = (state.index >> ancillas) & ((1 << n) - 1)
-    dirty = (state.index & ((1 << ancillas) - 1)) != 0
-    out = np.zeros((1 << n, k), dtype=complex)
+    keys = state.index >> ancillas
     residue = np.zeros(k)
-    if dirty.any():
-        # Entries of one column that differ only on the ancillas add up.
-        np.add.at(out, (row, column), state.amp)
-        np.add.at(residue, column[dirty], np.abs(state.amp[dirty]) ** 2)
-    else:  # every (row, column) holds at most one entry
-        out[row, column] = state.amp
-    return out, residue
+    dirty = (state.index & ((1 << ancillas) - 1)) != 0
+    if not dirty.any():  # every key holds one entry
+        return keys, state.amp, residue
+    np.add.at(residue, state.index[dirty] >> total, np.abs(state.amp[dirty]) ** 2)
+    # Entries of one column that differ only on the ancillas add up.
+    keys, group = np.unique(keys, return_inverse=True)
+    amps = np.zeros(keys.shape, dtype=complex)
+    np.add.at(amps, group, state.amp)
+    return keys, amps, residue
 
 
 # ---------------------------------------------------------------------------

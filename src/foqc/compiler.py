@@ -46,15 +46,17 @@ import numpy as np
 
 from .analysis import NotPfoqError, analyse, statement_width
 from .circuit import (
+    MAX_DENSE_WIRES,
     Circuit,
     ControlledNot,
     ControlStructure,
     Gate,
-    check_dense_wires,
+    WireLimitError,
     controlled_u_gate,
     lower,
     replay_basis,
     routing_swaps,
+    support_bits,
 )
 from .interpreter import (
     NO_ENV,
@@ -550,17 +552,45 @@ class DiffReport:
 # Basis states `diff_check` draws once 2^n exceeds 64.
 DIFF_SAMPLES = 32
 
-# Basis states per `diff_check` chunk times 2^n amplitudes: a chunk's
-# sparse pass holds at most 2^15 interpreter entries, and its (2^n, k)
-# complex outputs take at most 512 KiB (one column once n > 15).
-#
-# Each chunk is compared as two dense (2^n, k) arrays because, at this
-# chunk size, that is cheaper than aligning the two sparse states.  On
-# one `qft` n=12 chunk (8 columns, 32 768 entries a side; 2-vCPU Xeon,
-# best of 7), scattering both sides and comparing takes 1.3 ms, while
-# aligning the sparse entries takes 2.3 ms with two argsorts and 5.1 ms
-# with `np.unique` + `bincount`.  The dense arrays cap `diff` at n = 26.
+# Basis states per `diff_check` chunk times the entries one basis column
+# may reach, 2^b with b the larger `circuit.support_bits` of the two sides:
+# a chunk's sparse pass holds at most 2^15 entries a side (one column once
+# b > 15).  `diff` refuses b > MAX_DENSE_WIRES, a column of over 2^26
+# entries, before it replays anything.
 DIFF_CHUNK_AMPLITUDES = 1 << 15
+
+
+def _max_deviation(keys0, amps0, keys1, amps1) -> float:
+    """The largest |amps1 - amps0| over two summed sparse columns
+    (`replay_basis`), a key missing on one side counting as zero there.
+
+    When both sides hold the same keys in the same order, as they do when
+    the op lists match, the amplitudes are compared position by position;
+    otherwise both are placed on the sorted union of their keys.
+    """
+    if not np.array_equal(keys0, keys1):
+        keys = np.union1d(keys0, keys1)
+        amps0 = _placed(keys, keys0, amps0)
+        amps1 = _placed(keys, keys1, amps1)
+    return float(np.max(np.abs(amps1 - amps0)))
+
+
+def _placed(keys: np.ndarray, some: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """amps, held at keys `some`, placed on the ascending `keys`."""
+    out = np.zeros(keys.shape, dtype=complex)
+    out[np.searchsorted(keys, some)] = amps
+    return out
+
+
+def _column_bits(ops) -> int:
+    """`support_bits(ops)`, refused past MAX_DENSE_WIRES."""
+    bits = support_bits(ops)
+    if bits > MAX_DENSE_WIRES:
+        raise WireLimitError(
+            f"a basis column may spread over {bits} wires, which exceeds the limit"
+            f" of {MAX_DENSE_WIRES}"
+        )
+    return bits
 
 
 def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
@@ -569,28 +599,32 @@ def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     Exhaustive over all 2^n basis states when that is at most 64, otherwise
     over `DIFF_SAMPLES` basis states drawn at random.  The interpreter walks the
     program once and the circuit is lowered once, into ops of one sparse
-    kernel; the states are taken in chunks, and each chunk replays both
-    sides' ops on its states as the columns of one sparse state
-    (`replay_basis`), the circuit's ancillas summed out on it, so neither
-    side builds a state over all wires.
+    kernel; the states are taken in chunks sized by the ops' support bound,
+    and each chunk replays both sides' ops on its states as the columns of
+    one sparse state (`replay_basis`), the circuit's ancillas summed out on
+    it.  The two sides' sparse columns are compared entry by entry, so no
+    state over all wires and no dense output is built.  A side whose bound
+    passes MAX_DENSE_WIRES raises WireLimitError; the circuit's side is
+    checked first, before the walk.
     """
     circuit = compile_program(p, n)
-    check_dense_wires(n)
-    expected_ops = walk(guard_errors(p), n).checked().ops
     actual_ops = lower(circuit)
+    bits = _column_bits(actual_ops)
+    expected_ops = walk(guard_errors(p), n).checked().ops
+    bits = max(bits, _column_bits(expected_ops))
     dim = 1 << n
     if dim <= 64:
         basis = list(range(dim))
     else:
         rng = np.random.default_rng(seed)
         basis = sorted(set(int(x) for x in rng.integers(0, dim, size=DIFF_SAMPLES)))
-    chunk = max(1, DIFF_CHUNK_AMPLITUDES >> n)
+    chunk = max(1, DIFF_CHUNK_AMPLITUDES >> bits)
     max_dev = 0.0
     max_residue = 0.0
     for start in range(0, len(basis), chunk):
         columns = basis[start : start + chunk]
-        expected, _ = replay_basis(expected_ops, n, 0, columns)
-        actual, residue = replay_basis(actual_ops, n, circuit.ancillas, columns)
-        max_dev = max(max_dev, float(np.max(np.abs(actual - expected))))
+        keys0, amps0, _ = replay_basis(expected_ops, n, 0, columns)
+        keys1, amps1, residue = replay_basis(actual_ops, n, circuit.ancillas, columns)
+        max_dev = max(max_dev, _max_deviation(keys0, amps0, keys1, amps1))
         max_residue = max(max_residue, float(np.max(residue)))
     return DiffReport(n, len(basis), max_dev, max_residue)

@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 
 from foqc.circuit import (
+    FLIP,
+    MIX,
+    MIX_MANY,
+    SCALE,
+    SWAP,
     Circuit,
     CircuitError,
     CircuitSchemaError,
@@ -14,6 +19,7 @@ from foqc.circuit import (
     ControlledU,
     WireLimitError,
     _matrix_error,
+    _SparseState,
     ancilla_residue,
     controlled_u_gate,
     elementary_gate_count,
@@ -24,6 +30,7 @@ from foqc.circuit import (
     replay_basis,
     routing_swaps,
     simulate_circuit,
+    support_bits,
     trace_ancillas,
 )
 from foqc.compiler import compile_program
@@ -244,8 +251,17 @@ def test_gate_wires_helper():
     assert c.n == 2 and c.gate_count() == 1
 
 
+def dense_replay(ops, n, ancillas, basis):
+    """replay_basis's summed sparse columns, scattered into its (2^n, k)
+    outputs, and its residues."""
+    keys, amps, residues = replay_basis(ops, n, ancillas, basis)
+    outs = np.zeros((1 << n, len(basis)), dtype=complex)
+    outs[keys & ((1 << n) - 1), keys >> n] = amps
+    return outs, residues
+
+
 def per_basis(c, basis):
-    """replay_basis of the lowered circuit, rebuilt from one dense
+    """dense_replay of the lowered circuit, rebuilt from one dense
     simulation per basis input."""
     fulls = [simulate_circuit(c, np.eye(1 << c.n)[b]) for b in basis]
     outs = np.stack([trace_ancillas(full, c.ancillas) for full in fulls], axis=1)
@@ -257,7 +273,7 @@ def test_simulate_basis_matches_per_basis_simulation(corpus, n):
     for program in corpus.values():
         c = compile_program(program, n)
         inputs = list(range(0, 1 << n, 3))
-        outs, residues = replay_basis(lower(c), c.n, c.ancillas, inputs)
+        outs, residues = dense_replay(lower(c), c.n, c.ancillas, inputs)
         want_outs, want_residues = per_basis(c, inputs)
         assert outs.shape == (1 << n, len(inputs))
         assert np.max(np.abs(outs - want_outs)) <= 1e-15
@@ -271,7 +287,7 @@ def test_simulate_basis_keeps_columns_apart_and_traces_dirty_ancillas():
         controlled_u_gate(ControlStructure.empty(), (1,), H),
         ControlledNot(ControlStructure.of({2: 1}), 3),
     ))
-    outs, residues = replay_basis(lower(c), c.n, c.ancillas, [0, 1, 2, 3])
+    outs, residues = dense_replay(lower(c), c.n, c.ancillas, [0, 1, 2, 3])
     want_outs, want_residues = per_basis(c, [0, 1, 2, 3])
     assert np.max(np.abs(outs - want_outs)) <= 1e-15
     assert np.max(np.abs(residues - want_residues)) <= 1e-15
@@ -284,3 +300,73 @@ def test_simulate_basis_keeps_columns_apart_and_traces_dirty_ancillas():
 def test_replay_basis_refuses_indices_past_62_bits():
     with pytest.raises(WireLimitError):
         replay_basis(lower(Circuit(1, 61)), 1, 61, [0, 1])
+
+
+# Kernel ops act on index bits 0..3; bit 4 is never set, so a pin wanting
+# it selects nothing.  Column j's entries carry j in the bits above.
+KERNEL_BITS = 5
+NEVER = 1 << 4
+H_ENTRIES = tuple(H.reshape(-1))
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_op(rng):
+    """A random op of a random kind, on random bits and pins."""
+    shifts = rng.permutation(4)
+    bit = 1 << int(shifts[0])
+    mask = sum(1 << int(s) for s in shifts[2:] if rng.random() < 0.5)
+    want = mask & int(rng.integers(16))
+    kind = rng.choice(["flip", "swap", "scale", "mix", "zeros", "idle", "many"])
+    if kind == "flip":
+        return (FLIP, mask, want, bit, None)
+    if kind == "swap":
+        return (SWAP, mask, want, (int(shifts[0]), int(shifts[1])), None)
+    if kind == "scale":
+        phases = np.exp(2j * np.pi * rng.random(2))
+        return (SCALE, mask, want, bit, ((0, phases[0]), (bit, phases[1])))
+    if kind == "mix":
+        return (MIX, mask, want, bit, tuple(random_unitary(rng, 2).reshape(-1)))
+    if kind == "zeros":  # exact zeros: a missing partner's share, or H twice
+        entries = (0, -1, 1, 0) if rng.random() < 0.5 else H_ENTRIES
+        return (MIX, mask, want, bit, entries)
+    if kind == "idle":
+        return (MIX, mask | NEVER, want | NEVER, bit, H_ENTRIES)
+    targets = (bit, 1 << int(shifts[1]))
+    return (MIX_MANY, mask, want, targets, random_unitary(rng, 4))
+
+
+def kernel_entries(state):
+    order = np.argsort(state.index)
+    return state.index[order].tolist(), state.amp[order].tobytes()
+
+
+# H q0; CNOT q0 -> q1; H q0 mixes one bit but reaches 4 entries.
+H_CNOT_H = [(MIX, 0, 0, 1, H_ENTRIES), (FLIP, 1, 1, 2, None), (MIX, 0, 0, 1, H_ENTRIES)]
+
+
+def kernel_cases():
+    yield pytest.param([0, 1, 2, 3], H_CNOT_H, id="h-cnot-h")
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        basis = rng.integers(16, size=int(rng.integers(1, 7))).tolist()
+        yield pytest.param(basis, [random_op(rng) for _ in range(40)], id=f"seed-{seed}")
+
+
+@pytest.mark.parametrize("basis, ops", kernel_cases())
+def test_kernel_growth_branch_matches_the_paired_mix(basis, ops):
+    # The reference's spread word holds every bit, so none of its mixes
+    # takes the growth branch.  After every op both states hold the same
+    # entries, bit for bit, and no column outgrows the support bound.
+    index = np.array(basis, dtype=np.int64) | (np.arange(len(basis)) << KERNEL_BITS)
+    state = _SparseState(index.copy(), np.ones(len(basis), dtype=complex), 0)
+    reference = _SparseState(index.copy(), np.ones(len(basis), dtype=complex), -1)
+    for i, op in enumerate(ops):
+        state.replay([op])
+        reference.replay([op])
+        assert kernel_entries(state) == kernel_entries(reference), (i, op)
+        widest = np.bincount(state.index >> KERNEL_BITS).max()
+        assert widest <= 1 << support_bits(ops[: i + 1]), (i, op)

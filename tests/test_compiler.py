@@ -12,17 +12,30 @@ import foqc.interpreter as interpreter
 from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.analysis import NotPfoqError
-from foqc.circuit import WireLimitError, elementary_gate_count, export_json, simulate_circuit
+from foqc.circuit import (
+    Circuit,
+    ControlledNot,
+    ControlStructure,
+    WireLimitError,
+    controlled_u_gate,
+    elementary_gate_count,
+    export_json,
+    lower,
+    simulate_circuit,
+)
 from foqc.compiler import (
+    DIFF_SAMPLES,
+    DiffReport,
     OrthogonalityError,
     compile_naive,
     compile_program,
     compile_with_stats,
     diff_check,
 )
-from foqc.interpreter import BottomError, QuantumState, guard_errors, run
+from foqc.interpreter import BottomError, QuantumState, guard_errors, run, walk
 from foqc.programs import EXAMPLES
 
+from test_circuit import H, dense_replay
 from test_fingerprint import TERMS
 
 WIDTH_TWO_SOURCE = """
@@ -127,22 +140,24 @@ def test_diff_refuses_wide_states_before_allocating(qft):
     assert peak < 1 << 20
 
 
+def diff_basis(n, seed):
+    """The basis states diff_check compares on."""
+    if n <= 6:
+        return list(range(1 << n))
+    rng = np.random.default_rng(seed)
+    return sorted(set(int(x) for x in rng.integers(0, 1 << n, size=DIFF_SAMPLES)))
+
+
 def rebuilt_diff(program, n, seed=0):
     """diff_check from the public functions it calls, in the same order."""
     from foqc.analysis import check_pfoq
     from foqc.circuit import ancilla_residue, simulate_circuit, trace_ancillas
-    from foqc.compiler import DIFF_SAMPLES, DiffReport
     from foqc.interpreter import QuantumState, guard_errors, run
 
     assert check_pfoq(program).accepted
     circuit, _ = compile_with_stats(program, n, check=False)
     guarded = guard_errors(program)
-    dim = 1 << n
-    if dim <= 64:
-        basis = list(range(dim))
-    else:
-        rng = np.random.default_rng(seed)
-        basis = sorted(set(int(x) for x in rng.integers(0, dim, size=DIFF_SAMPLES)))
+    basis = diff_basis(n, seed)
     max_dev = max_residue = 0.0
     for b in basis:
         state = QuantumState.from_bits(format(b, f"0{n}b"))
@@ -162,6 +177,55 @@ def test_diff_check_equals_its_rebuild_from_public_functions(corpus, n):
     for program in corpus.values():
         for seed in (0, 3):
             assert rebuilt_diff(program, n, seed).to_json() == diff_check(program, n, seed).to_json()
+
+
+def dense_diff(program, circuit, n, seed):
+    """diff_check's report on `circuit`, with both sides scattered into
+    dense outputs over all wires, the ancillas summed out densely, and the
+    outputs subtracted."""
+    basis = diff_basis(n, seed)
+    m = circuit.ancillas
+    expected, _ = dense_replay(walk(guard_errors(program), n).checked().ops, n, 0, basis)
+    full, _ = dense_replay(lower(circuit), n + m, 0, [b << m for b in basis])
+    full = full.reshape(1 << n, 1 << m, len(basis))
+    actual = full.sum(axis=1)
+    residues = (np.abs(full[:, 1:, :]) ** 2).sum(axis=(0, 1))
+    return DiffReport(
+        n, len(basis), float(np.max(np.abs(actual - expected))), float(np.max(residues))
+    )
+
+
+def add_gate(c):
+    return Circuit(c.n, c.ancillas, c.gates + (ControlledNot(ControlStructure.empty(), 1),))
+
+
+def drop_gate(c):
+    return Circuit(c.n, c.ancillas, c.gates[: len(c.gates) // 2] + c.gates[len(c.gates) // 2 + 1 :])
+
+
+def dirty_ancilla(c):
+    # H on a fresh ancilla where wire 1 holds 1: those keys hold a clean
+    # and a dirty entry, which add up.
+    h = controlled_u_gate(ControlStructure.of({1: 1}), (c.total_wires + 1,), H)
+    return Circuit(c.n, c.ancillas + 1, c.gates + (h,))
+
+
+@pytest.mark.parametrize("edit", [None, add_gate, drop_gate, dirty_ancilla])
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_sparse_comparison_matches_a_dense_reference(corpus, monkeypatch, edit, n):
+    # As compiled, the op lists of qft and teleport match the walk's, so
+    # both sides hold their keys in one order; an added or dropped gate
+    # leaves keys on one side only, and appendix-b's ancillas reorder them.
+    for program in corpus.values():
+        circuit = compile_program(program, n)
+        if edit is not None:
+            circuit = edit(circuit)
+        monkeypatch.setattr(compiler, "compile_program", lambda p, n: circuit)
+        for seed in (0, 3):
+            got, want = diff_check(program, n, seed), dense_diff(program, circuit, n, seed)
+            assert (got.n, got.cases, got.max_deviation) == (want.n, want.cases, want.max_deviation)
+            # The reference adds up each column's residue in another order.
+            assert got.max_ancilla_residue == pytest.approx(want.max_ancilla_residue, rel=1e-12)
 
 
 def test_teleport_moves_payload(teleport):

@@ -1,8 +1,9 @@
 """Byte-level fingerprints of parser, compiler, analysis and interpreter output.
 
 Each test hashes the exact text the toolchain produces on a fixed corpus:
-circuit JSON and compile statistics, verdict JSON, `foqc run` stdout, the
-circuits of a few algebra terms, and the parse errors of mutated programs.  A refactor that is meant to leave
+circuit JSON and compile statistics, verdict JSON, `foqc run` and `foqc diff`
+stdout, the circuits of a few algebra terms, and the parse errors of mutated
+programs.  A refactor that is meant to leave
 outputs unchanged must leave every digest unchanged; a change that moves
 them on purpose records the new digests here and says why.
 """
@@ -100,6 +101,27 @@ def test_run_stdout(tmp_path, capsys):
     # this digest moved, and every nonzero amplitude kept its bits.
     assert digest(chunks) == (
         "65b8392b6cd510ee1e1aa1e211613a31cc67ffb63f6632c87dc3a2e6bfb41aec"
+    )
+
+
+# The bundled programs at n = 1..12, plus the one (program, n) of the
+# `diff-verify` benchmark grid past n = 12.
+DIFF_REQUESTS = [
+    (name, n) for name in EXAMPLES for n in range(1, 13)
+] + [("teleport.foq", 15)]
+
+
+def test_diff_stdout(tmp_path, capsys):
+    chunks = []
+    for name, n in DIFF_REQUESTS:
+        path = tmp_path / name
+        path.write_text(EXAMPLES[name])
+        for seed in (0, 7):
+            code = dispatch(["diff", str(path), "-n", str(n), "--seed", str(seed)])
+            captured = capsys.readouterr()
+            chunks += [name, str(n), str(seed), str(code), captured.out, captured.err]
+    assert digest(chunks) == (
+        "7be43de3e52717eadd6e21996ec339735b8094cc0419d9fab40ccdefeeb7fef2"
     )
 
 

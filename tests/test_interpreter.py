@@ -45,6 +45,7 @@ from foqc.syntax import (
     gate_matrix,
 )
 
+from test_circuit import dense_replay
 from test_fingerprint import PARAMETERISED_SOURCE, TERMS
 from test_properties import _dense
 
@@ -268,7 +269,7 @@ def test_run_basis_columns_are_per_state_runs(corpus, n):
     for program in corpus.values():
         guarded = guard_errors(program)
         basis = list(range(1 << n))
-        columns = replay_basis(walk(guarded, n).checked().ops, n, 0, basis)[0]
+        columns = dense_replay(walk(guarded, n).checked().ops, n, 0, basis)[0]
         assert columns.shape == (1 << n, len(basis))
         for j, b in enumerate(basis):
             alone = run(guarded, QuantumState.from_bits(format(b, f"0{n}b")))
