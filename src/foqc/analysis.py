@@ -203,7 +203,10 @@ def statement_width(
 
     With `memo`, every subtree's width is stored under its id() and looked
     up before walking it again.  The caller keeps the statements alive and
-    measures each statement against one group only.
+    measures each statement against one group only.  The one kind of
+    subtree that may sit in procedures of several groups is a leaf the
+    parser shares among its equal copies (`parser._Parser.parse_stmt`); a
+    leaf holds no `Call`, so its width is 0 against every group.
     """
     if memo is not None:
         w = memo.get(id(stmt))

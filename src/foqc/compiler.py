@@ -49,6 +49,7 @@ from .circuit import (
     MAX_DENSE_WIRES,
     Circuit,
     ControlledNot,
+    ControlledU,
     ControlStructure,
     Gate,
     WireLimitError,
@@ -208,8 +209,12 @@ class _Context:
     carries: list = field(default_factory=list)
     touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
     # statement_width of every subtree measured so far, keyed by id(stmt).
-    # A body only ever reaches the worklist of its own procedure's group.
+    # A body only ever reaches the worklist of its own procedure's group;
+    # a leaf the parser shares across groups holds no call, so its width
+    # is 0 in each of them.
     stmt_widths: dict[int, int] = field(default_factory=dict)
+    # The matrix and label of each (operator, argument) compiled so far.
+    gate_data: dict = field(default_factory=dict)
 
     def new_ancilla(self) -> int:
         self.ancillas += 1
@@ -316,9 +321,13 @@ def _assign_gates(
     if op.kind == OP_NOT:
         return [ControlledNot(cs, pos)]
     arg = eval_int(op.arg, l, env)
-    matrix = gate_matrix(op, arg)
-    label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
-    return [controlled_u_gate(cs, (pos,), matrix, label)]
+    data = ctx.gate_data.get((op, arg))
+    if data is None:
+        label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
+        gate = controlled_u_gate(cs, (pos,), gate_matrix(op, arg), label)
+        ctx.gate_data[op, arg] = gate.matrix, gate.label
+        return [gate]
+    return [ControlledU(cs, (pos,), *data)]
 
 
 def compr(
@@ -555,8 +564,9 @@ DIFF_SAMPLES = 32
 # Basis states per `diff_check` chunk times the entries one basis column
 # may reach, 2^b with b the larger `circuit.support_bits` of the two sides:
 # a chunk's sparse pass holds at most 2^15 entries a side (one column once
-# b > 15).  `diff` refuses b > MAX_DENSE_WIRES, a column of over 2^26
-# entries, before it replays anything.
+# b > 15).  `diff` refuses a program whose columns may hold more than
+# 2^MAX_DENSE_WIRES entries a side together, columns x 2^b, before it
+# replays anything: the limit bounds a whole `diff`'s work, not one column.
 DIFF_CHUNK_AMPLITUDES = 1 << 15
 
 
@@ -582,13 +592,15 @@ def _placed(keys: np.ndarray, some: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_bits(ops) -> int:
-    """`support_bits(ops)`, refused past MAX_DENSE_WIRES."""
+def _column_bits(ops, columns: int) -> int:
+    """`support_bits(ops)`, refused when `columns` basis columns of that
+    support may hold more than 2^MAX_DENSE_WIRES entries together."""
     bits = support_bits(ops)
-    if bits > MAX_DENSE_WIRES:
+    if columns << bits > 1 << MAX_DENSE_WIRES:
         raise WireLimitError(
-            f"a basis column may spread over {bits} wires, which exceeds the limit"
-            f" of {MAX_DENSE_WIRES}"
+            f"{columns} basis columns that may each spread over {bits} wires need up to"
+            f" {columns} x 2^{bits} entries a side, which exceeds the limit of"
+            f" {MAX_DENSE_WIRES} wires (2^{MAX_DENSE_WIRES} entries)"
         )
     return bits
 
@@ -603,16 +615,18 @@ def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     and each chunk replays both sides' ops on its states as the columns of
     one sparse state (`replay_basis`), the circuit's ancillas summed out on
     it.  The two sides' sparse columns are compared entry by entry, so no
-    state over all wires and no dense output is built.  A side whose bound
-    passes MAX_DENSE_WIRES raises WireLimitError; the circuit's side is
-    checked first, before the walk.
+    state over all wires and no dense output is built.  A side whose basis
+    states (as many as are drawn) may together hold more than
+    2^MAX_DENSE_WIRES entries raises WireLimitError before anything is
+    replayed; the circuit's side is checked first, before the walk.
     """
+    dim = 1 << n
+    columns = dim if dim <= 64 else DIFF_SAMPLES
     circuit = compile_program(p, n)
     actual_ops = lower(circuit)
-    bits = _column_bits(actual_ops)
+    bits = _column_bits(actual_ops, columns)
     expected_ops = walk(guard_errors(p), n).checked().ops
-    bits = max(bits, _column_bits(expected_ops))
-    dim = 1 << n
+    bits = max(bits, _column_bits(expected_ops, columns))
     if dim <= 64:
         basis = list(range(dim))
     else:

@@ -38,6 +38,16 @@ removals applied left to right, each index evaluated against the list left
 by the preceding removals.
 
 Line comments start with `//`.
+
+Leaf statements are hash-consed.  A leaf starts with a name, `nil`, `H`,
+`CNOT` or `SWAP`, holds no statement and ends at its first `;`, so its
+token texts up to that `;` decide its AST.  Within one `parse_program`,
+each distinct leaf is parsed once, under the key of those texts; a
+repeated leaf returns the same (frozen) object and moves past its `;`.
+Only a leaf that parsed without error, ending exactly at that `;`, is
+stored, and a repeat has the texts of a leaf that parsed, so an error is
+always met by a fresh parse, with its usual text and span.  `call`, `if`
+and `qcase` statements are built afresh every time.
 """
 
 from __future__ import annotations
@@ -208,6 +218,9 @@ def tokenize(text: str, filename: str) -> list[Token]:
     return list(map(Token._make, zip(source.kinds, source.texts, source.begins())))
 
 
+# The kinds of a leaf statement's first token: a gate on one or two qubits.
+_LEAF_KINDS = frozenset(("name", "nil", "H", "CNOT", "SWAP"))
+
 _PI_OVER_4 = PhaseDiv(PhasePi(), PhaseConst(4))
 
 
@@ -253,6 +266,8 @@ class _Parser:
         self.kinds = self.source.kinds
         self.texts = self.source.texts
         self.pos = 0
+        # Every leaf statement parsed so far, keyed by its token texts.
+        self.leaves: dict[tuple[str, ...], Statement] = {}
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         """An error at token `pos`, by default the current one."""
@@ -332,12 +347,23 @@ class _Parser:
 
     def parse_stmt(self, stop: set[str]) -> Statement:
         kind = self.peek()
-        if kind == "name" or kind == "nil":
-            q = self.parse_qubit()
-            self.expect("*=")
-            result = self.parse_op_assignment(q)
-            self.expect(";")
-            return result
+        if kind in _LEAF_KINDS:
+            # A leaf holds no statement and ends at its first ";", so the
+            # same token texts always parse to the same AST: build it once.
+            start = self.pos
+            try:
+                end = self.texts.index(";", start) + 1
+            except ValueError:  # no ";" left: the parse fails as usual
+                return self.parse_leaf(kind)
+            key = tuple(self.texts[start:end])
+            leaf = self.leaves.get(key)
+            if leaf is None:
+                leaf = self.parse_leaf(kind)
+                if self.pos == end:
+                    self.leaves[key] = leaf
+            else:
+                self.pos = end
+            return leaf
         if kind == "skip":
             self.pos += 1
             self.expect(";")
@@ -364,6 +390,17 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return Call(name, arg, s)
+        found = self.texts[self.pos] or "end of input"
+        raise self.error(f"expected a statement, found {found!r}")
+
+    def parse_leaf(self, kind: str) -> Statement:
+        """A statement starting with a `_LEAF_KINDS` token, through its ";"."""
+        if kind == "name" or kind == "nil":
+            q = self.parse_qubit()
+            self.expect("*=")
+            result = self.parse_op_assignment(q)
+            self.expect(";")
+            return result
         if kind == "H":
             self.pos += 1
             self.expect("(")
@@ -371,17 +408,14 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return hadamard_statement(q)
-        if kind == "CNOT" or kind == "SWAP":
-            self.pos += 1
-            self.expect("(")
-            a = self.parse_qubit()
-            self.expect(",")
-            b = self.parse_qubit()
-            self.expect(")")
-            self.expect(";")
-            return cnot_statement(a, b) if kind == "CNOT" else swap_statement(a, b)
-        found = self.texts[self.pos] or "end of input"
-        raise self.error(f"expected a statement, found {found!r}")
+        self.pos += 1
+        self.expect("(")
+        a = self.parse_qubit()
+        self.expect(",")
+        b = self.parse_qubit()
+        self.expect(")")
+        self.expect(";")
+        return cnot_statement(a, b) if kind == "CNOT" else swap_statement(a, b)
 
     def parse_op_assignment(self, q: QubitExpr) -> Statement:
         pos = self.pos

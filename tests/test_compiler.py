@@ -13,8 +13,10 @@ from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.analysis import NotPfoqError
 from foqc.circuit import (
+    MAX_DENSE_WIRES,
     Circuit,
     ControlledNot,
+    ControlledU,
     ControlStructure,
     WireLimitError,
     controlled_u_gate,
@@ -23,6 +25,7 @@ from foqc.circuit import (
     lower,
     simulate_circuit,
 )
+from foqc.cli import dispatch
 from foqc.compiler import (
     DIFF_SAMPLES,
     DiffReport,
@@ -138,6 +141,56 @@ def test_diff_refuses_wide_states_before_allocating(qft):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_compile_builds_each_gate_matrix_once(qft):
+    # One matrix object per (operator, argument): every RY of H and every
+    # PH of one rotation angle share it.
+    circuit = compile_program(qft, 6)
+    matrices = {}
+    gates = [gate for gate in circuit.gates if isinstance(gate, ControlledU)]
+    for gate in gates:
+        assert gate.matrix is matrices.setdefault(gate.label, gate.matrix)
+    assert 1 < len(matrices) < len(gates)
+
+
+@pytest.mark.parametrize("name, n", [("teleport.foq", 40), ("qft.foq", 22)])
+def test_diff_refuses_more_entries_than_the_limit_before_allocating(tmp_path, capsys, name, n):
+    # 32 basis columns of up to 2^26 (teleport) or 2^22 (qft) entries each.
+    path = tmp_path / name
+    path.write_text(EXAMPLES[name])
+    tracemalloc.start()
+    try:
+        code = dispatch(["diff", str(path), "-n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("\n") == 1 and "exceeds the limit of 26" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "name, n, admitted",
+    [
+        ("teleport.foq", 30, True),
+        ("teleport.foq", 33, False),
+        ("qft.foq", 21, True),
+        ("qft.foq", 22, False),
+        ("appendix-b.foq", 20, True),
+    ],
+)
+def test_the_diff_entry_limit_on_both_sides(name, n, admitted):
+    # The limit alone, without running the diff it admits.
+    p = parse_program(EXAMPLES[name])
+    for ops in (lower(compile_program(p, n)), walk(guard_errors(p), n).checked().ops):
+        if admitted:
+            bits = compiler._column_bits(ops, DIFF_SAMPLES)
+            assert DIFF_SAMPLES << bits <= 1 << MAX_DENSE_WIRES
+        else:
+            with pytest.raises(WireLimitError, match="exceeds the limit of 26"):
+                compiler._column_bits(ops, DIFF_SAMPLES)
 
 
 def diff_basis(n, seed):

@@ -1,11 +1,17 @@
+import hashlib
+import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foqc import parser
+from foqc.cli import dispatch
 from foqc.parser import KEYWORDS, ParseError, SourceSpan, parse_program, tokenize
 from foqc.syntax import (
     Assign,
+    Call,
     If,
     OP_NOT,
     OP_RY,
@@ -271,3 +277,203 @@ def test_tokenizer_reads_comments_and_unicode_digits():
     assert [t.kind for t in tokenize(text, "t.foq")] == ["int", "name", "eof"]
     with pytest.raises(ParseError, match="t.foq:1:3: unexpected character '\u00b2'"):
         tokenize("x \u00b2", "t.foq")
+
+
+# -- the leaf memo ------------------------------------------------------------
+
+
+class _Forgetful(dict):
+    """A leaf memo that stores nothing, so every leaf is parsed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_memo_init = parser._Parser.__init__
+
+
+def _forgetful_init(self, *args):
+    _memo_init(self, *args)
+    self.leaves = _Forgetful()
+
+
+def without_memo(function, *args):
+    """function(*args) with every parser's leaf memo turned off."""
+    with mock.patch.object(parser._Parser, "__init__", _forgetful_init):
+        return function(*args)
+
+
+def parse_outcome(text):
+    try:
+        return parse_program(text, "m.foq")
+    except ParseError as error:
+        return str(error), error.span
+
+
+# Leaves drawn from a small pool, so that most of them repeat.
+QUBITS = ["p[1]", "p[2]", "p[size(p)]", "p \\ [1][1]", "p \\ [1, size(p)][1]", "nil[1]"]
+OPERATORS = ["NOT", "H", "RY[pi / 4](0)", "PH[pi / 2^(x - 1)](x + 1)", "PH[2 * pi / 3](1)"]
+
+
+def random_leaf(rng):
+    a, b = rng.sample(QUBITS, 2)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return f"{a} *= {rng.choice(OPERATORS)};"
+    if shape == 1:
+        return f"H({a});"
+    return f"{('CNOT', 'SWAP')[shape - 2]}({a}, {b});"
+
+
+def random_stmts(rng, depth, count):
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if depth > 0 and roll < 0.1:
+            then_, else_ = (random_stmts(rng, depth - 1, rng.randint(1, 4)) for _ in "te")
+            out.append(f"if size(p) > 1 && x >= 2 then {{ {then_} }} else {{ {else_} }}")
+        elif depth > 0 and roll < 0.2:
+            labels = rng.choice((["0", "1"], ["00", "01", "10", "11"]))
+            indices = "1" if len(labels) == 2 else "1, 2"
+            branches = " , ".join(
+                f"{w} -> {random_stmts(rng, depth - 1, rng.randint(1, 3))}" for w in labels
+            )
+            out.append(f"qcase p \\ [size(p)][{indices}] of {{ {branches} }}")
+        elif roll < 0.3:
+            out.append(rng.choice(["call f[x - 1](p \\ [1]);", "call g(nil);", "skip;"]))
+        else:
+            # Whitespace and comments between tokens do not change a leaf.
+            leaf = random_leaf(rng)
+            out.append(leaf.replace(" ", rng.choice([" ", "  ", "\n", " // c\n"])))
+    return " ".join(out)
+
+
+def random_program(seed):
+    rng = random.Random(seed)
+    decls = "".join(
+        f"decl {name}(p) {{ {random_stmts(rng, 2, rng.randint(5, 40))} }},\n"
+        for name in ("f[x]", "g")
+    )
+    return decls + ":: " + random_stmts(rng, 2, rng.randint(20, 200))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_leaf_memo_changes_no_ast(seed):
+    text = random_program(seed)
+    assert parse_program(text) == without_memo(parse_program, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A missing final ";", after a valid copy of the same leaf.
+        ":: q[1] *= NOT; q[1] *= NOT q[2] *= NOT;",
+        ":: H(q[1]); H(q[1])",
+        "decl f(p) { p[1] *= NOT; p[1] *= NOT }, :: call f(q);",
+        # An extra token before the ";".
+        ":: q[1] *= NOT; q[1] *= NOT NOT;",
+        ":: CNOT(q[1], q[2]); CNOT(q[1], q[2]) q[1];",
+        ":: SWAP(q[1], q[2]); SWAP(q[1], q[2], q[3]);",
+        # A copy truncated at the end of the input.
+        ":: q[1] *= RY[pi / 4](0); q[1] *= RY[pi / 4](",
+        ":: CNOT(q[1], q[2]); CNOT(q[1],",
+        ":: nil[1] *= H; nil[1] *=",
+    ],
+)
+def test_leaf_errors_after_a_valid_copy_are_unchanged(text):
+    error = parse_outcome(text)
+    assert isinstance(error, tuple)
+    assert error == without_memo(parse_outcome, text)
+
+
+LEAF_PIECES = [
+    "q[1] *= NOT;", "q[1] *= NOT", "q[1]", "*=", "NOT", ";", "H(q[1]);", "H(q[1])",
+    "CNOT(q[1], q[2]);", "CNOT(q[1],", "SWAP(q[2], q[1]);", "nil[1] *= H;", ",", "}",
+    "if size(q) > 1 then {", "} else {", "qcase q[3] of { 0 ->", "call f(q);", "skip;",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEAF_PIECES), max_size=25).map(" ".join))
+def test_the_leaf_memo_changes_no_parse_outcome(text):
+    text = ":: " + text
+    assert parse_outcome(text) == without_memo(parse_outcome, text)
+
+
+def both_branches(stmt):
+    return f"if size(q) > 1 then {{ {stmt} }} else {{ {stmt} }}"
+
+
+@pytest.mark.parametrize(
+    "leaf", ["q[1] *= NOT;", "nil[1] *= RY[pi / 4](0);", "H(q \\ [1][2]);", "CNOT(q[1], q[2]);",
+             "SWAP(q[1], q[2]);"],
+)
+def test_repeated_leaves_are_one_object(leaf):
+    program = parse_program(f"decl f(p) {{ {leaf} }}, :: {both_branches(leaf)}")
+    assert program.main.then_branch is program.main.else_branch
+    assert program.decls[0].body is program.main.then_branch
+    # The memo lives for one parse only.
+    assert parse_program(f":: {leaf}").main is not program.main.then_branch
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    ["call f(q);", both_branches("skip;"), "qcase q[1] of { 0 -> q[2] *= NOT; , 1 -> skip; }"],
+)
+def test_calls_and_compound_statements_are_never_shared(stmt):
+    main = parse_program(f":: {both_branches(stmt)}").main
+    assert main.then_branch == main.else_branch
+    assert main.then_branch is not main.else_branch
+
+
+def test_the_reference_parser_shares_nothing():
+    main = without_memo(parse_program, f":: {both_branches('q[1] *= NOT;')}").main
+    assert main.then_branch == main.else_branch
+    assert main.then_branch is not main.else_branch
+
+
+# One leaf text in procedures of two recursion groups, {f} and {g}: the
+# id-keyed memo of `statement_width` meets the shared leaves under both.
+TWO_GROUPS_SOURCE = r"""
+decl f(p) {
+  p[1] *= NOT;
+  H(p[1]);
+  if size(p) > 1 then { CNOT(p[1], p[2]); call f(p \ [1]); } else { skip; }
+},
+decl g(p) {
+  p[1] *= NOT;
+  H(p[1]);
+  if size(p) > 1 then {
+    CNOT(p[1], p[2]);
+    qcase p[1] of { 0 -> call g(p \ [1]); , 1 -> call f(p \ [1]); }
+  } else { skip; }
+},
+:: call g(q); q[1] *= NOT; call f(q);
+"""
+
+
+def two_groups_outputs(path, capsys):
+    chunks = []
+    for args in [["check", path]] + [["compile", path, "-n", str(n)] for n in range(1, 6)]:
+        code = dispatch(args)
+        captured = capsys.readouterr()
+        chunks += [str(code), captured.out, captured.err]
+    return chunks
+
+
+def test_a_leaf_shared_by_two_recursion_groups(tmp_path, capsys):
+    path = tmp_path / "groups.foq"
+    path.write_text(TWO_GROUPS_SOURCE)
+    program = parse_program(TWO_GROUPS_SOURCE)
+    f, g = (seq_items(decl.body) for decl in program.decls)
+    assert f[0] is g[0] and f[1] is g[1]
+    chunks = two_groups_outputs(str(path), capsys)
+    assert chunks == without_memo(two_groups_outputs, str(path), capsys)
+    assert chunks[0] == "0" and all(code == "0" for code in chunks[::3])
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode() + b"\0")
+    # Computed with the parser before it had a leaf memo.
+    assert h.hexdigest() == (
+        "a1c5cd745a8de3c16732a3248e0a5a3d9e0e7327a050fa09702e2732ab2c7e97"
+    )
