@@ -4,7 +4,7 @@ Modules:
   - syntax: AST, phase DSL, pretty printer
   - parser: .foq surface syntax
   - interpreter: exact statevector semantics with levels and bounds guards
-  - analysis: call relations, recursion widths/ranks, tractability verdict
+  - analysis: well-formedness, call relations, recursion widths/ranks, tractability verdict
   - transform: program inversion
   - circuit: controlled-gate IR, simulator, JSON
   - compiler: worklist compilation with ancilla-table merging

@@ -308,24 +308,8 @@ def phi_encode(x: str, coeffs: list[int]) -> str:
 # Term text: s-expressions.
 # ---------------------------------------------------------------------------
 
-_ATOM_RE = re.compile(r"[^\s()]+")
-
-
 def _tokenize_term(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch in "()":
-            tokens.append(ch)
-            pos += 1
-        else:
-            m = _ATOM_RE.match(text, pos)
-            tokens.append(m.group())
-            pos = m.end()
-    return tokens
+    return re.findall(r"[()]|[^\s()]+", text)
 
 
 def _read_sexpr(tokens: list[str], pos: int):

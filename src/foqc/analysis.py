@@ -1,11 +1,21 @@
 """Static analysis: call relations, recursion shape, and the tractability check.
 
-A program is accepted by `check_pfoq` when (1) every call argument between
-mutually recursive procedures is a strict syntactic restriction of the
-procedure's own set parameter, and (2) no statement can trigger more than
-one mutually recursive call on any control-flow path (width at most one).
-Accepted programs admit a polynomial-size circuit compilation; the degree
-of the bounding polynomial is read off the recursion ranks.
+A program is accepted by `check_pfoq` when it is well formed, every call
+argument between mutually recursive procedures is a strict syntactic
+restriction of the procedure's own set parameter, and no statement can
+trigger more than one mutually recursive call on any control-flow path
+(width at most one).  Accepted programs admit a polynomial-size circuit
+compilation; the degree of the bounding polynomial is read off the
+recursion ranks.
+
+Well formed means (`check_wf`, diagnostics in this order):
+  - procedure names are pairwise distinct;
+  - each procedure body uses only its own set parameter and its own
+    classical parameter, if it has one;
+  - every call names a declared procedure and passes a classical argument
+    exactly when that procedure takes one;
+  - the main statement uses at most one set variable and no integer
+    variable, and its calls obey the same call rule.
 
 Relations on procedure names:
   - direct: P calls Q somewhere in P's body.
@@ -13,11 +23,13 @@ Relations on procedure names:
   - equiv: mutual reachability (every procedure is equivalent to itself).
   - strict: reaches but not equiv.
 
-The check never builds `reaches` or `strict`, which grow quadratically on
-a chain of calls: `equiv` is read off the strongly connected components,
-ranks are longest paths over the graph of components, and the degree's
-reachable set is one search from the main statement's callees.  So the
-check takes time linear in the program.
+`call_relations` walks each body once (`statement_refs`), collecting its
+variables and its calls, and every later step reads those.  The check
+never builds `reaches` or `strict`, which grow quadratically on a chain of
+calls: `equiv` is read off the strongly connected components, ranks are
+longest paths over the graph of components, and the degree's reachable
+set is one search from the main statement's callees.  So the check takes
+time linear in the program.
 """
 
 from __future__ import annotations
@@ -25,22 +37,33 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .syntax import (
     Assign,
+    BoolAnd,
+    BoolCmp,
+    BoolExpr,
+    BoolNot,
+    BoolOr,
     Call,
     FoqError,
     If,
+    IntAdd,
+    IntExpr,
+    IntLit,
+    IntSub,
+    IntVar,
     Program,
     QCase,
     Seq,
+    SetExpr,
     SetRemove,
+    SetSize,
     SetVar,
     Skip,
     Statement,
     format_set,
-    statement_calls,
-    wellformed_check,
 )
 
 # Counter of elementary relation/width computations, exposed so the test
@@ -66,6 +89,80 @@ class NotPfoqError(FoqError):
     """Raised when an operation requires an accepted program but got none."""
 
 
+# ---------------------------------------------------------------------------
+# Variables and calls of a statement.
+# ---------------------------------------------------------------------------
+
+
+class StatementRefs(NamedTuple):
+    set_vars: set[str]
+    int_vars: set[str]
+    calls: list[Call]  # in program order
+
+
+def _set_vars(s: SetExpr, set_out: set[str], int_out: set[str]) -> None:
+    if isinstance(s, SetVar):
+        set_out.add(s.name)
+    elif isinstance(s, SetRemove):
+        _set_vars(s.base, set_out, int_out)
+        _int_vars_full(s.index, set_out, int_out)
+
+
+def _int_vars_full(e: IntExpr | None, set_out: set[str], int_out: set[str]) -> None:
+    if e is None or isinstance(e, IntLit):
+        return
+    if isinstance(e, IntVar):
+        int_out.add(e.name)
+    elif isinstance(e, (IntAdd, IntSub)):
+        _int_vars_full(e.base, set_out, int_out)
+    elif isinstance(e, SetSize):
+        _set_vars(e.set_expr, set_out, int_out)
+
+
+def _bool_vars(b: BoolExpr, set_out: set[str], int_out: set[str]) -> None:
+    if isinstance(b, BoolCmp):
+        _int_vars_full(b.left, set_out, int_out)
+        _int_vars_full(b.right, set_out, int_out)
+    elif isinstance(b, (BoolAnd, BoolOr)):
+        _bool_vars(b.left, set_out, int_out)
+        _bool_vars(b.right, set_out, int_out)
+    elif isinstance(b, BoolNot):
+        _bool_vars(b.inner, set_out, int_out)
+
+
+def statement_refs(stmt: Statement) -> StatementRefs:
+    """The set variables, integer variables and calls of a statement, in
+    one walk on an explicit stack."""
+    refs = StatementRefs(set(), set(), [])
+    sets, ints = refs.set_vars, refs.int_vars
+    stack = [stmt]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Assign):
+            _set_vars(s.qubit.set_expr, sets, ints)
+            _int_vars_full(s.qubit.index, sets, ints)
+            _int_vars_full(s.op.arg, sets, ints)
+        elif isinstance(s, Seq):
+            stack.extend(reversed(s.items))
+        elif isinstance(s, If):
+            _bool_vars(s.cond, sets, ints)
+            stack += (s.else_branch, s.then_branch)
+        elif isinstance(s, QCase):
+            _set_vars(s.qubit.set_expr, sets, ints)
+            _int_vars_full(s.qubit.index, sets, ints)
+            stack += (s.if_one, s.if_zero)
+        elif isinstance(s, Call):
+            _int_vars_full(s.arg, sets, ints)
+            _set_vars(s.set_expr, sets, ints)
+            refs.calls.append(s)
+    return refs
+
+
+# ---------------------------------------------------------------------------
+# Call relations.
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class ProcRelations:
     procedures: tuple[str, ...]
@@ -74,6 +171,10 @@ class ProcRelations:
     # The strongly connected components (the sets shared by `equiv`), each
     # listed after every component that one of its procedures calls.
     components: list[set[str]]
+    # What each body refers to, aligned with the program's declarations
+    # (a duplicate name keeps its own entry), and what main refers to.
+    decl_refs: list[StatementRefs]
+    main_refs: StatementRefs
 
     def reachable(self, roots) -> set[str]:
         """Every procedure that one of `roots` reaches, the roots included."""
@@ -141,9 +242,10 @@ def _components(names: tuple[str, ...], direct: dict[str, set[str]]) -> list[set
 
 def call_relations(p: Program) -> ProcRelations:
     names = tuple(d.name for d in p.decls)
+    decl_refs = [statement_refs(d.body) for d in p.decls]
     direct: dict[str, set[str]] = {name: set() for name in names}
-    for d in p.decls:
-        for call in statement_calls(d.body):
+    for d, refs in zip(p.decls, decl_refs):
+        for call in refs.calls:
             if call.proc in direct[d.name] or call.proc not in direct:
                 _tick()
             direct[d.name].add(call.proc)
@@ -155,11 +257,13 @@ def call_relations(p: Program) -> ProcRelations:
 
     components = _components(names, direct)
     equiv = {name: component for component in components for name in component}
-    return ProcRelations(names, direct, equiv, components)
+    return ProcRelations(
+        names, direct, equiv, components, decl_refs, statement_refs(p.main)
+    )
 
 
 # ---------------------------------------------------------------------------
-# Well-founded call arguments.
+# Well-formedness and well-founded call arguments.
 # ---------------------------------------------------------------------------
 
 
@@ -173,14 +277,55 @@ def _is_strict_restriction(set_expr, param: str) -> bool:
     return removals >= 1 and isinstance(base, SetVar) and base.name == param
 
 
-def check_wf(p: Program, relations: ProcRelations | None = None) -> tuple[bool, list[str]]:
-    """Check that mutual recursion always shrinks the set argument."""
-    diags = wellformed_check(p)
-    relations = relations or call_relations(p)
+def check_wf(p: Program, relations: ProcRelations) -> tuple[bool, list[str]]:
+    """Check the well-formedness rules (see the module docstring), then
+    that mutual recursion always shrinks the set argument."""
+    diags: list[str] = []
+    seen: set[str] = set()
     for d in p.decls:
-        for call in statement_calls(d.body):
+        if d.name in seen:
+            diags.append(f"duplicate procedure declaration: {d.name}")
+        seen.add(d.name)
+    decl_map = p.decl_map()
+
+    def check_calls(where: str, calls: list[Call]) -> None:
+        for call in calls:
+            target = decl_map.get(call.proc)
+            if target is None:
+                diags.append(f"{where}: call to undeclared procedure {call.proc}")
+            elif target.param is None and call.arg is not None:
+                diags.append(
+                    f"{where}: procedure {call.proc} takes no classical argument"
+                )
+            elif target.param is not None and call.arg is None:
+                diags.append(
+                    f"{where}: procedure {call.proc} requires a classical argument"
+                )
+
+    for d, refs in zip(p.decls, relations.decl_refs):
+        bad_sets = refs.set_vars - {d.set_param}
+        if bad_sets:
+            diags.append(
+                f"procedure {d.name}: unknown set variable(s) {sorted(bad_sets)}"
+            )
+        bad_ints = refs.int_vars - {d.param}
+        if bad_ints:
+            diags.append(
+                f"procedure {d.name}: unknown integer variable(s) {sorted(bad_ints)}"
+            )
+        check_calls(f"procedure {d.name}", refs.calls)
+
+    main = relations.main_refs
+    if len(main.set_vars) > 1:
+        diags.append(f"main statement uses several set variables: {sorted(main.set_vars)}")
+    if main.int_vars:
+        diags.append(f"main statement uses integer variable(s): {sorted(main.int_vars)}")
+    check_calls("main statement", main.calls)
+
+    for d, refs in zip(p.decls, relations.decl_refs):
+        for call in refs.calls:
             _tick()
-            if call.proc not in relations.equiv.get(d.name, set()):
+            if call.proc not in relations.equiv[d.name]:
                 continue
             if not _is_strict_restriction(call.set_expr, d.set_param):
                 diags.append(
@@ -236,8 +381,7 @@ def statement_width(
     return w
 
 
-def widths(p: Program, relations: ProcRelations | None = None) -> dict[str, int]:
-    relations = relations or call_relations(p)
+def widths(p: Program, relations: ProcRelations) -> dict[str, int]:
     return {
         d.name: statement_width(d.body, relations.equiv[d.name]) for d in p.decls
     }
@@ -248,13 +392,12 @@ def widths(p: Program, relations: ProcRelations | None = None) -> dict[str, int]
 # ---------------------------------------------------------------------------
 
 
-def ranks(p: Program, relations: ProcRelations | None = None) -> dict[str, int]:
+def ranks(relations: ProcRelations) -> dict[str, int]:
     """rank(P) = 0 if P strictly dominates nothing, else 1 + max over those.
 
     That is the longest path below P's component in the graph of
     components, read off in one pass over the components, callees first.
     """
-    relations = relations or call_relations(p)
     rank: dict[str, int] = {}
     for component in relations.components:
         below = -1
@@ -295,7 +438,7 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     relations = call_relations(p)
     ok, diags = check_wf(p, relations)
     width_map = widths(p, relations)
-    rank_map = ranks(p, relations)
+    rank_map = ranks(relations)
     for name, w in width_map.items():
         if w > 1:
             diags.append(
@@ -305,7 +448,7 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     accepted = ok and all(w <= 1 for w in width_map.values())
     degree = None
     if accepted:
-        roots = {call.proc for call in statement_calls(p.main)} & set(relations.direct)
+        roots = {call.proc for call in relations.main_refs.calls} & set(relations.direct)
         reachable = relations.reachable(roots)
         max_rank = max((rank_map[name] for name in reachable), default=0)
         degree = max_rank + 1

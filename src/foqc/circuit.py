@@ -613,6 +613,15 @@ def replay_dense(ops, amps: np.ndarray, wires: int, shift: int = 0) -> np.ndarra
 MAX_SPARSE_BITS = 62
 
 
+def check_sparse_index(wires: int, columns: int) -> None:
+    """Refuse `columns` basis inputs over `wires` wires whose tagged
+    indices would not fit MAX_SPARSE_BITS bits."""
+    if wires + columns.bit_length() > MAX_SPARSE_BITS:
+        raise WireLimitError(
+            f"{wires} wires and {columns} basis inputs exceed the {MAX_SPARSE_BITS}-bit sparse index"
+        )
+
+
 def replay_basis(
     ops, n: int, ancillas: int, basis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -628,10 +637,7 @@ def replay_basis(
     wires, which no op touches, so no state over all wires is built.
     """
     total, k = n + ancillas, len(basis)
-    if total + k.bit_length() > MAX_SPARSE_BITS:
-        raise WireLimitError(
-            f"{total} wires and {k} basis inputs exceed the {MAX_SPARSE_BITS}-bit sparse index"
-        )
+    check_sparse_index(total, k)
     column = np.arange(k, dtype=np.int64)
     index = (np.asarray(basis, dtype=np.int64) << ancillas) | (column << total)
     state = _SparseState(index, np.ones(k, dtype=complex), 0)

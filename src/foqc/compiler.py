@@ -53,6 +53,7 @@ from .circuit import (
     ControlStructure,
     Gate,
     WireLimitError,
+    check_sparse_index,
     controlled_u_gate,
     lower,
     replay_basis,
@@ -618,7 +619,9 @@ def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     state over all wires and no dense output is built.  A side whose basis
     states (as many as are drawn) may together hold more than
     2^MAX_DENSE_WIRES entries raises WireLimitError before anything is
-    replayed; the circuit's side is checked first, before the walk.
+    replayed; the circuit's side is checked first, before the walk.  So
+    does a chunk whose tagged indices would not fit the sparse index
+    (`check_sparse_index`), before any basis state is drawn.
     """
     dim = 1 << n
     columns = dim if dim <= 64 else DIFF_SAMPLES
@@ -627,12 +630,13 @@ def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     bits = _column_bits(actual_ops, columns)
     expected_ops = walk(guard_errors(p), n).checked().ops
     bits = max(bits, _column_bits(expected_ops, columns))
+    chunk = max(1, DIFF_CHUNK_AMPLITUDES >> bits)
+    check_sparse_index(n + circuit.ancillas, min(chunk, columns))
     if dim <= 64:
         basis = list(range(dim))
     else:
         rng = np.random.default_rng(seed)
         basis = sorted(set(int(x) for x in rng.integers(0, dim, size=DIFF_SAMPLES)))
-    chunk = max(1, DIFF_CHUNK_AMPLITUDES >> bits)
     max_dev = 0.0
     max_residue = 0.0
     for start in range(0, len(basis), chunk):

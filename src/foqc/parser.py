@@ -243,16 +243,12 @@ def swap_statement(a: QubitExpr, b: QubitExpr) -> Statement:
 def expand_multiqcase(
     controls: list[QubitExpr], branches: dict[str, Statement]
 ) -> Statement:
-    """Nest a 2^k-branch quantum case into binary quantum cases."""
-    k = len(controls)
-    if k == 0:
-        raise ValueError("quantum case needs at least one control qubit")
-    expected = 1 << k
-    if len(branches) != expected or any(
-        len(w) != k or set(w) - {"0", "1"} for w in branches
-    ):
-        raise ValueError(f"quantum case over {k} qubits needs all {expected} bitstring labels")
-    if k == 1:
+    """Nest a 2^k-branch quantum case into binary quantum cases.
+
+    `branches` holds exactly the 2^k bitstrings of length k >= 1 as keys,
+    as `parse_qcase` checks before calling.
+    """
+    if len(controls) == 1:
         return QCase(controls[0], branches["0"], branches["1"])
     rest = controls[1:]
     zero = expand_multiqcase(rest, {w[1:]: s for w, s in branches.items() if w[0] == "0"})

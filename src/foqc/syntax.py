@@ -4,9 +4,9 @@ FOQ is a first-order quantum programming language: a program is a list of
 procedure declarations over a sorted set of qubits, followed by a main
 statement.  This module defines the expression and statement trees, the
 phase-function DSL used by the rotation and phase operators, plus the basic
-operations on them: well-formedness diagnostics, operator matrix
-evaluation, and a pretty printer whose output re-parses to a
-structurally identical program.
+operations on them: operator matrix evaluation and a pretty printer whose
+output re-parses to a structurally identical program.  The well-formedness
+rules live with the tractability check in `analysis`.
 
 All node types are immutable dataclasses, safe to share freely.
 """
@@ -387,149 +387,6 @@ def invert_operator(op: Operator) -> Operator:
     if op.kind == OP_NOT:
         return op
     return Operator(op.kind, phase_neg(op.phase), op.arg)
-
-
-# ---------------------------------------------------------------------------
-# Variable collection and well-formedness.
-# ---------------------------------------------------------------------------
-
-
-def _set_vars(s: SetExpr, set_out: set[str], int_out: set[str]) -> None:
-    if isinstance(s, SetVar):
-        set_out.add(s.name)
-    elif isinstance(s, SetRemove):
-        _set_vars(s.base, set_out, int_out)
-        _int_vars_full(s.index, set_out, int_out)
-
-
-def _int_vars_full(e: IntExpr | None, set_out: set[str], int_out: set[str]) -> None:
-    if e is None or isinstance(e, IntLit):
-        return
-    if isinstance(e, IntVar):
-        int_out.add(e.name)
-    elif isinstance(e, (IntAdd, IntSub)):
-        _int_vars_full(e.base, set_out, int_out)
-    elif isinstance(e, SetSize):
-        _set_vars(e.set_expr, set_out, int_out)
-
-
-def _bool_vars(b: BoolExpr, set_out: set[str], int_out: set[str]) -> None:
-    if isinstance(b, BoolCmp):
-        _int_vars_full(b.left, set_out, int_out)
-        _int_vars_full(b.right, set_out, int_out)
-    elif isinstance(b, (BoolAnd, BoolOr)):
-        _bool_vars(b.left, set_out, int_out)
-        _bool_vars(b.right, set_out, int_out)
-    elif isinstance(b, BoolNot):
-        _bool_vars(b.inner, set_out, int_out)
-
-
-def statement_vars(stmt: Statement) -> tuple[set[str], set[str]]:
-    """Return (set variables, integer variables) referenced by a statement."""
-    set_out: set[str] = set()
-    int_out: set[str] = set()
-
-    def walk(s: Statement) -> None:
-        if isinstance(s, Skip):
-            return
-        if isinstance(s, Assign):
-            _set_vars(s.qubit.set_expr, set_out, int_out)
-            _int_vars_full(s.qubit.index, set_out, int_out)
-            if s.op.arg is not None:
-                _int_vars_full(s.op.arg, set_out, int_out)
-        elif isinstance(s, Seq):
-            for item in s.items:
-                walk(item)
-        elif isinstance(s, If):
-            _bool_vars(s.cond, set_out, int_out)
-            walk(s.then_branch)
-            walk(s.else_branch)
-        elif isinstance(s, QCase):
-            _set_vars(s.qubit.set_expr, set_out, int_out)
-            _int_vars_full(s.qubit.index, set_out, int_out)
-            walk(s.if_zero)
-            walk(s.if_one)
-        elif isinstance(s, Call):
-            _int_vars_full(s.arg, set_out, int_out)
-            _set_vars(s.set_expr, set_out, int_out)
-
-    walk(stmt)
-    return set_out, int_out
-
-
-def statement_calls(stmt: Statement) -> list[Call]:
-    """All call statements nested anywhere inside a statement."""
-    out: list[Call] = []
-
-    def walk(s: Statement) -> None:
-        if isinstance(s, Seq):
-            for item in s.items:
-                walk(item)
-        elif isinstance(s, If):
-            walk(s.then_branch)
-            walk(s.else_branch)
-        elif isinstance(s, QCase):
-            walk(s.if_zero)
-            walk(s.if_one)
-        elif isinstance(s, Call):
-            out.append(s)
-
-    walk(stmt)
-    return out
-
-
-def wellformed_check(p: Program) -> list[str]:
-    """Diagnostics for the static well-formedness rules; empty means OK.
-
-    Checks: pairwise-distinct procedure names, every called name declared
-    with matching classical-argument arity, each procedure body only using
-    its own parameters, and the main statement using at most one sorted
-    set variable and no integer variables.
-    """
-    diags: list[str] = []
-    seen: set[str] = set()
-    for d in p.decls:
-        if d.name in seen:
-            diags.append(f"duplicate procedure declaration: {d.name}")
-        seen.add(d.name)
-    decl_map = p.decl_map()
-
-    def check_calls(where: str, stmt: Statement) -> None:
-        for call in statement_calls(stmt):
-            target = decl_map.get(call.proc)
-            if target is None:
-                diags.append(f"{where}: call to undeclared procedure {call.proc}")
-            elif target.param is None and call.arg is not None:
-                diags.append(
-                    f"{where}: procedure {call.proc} takes no classical argument"
-                )
-            elif target.param is not None and call.arg is None:
-                diags.append(
-                    f"{where}: procedure {call.proc} requires a classical argument"
-                )
-
-    for d in p.decls:
-        set_vars, int_vars = statement_vars(d.body)
-        bad_sets = set_vars - {d.set_param}
-        if bad_sets:
-            diags.append(
-                f"procedure {d.name}: unknown set variable(s) {sorted(bad_sets)}"
-            )
-        allowed_ints = {d.param} if d.param is not None else set()
-        bad_ints = int_vars - allowed_ints
-        if bad_ints:
-            diags.append(
-                f"procedure {d.name}: unknown integer variable(s) {sorted(bad_ints)}"
-            )
-        check_calls(f"procedure {d.name}", d.body)
-
-    set_vars, int_vars = statement_vars(p.main)
-    if len(set_vars) > 1:
-        diags.append(f"main statement uses several set variables: {sorted(set_vars)}")
-    if int_vars:
-        diags.append(f"main statement uses integer variable(s): {sorted(int_vars)}")
-    check_calls("main statement", p.main)
-    return diags
 
 
 # ---------------------------------------------------------------------------

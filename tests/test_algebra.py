@@ -88,11 +88,26 @@ def test_parse_format_round_trip():
     for text in TERM_CORPUS:
         term = parse_term(text)
         assert parse_term(format_term(term)) == term
+    # Tabs, newlines and parentheses with no space around them split
+    # tokens exactly as single spaces do.
+    spaced = parse_term("(comp (branch i not) swap (ph pi / 2))")
+    for text in (
+        "(comp(branch i not)swap(ph pi / 2))",
+        "\t(comp\t(branch\ti\tnot)\n swap\r\n(ph\vpi\f/\u20032))\n",
+        "(comp (branch i not)\n\t\tswap (ph pi / 2) )",
+    ):
+        assert parse_term(text) == spaced
 
 
 def test_parse_errors():
     with pytest.raises(AlgebraError):
         parse_term("")
+    with pytest.raises(AlgebraError):
+        parse_term(" \t\n")
+    with pytest.raises(AlgebraError):
+        parse_term("(comp i not)(")
+    with pytest.raises(AlgebraError):
+        parse_term("(comp i not))")
     with pytest.raises(AlgebraError):
         parse_term("(comp i")
     with pytest.raises(AlgebraError):

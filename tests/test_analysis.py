@@ -4,6 +4,7 @@ import pytest
 
 from foqc import parse_program
 from foqc.algebra import to_pfoq
+from foqc import analysis
 from foqc.analysis import (
     NotPfoqError,
     call_relations,
@@ -13,6 +14,7 @@ from foqc.analysis import (
     op_count,
     ranks,
     reset_op_count,
+    statement_refs,
     widths,
 )
 from foqc.interpreter import guard_errors
@@ -39,6 +41,12 @@ decl g(p) { call f(p); },
 :: call f(q);
 """
 
+DUPLICATE_SOURCE = """
+decl f(p) { call f(p \\ [1]); },
+decl f(p) { call f(p); },
+:: call f(q);
+"""
+
 
 def test_call_relations_qft(qft):
     rel = call_relations(qft)
@@ -55,12 +63,48 @@ def test_call_relations_qft(qft):
     assert rel.strict["rot"] == set()
 
 
+def test_statement_refs_lists_variables_and_calls_in_program_order():
+    program = parse_program(
+        """
+decl f[x](p) {
+  if size(p \\ [y]) > x then {
+    qcase p[z] of { 0 -> call g(r); , 1 -> call f[x - 1](p \\ [1]); }
+    call h[w](p);
+  } else {
+    p[v] *= RY[pi](u);
+    call k(s \\ [t]);
+  }
+},
+:: call f[1](q);
+"""
+    )
+    refs = statement_refs(program.decls[0].body)
+    assert refs.set_vars == {"p", "r", "s"}
+    assert refs.int_vars == {"x", "y", "z", "w", "v", "u", "t"}
+    assert [call.proc for call in refs.calls] == ["g", "f", "h", "k"]
+
+
+def test_check_pfoq_walks_each_body_once(monkeypatch):
+    walked = []
+
+    def counted(stmt):
+        walked.append(stmt)
+        return statement_refs(stmt)
+
+    monkeypatch.setattr(analysis, "statement_refs", counted)
+    for source in (MUTUAL_SOURCE, WIDTH_TWO_SOURCE, DUPLICATE_SOURCE):
+        program = parse_program(source)
+        walked.clear()
+        check_pfoq(program)
+        assert walked == [d.body for d in program.decls] + [program.main]
+
+
 def test_widths_qft(qft):
-    assert widths(qft) == {"rec": 1, "rot": 1, "inv": 1}
+    assert widths(qft, call_relations(qft)) == {"rec": 1, "rot": 1, "inv": 1}
 
 
 def test_ranks_qft(qft):
-    assert ranks(qft) == {"rec": 1, "rot": 0, "inv": 0}
+    assert ranks(call_relations(qft)) == {"rec": 1, "rot": 0, "inv": 0}
 
 
 def test_qft_accepted_with_degree_two(qft):
@@ -94,7 +138,7 @@ def test_width_two_rejected():
 
 def test_non_shrinking_recursion_rejected():
     program = parse_program(NON_SHRINKING_SOURCE)
-    ok, diags = check_wf(program)
+    ok, diags = check_wf(program, call_relations(program))
     assert not ok
     assert any("strictly shrink" in d for d in diags)
     assert not check_pfoq(program).accepted
@@ -102,7 +146,7 @@ def test_non_shrinking_recursion_rejected():
 
 def test_mutual_recursion_both_need_restriction():
     program = parse_program(MUTUAL_SOURCE)
-    ok, diags = check_wf(program)
+    ok, diags = check_wf(program, call_relations(program))
     assert not ok
     assert any("procedure g" in d for d in diags)
 
@@ -110,7 +154,7 @@ def test_mutual_recursion_both_need_restriction():
 def test_calls_outside_the_group_are_unrestricted(qft):
     # rec calls rot on the full set; rot is not equivalent to rec, so this
     # does not violate well-foundedness.
-    ok, diags = check_wf(qft)
+    ok, diags = check_wf(qft, call_relations(qft))
     assert ok, diags
 
 

@@ -209,6 +209,18 @@ def test_wide_basis_states_are_input_errors(qft_file, capsys):
     assert len(err) == 2 and all("exceeds the limit of 26" in line for line in err)
 
 
+@pytest.mark.parametrize("n", [61, 62, 63, 64, 100])
+def test_diff_past_the_sparse_index_is_an_input_error(tmp_path, capsys, n):
+    # From n = 64 the basis draw itself would overflow int64, so the
+    # sparse-index bound is checked before anything is drawn.
+    path = tmp_path / "not.foq"
+    path.write_text(":: q[1] *= NOT;")
+    assert dispatch(["diff", str(path), "-n", str(n)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {n} wires and 32 basis inputs exceed the 62-bit sparse index\n"
+    )
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.foq"
     path.write_text(":: q[1] *= ;")

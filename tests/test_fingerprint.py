@@ -165,3 +165,40 @@ def test_parse_error_texts():
     assert digest(chunks) == (
         "694f5bec56dd07abf2791bbc25bec28a76dc98de039413532a8d5800ecf17820"
     )
+
+
+# Ill-formed and rejected programs, each meeting one rule of the
+# tractability check, and one meeting nearly all of them at once, so the
+# digest pins the diagnostic texts and their order.
+REJECTED_SOURCES = [
+    "decl f(p) { call g(p \\ [1]); },\ndecl f(p) { skip; },\n:: call h(q);",
+    "decl f[x](p) { skip; },\ndecl g(p) { skip; },\n:: call f(q); call g[1](q);",
+    "decl f[x](p) { r[1] *= NOT; p[y] *= NOT;"
+    " if y > x then { call f[z](s); } else { skip; } },\n:: call f[1](q);",
+    ":: q[1] *= NOT; r[1] *= NOT;",
+    ":: q[x] *= NOT; call f[y](q);",
+    "decl loop(p) { call loop(p); },\n:: call loop(q);",
+    "decl f(p) { call g(p \\ [1]); },\ndecl g(p) { call f(p); },\n:: call f(q);",
+    "decl bad(p) { if size(p) > 0 then { call bad(p \\ [1]); call bad(p \\ [1]); }"
+    " else { skip; } },\n:: call bad(q);",
+    "decl f(p) { call f(p); call f(p); r[x] *= NOT; call g[1](p); },\n"
+    "decl f[x](p) { call h(p \\ [x]); call f[x](p \\ [1]); },\n"
+    ":: q[1] *= NOT; r[k] *= NOT; call f[1](q); call nope(q);",
+]
+
+
+def test_rejected_program_verdicts():
+    rng = random.Random(14)
+    chunks = []
+    for name, text in CORPUS.items():
+        for mutant in (text, *token_mutants(name, text, rng, per_kind=120)):
+            try:
+                program = parse_program(mutant, name)
+            except ParseError:
+                continue
+            chunks.append(check_pfoq(program).to_json())
+    chunks += [check_pfoq(parse_program(src)).to_json() for src in REJECTED_SOURCES]
+    assert sum('"accepted": false' in chunk for chunk in chunks) == 33
+    assert digest(chunks) == (
+        "145fa6f6ef31552c9058721c0b2128c2ff4fc86a39147bad3a59b5b30f1ea0ba"
+    )

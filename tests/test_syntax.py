@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from foqc import QuantumState, compile_program, export_json, parse_program, run
+from foqc.analysis import call_relations, check_wf
 from foqc.syntax import (
     IntLit,
     IntVar,
@@ -26,7 +27,6 @@ from foqc.syntax import (
     pretty_print,
     seq_all,
     seq_items,
-    wellformed_check,
 )
 
 
@@ -177,7 +177,7 @@ decl f(p) { skip; },
 :: call h(q);
 """
     )
-    diags = wellformed_check(program)
+    _, diags = check_wf(program, call_relations(program))
     assert any("duplicate" in d for d in diags)
     assert any("undeclared" in d and "g" in d for d in diags)
     assert any("undeclared" in d and "h" in d for d in diags)
@@ -191,14 +191,14 @@ decl g(p) { skip; },
 :: call f(q); call g[1](q);
 """
     )
-    diags = wellformed_check(program)
+    _, diags = check_wf(program, call_relations(program))
     assert any("requires a classical argument" in d for d in diags)
     assert any("takes no classical argument" in d for d in diags)
 
 
 def test_wellformed_foreign_variables():
     program = parse_program("decl f(p) { r[1] *= NOT; }, :: call f(q);")
-    diags = wellformed_check(program)
+    _, diags = check_wf(program, call_relations(program))
     assert any("unknown set variable" in d for d in diags)
 
 
