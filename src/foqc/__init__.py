@@ -3,7 +3,8 @@
 Modules:
   - syntax: AST, phase DSL, pretty printer
   - parser: .foq surface syntax
-  - interpreter: exact statevector semantics with levels and bounds guards
+  - interpreter: exact semantics (a walk of classical control, then a
+    sparse replay), levels and bounds guards
   - analysis: well-formedness, call relations, recursion widths/ranks, tractability verdict
   - transform: program inversion
   - circuit: controlled-gate IR, simulator, JSON
@@ -13,10 +14,10 @@ Modules:
   - cli: the `foqc` command
 """
 
-from .analysis import PfoqVerdict, check_pfoq, level_bound_degree
+from .analysis import PfoqVerdict, check_pfoq
 from .circuit import Circuit, ControlStructure, export_json, import_json, simulate_circuit
 from .compiler import compile_program, compile_with_stats, diff_check
-from .interpreter import QuantumState, eval_program, guard_errors, level_of, run
+from .interpreter import QuantumState, guard_errors, run
 from .parser import parse_program
 from .syntax import Program, pretty_print
 from .transform import invert
@@ -24,7 +25,6 @@ from .transform import invert
 __all__ = [
     "PfoqVerdict",
     "check_pfoq",
-    "level_bound_degree",
     "Circuit",
     "ControlStructure",
     "export_json",
@@ -34,9 +34,7 @@ __all__ = [
     "compile_with_stats",
     "diff_check",
     "QuantumState",
-    "eval_program",
     "guard_errors",
-    "level_of",
     "run",
     "parse_program",
     "Program",

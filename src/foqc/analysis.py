@@ -19,24 +19,23 @@ Well formed means (`check_wf`, diagnostics in this order):
 
 Relations on procedure names:
   - direct: P calls Q somewhere in P's body.
-  - reaches: reflexive-transitive closure of direct.
+  - reachable: reflexive-transitive closure of direct, from given roots.
   - equiv: mutual reachability (every procedure is equivalent to itself).
-  - strict: reaches but not equiv.
+  - strict: reachable but not equiv.
 
 `call_relations` walks each body once (`statement_refs`), collecting its
 variables and its calls, and every later step reads those.  The check
-never builds `reaches` or `strict`, which grow quadratically on a chain of
-calls: `equiv` is read off the strongly connected components, ranks are
-longest paths over the graph of components, and the degree's reachable
-set is one search from the main statement's callees.  So the check takes
-time linear in the program.
+never builds `reachable` for every procedure, which grows quadratically
+on a chain of calls: `equiv` is read off the strongly connected
+components, ranks are longest paths over the graph of components, and
+the degree's reachable set is one search from the main statement's
+callees.  So the check takes time linear in the program.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .syntax import (
@@ -187,15 +186,6 @@ class ProcRelations:
                     seen.add(callee)
                     frontier.append(callee)
         return seen
-
-    @cached_property
-    def reaches(self) -> dict[str, set[str]]:
-        """Quadratic in size on a chain of calls, so built only on request."""
-        return {name: self.reachable([name]) for name in self.procedures}
-
-    @cached_property
-    def strict(self) -> dict[str, set[str]]:
-        return {name: self.reaches[name] - self.equiv[name] for name in self.procedures}
 
 
 def _components(names: tuple[str, ...], direct: dict[str, set[str]]) -> list[set[str]]:
@@ -381,12 +371,6 @@ def statement_width(
     return w
 
 
-def widths(p: Program, relations: ProcRelations) -> dict[str, int]:
-    return {
-        d.name: statement_width(d.body, relations.equiv[d.name]) for d in p.decls
-    }
-
-
 # ---------------------------------------------------------------------------
 # Rank and the level-bound degree.
 # ---------------------------------------------------------------------------
@@ -437,14 +421,18 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     """The tractability verdict and the call relations it was decided on."""
     relations = call_relations(p)
     ok, diags = check_wf(p, relations)
-    width_map = widths(p, relations)
-    rank_map = ranks(relations)
-    for name, w in width_map.items():
+    # A name declared twice reports its widest body; each body wider than
+    # one gets its own diagnostic.
+    width_map: dict[str, int] = {}
+    for d in p.decls:
+        w = statement_width(d.body, relations.equiv[d.name])
+        width_map[d.name] = max(w, width_map.get(d.name, 0))
         if w > 1:
             diags.append(
-                f"procedure {name}: {w} mutually recursive calls on one path "
+                f"procedure {d.name}: {w} mutually recursive calls on one path "
                 f"(at most one is allowed)"
             )
+    rank_map = ranks(relations)
     accepted = ok and all(w <= 1 for w in width_map.values())
     degree = None
     if accepted:
@@ -462,14 +450,3 @@ def check_pfoq(p: Program) -> PfoqVerdict:
     classical test, so the verdict is the same on the guarded program.
     """
     return analyse(p)[0]
-
-
-def level_bound_degree(p: Program) -> int:
-    """Degree of the polynomial bounding the level; requires acceptance."""
-    verdict = check_pfoq(p)
-    if not verdict.accepted:
-        raise NotPfoqError(
-            "level bound is only available for accepted programs: "
-            + "; ".join(verdict.diagnostics)
-        )
-    return verdict.degree

@@ -138,13 +138,6 @@ class ControlledU:
     def matrix_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=complex)
 
-    def inverse(self) -> "ControlledU":
-        adj = self.matrix_array().conj().T
-        label = None
-        if self.label is not None:
-            label = self.label[:-1] if self.label.endswith("†") else self.label + "†"
-        return controlled_u_gate(self.controls, self.targets, adj, label)
-
 
 def controlled_u_gate(
     controls: ControlStructure,
@@ -164,9 +157,6 @@ class ControlledNot:
     def __post_init__(self) -> None:
         _check_wires(self.controls, (self.target,))
 
-    def inverse(self) -> "ControlledNot":
-        return self
-
 
 @dataclass(frozen=True)
 class ControlledSwap:
@@ -181,9 +171,6 @@ class ControlledSwap:
             raise CircuitError("swap wire lists must have equal length")
         swapped = self.left + self.right
         _check_wires(self.controls, swapped)
-
-    def inverse(self) -> "ControlledSwap":
-        return self
 
 
 Gate = ControlledU | ControlledNot | ControlledSwap
@@ -227,11 +214,6 @@ class Circuit:
         """Gates, with a multi-pair swap counted once per swapped pair."""
         return sum(
             len(g.left) if isinstance(g, ControlledSwap) else 1 for g in self.gates
-        )
-
-    def inverse(self) -> "Circuit":
-        return Circuit(
-            self.n, self.ancillas, tuple(g.inverse() for g in reversed(self.gates))
         )
 
 

@@ -39,7 +39,7 @@ under each ancilla are checked once the whole program is compiled
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,13 +201,15 @@ class _Context:
     meanings: dict[int, int] = field(default_factory=dict)
     # For each merge ancilla, the positions of its wire list that some
     # caller's control structure pins: its body must not touch them.
-    pinned: dict[int, frozenset[int]] = field(default_factory=dict)
+    pinned: dict[int, frozenset[int]] = field(
+        default_factory=lambda: defaultdict(frozenset)
+    )
     # Callers of an ancilla can be found after its body has been compiled,
     # and a caller's own pins grow when callers of an ancilla it holds are.
-    # `carries` keeps the (ancilla, cs, sub_l, seen_l) of every caller whose
-    # cs holds an ancilla, and `touched` the first statement per (ancilla,
+    # `callers` keeps the (ancilla, cs, sub_l, seen_l) of every call merged
+    # into an ancilla, and `touched` the first statement per (ancilla,
     # position) accessed under an ancilla, for `settle_pins`.
-    carries: list = field(default_factory=list)
+    callers: list = field(default_factory=list)
     touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
     # statement_width of every subtree measured so far, keyed by id(stmt).
     # A body only ever reaches the worklist of its own procedure's group;
@@ -274,10 +276,7 @@ class _Context:
         self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
     ) -> None:
         """Record a call merged into ancilla a (its first one included)."""
-        self.pinned.setdefault(a, frozenset())
-        self.carry_pins(a, cs, sub_l, seen_l)
-        if any(wire > self.n for wire, _ in cs.bits):
-            self.carries.append((a, cs, sub_l, seen_l))
+        self.callers.append((a, cs, sub_l, seen_l))
 
     def settle_pins(self) -> None:
         """Carry pins along every recorded caller until none grows, then
@@ -286,8 +285,8 @@ class _Context:
         grew = True
         while grew:
             grew = False
-            for carry in self.carries:
-                grew |= self.carry_pins(*carry)
+            for caller in self.callers:
+                grew |= self.carry_pins(*caller)
         for (a, pos), stmt in self.touched.items():
             if pos in self.pinned[a]:
                 raise BottomError(access_error(stmt, pos))

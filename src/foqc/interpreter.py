@@ -17,8 +17,8 @@ Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
 exactly when a statement touches a qubit outside the accessible set: an
 index outside the current list, or a position an enclosing quantum case
-controls.  The error terminal leaves the state unchanged, so no op is
-replayed there.
+controls.  The walk decides it, so `run` raises BottomError there
+without replaying any op.
 
 `guard_errors` rewrites a program so that every qubit access is wrapped in
 a classical bounds test, so out-of-range accesses become skips.  Reusing a
@@ -278,12 +278,8 @@ class Walk:
     def checked(self) -> "Walk":
         """This walk, or BottomError if it reached the error terminal."""
         if self.terminal == BOTTOM:
-            raise _bottom(self.error)
+            raise BottomError(self.error or "program reached the error terminal")
         return self
-
-
-def _bottom(error: str | None) -> BottomError:
-    return BottomError(error or "program reached the error terminal")
 
 
 # Frame kinds of the walk's explicit stack; a call's frame holds nothing else.
@@ -394,42 +390,18 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
 
 @dataclass
 class EvalOutcome:
-    terminal: str  # TOP or BOTTOM
     state: QuantumState
     level: int
-    error: str | None = None  # description of the first access violation
-
-
-def eval_program(
-    p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET
-) -> EvalOutcome:
-    """Evaluate the main statement on `state`; never raises on the error terminal.
-
-    On the error terminal the outcome carries the untouched input state and
-    no op is applied.
-    """
-    walked = walk(p, state.n, budget)
-    if walked.terminal == BOTTOM:
-        untouched = QuantumState(state.n, state.amplitudes)
-        return EvalOutcome(BOTTOM, untouched, walked.level, walked.error)
-    psi = replay_dense(walked.ops, state.amplitudes, state.n)
-    return EvalOutcome(TOP, QuantumState(state.n, psi), walked.level)
 
 
 def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOutcome:
-    """Like eval_program, but raises BottomError on the error terminal."""
-    outcome = eval_program(p, state, budget)
-    if outcome.terminal == BOTTOM:
-        raise _bottom(outcome.error)
-    return outcome
+    """Evaluate the main statement on `state`.
 
-
-def level_of(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """The mutual-call nesting level of the program on n qubits.
-
-    The walk alone gives it, so no state is built and n is not capped.
+    Raises BottomError on the error terminal, before any op is replayed.
     """
-    return walk(p, n, budget).level
+    walked = walk(p, state.n, budget).checked()
+    psi = replay_dense(walked.ops, state.amplitudes, state.n)
+    return EvalOutcome(QuantumState(state.n, psi), walked.level)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from foqc.compiler import (
     compile_with_stats,
     diff_check,
 )
-from foqc.interpreter import QuantumState, guard_errors, level_of
+from foqc.interpreter import QuantumState, guard_errors, walk
 from foqc.transform import invert
 
 TOLERANCE = 1e-9
@@ -76,7 +76,8 @@ def test_acceptance_1_static_verdicts(qft, teleport, branching):
     verdict = check_pfoq(qft)
     assert verdict.accepted
     assert verdict.widths == {"rec": 1, "rot": 1, "inv": 1}
-    assert "rot" in call_relations(qft).strict["rec"]
+    relations = call_relations(qft)
+    assert "rot" in relations.reachable(["rec"]) - relations.equiv["rec"]
 
     assert not check_pfoq(parse_program(WIDTH_TWO_SOURCE)).accepted
     assert check_pfoq(branching).accepted
@@ -91,7 +92,7 @@ def test_acceptance_1_static_verdicts(qft, teleport, branching):
 def test_acceptance_2_level_formula(qft):
     for n in range(1, 9):
         expected = (n + 1) * (n + 2) // 2 + n // 2 + 1
-        assert level_of(qft, n) == expected
+        assert walk(qft, n).level == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,16 @@
 import json
 
-import pytest
-
 from foqc import parse_program
 from foqc.algebra import to_pfoq
 from foqc import analysis
 from foqc.analysis import (
-    NotPfoqError,
     call_relations,
     check_pfoq,
     check_wf,
-    level_bound_degree,
     op_count,
     ranks,
     reset_op_count,
     statement_refs,
-    widths,
 )
 from foqc.interpreter import guard_errors
 from test_acceptance import exhaustive_terms, random_terms
@@ -54,13 +49,13 @@ def test_call_relations_qft(qft):
     assert rel.direct["rot"] == {"rot"}
     assert rel.direct["inv"] == {"inv"}
     # Reachability is reflexive and transitive.
-    assert rel.reaches["rec"] == {"rec", "rot"}
-    assert rel.reaches["rot"] == {"rot"}
+    assert rel.reachable(["rec"]) == {"rec", "rot"}
+    assert rel.reachable(["rot"]) == {"rot"}
     # Every procedure is in its own equivalence class.
     assert all(name in rel.equiv[name] for name in rel.procedures)
     # rec strictly dominates rot, but not vice versa.
-    assert rel.strict["rec"] == {"rot"}
-    assert rel.strict["rot"] == set()
+    assert rel.reachable(["rec"]) - rel.equiv["rec"] == {"rot"}
+    assert rel.reachable(["rot"]) - rel.equiv["rot"] == set()
 
 
 def test_statement_refs_lists_variables_and_calls_in_program_order():
@@ -100,7 +95,7 @@ def test_check_pfoq_walks_each_body_once(monkeypatch):
 
 
 def test_widths_qft(qft):
-    assert widths(qft, call_relations(qft)) == {"rec": 1, "rot": 1, "inv": 1}
+    assert check_pfoq(qft).widths == {"rec": 1, "rot": 1, "inv": 1}
 
 
 def test_ranks_qft(qft):
@@ -136,6 +131,26 @@ def test_width_two_rejected():
     assert verdict.degree is None
 
 
+def test_duplicate_declarations_report_their_widest_body():
+    # Widths are keyed by name: the earlier width-2 body must not hide
+    # behind the later width-0 one.
+    program = parse_program(
+        """
+decl f(p) { call f(p \\ [1]); call f(p \\ [1]); },
+decl f[x](p) { skip; },
+:: call f(q);
+"""
+    )
+    verdict = check_pfoq(program)
+    assert not verdict.accepted
+    assert verdict.widths == {"f": 2}
+    width_diags = [d for d in verdict.diagnostics if "mutually recursive calls" in d]
+    assert width_diags == [
+        "procedure f: 2 mutually recursive calls on one path (at most one is allowed)"
+    ]
+    assert any("duplicate" in d for d in verdict.diagnostics)
+
+
 def test_non_shrinking_recursion_rejected():
     program = parse_program(NON_SHRINKING_SOURCE)
     ok, diags = check_wf(program, call_relations(program))
@@ -159,9 +174,8 @@ def test_calls_outside_the_group_are_unrestricted(qft):
 
 
 def test_level_bound_degree(qft):
-    assert level_bound_degree(qft) == 2
-    with pytest.raises(NotPfoqError):
-        level_bound_degree(parse_program(WIDTH_TWO_SOURCE))
+    assert check_pfoq(qft).degree == 2
+    assert check_pfoq(parse_program(WIDTH_TWO_SOURCE)).degree is None
 
 
 def test_guarding_does_not_change_the_verdict(corpus):

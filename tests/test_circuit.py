@@ -128,32 +128,6 @@ def test_apply_controlled_u_matches_dense_matrix():
         assert np.allclose(apply_gate(amp, 2, gate), dense @ amp, atol=1e-12)
 
 
-def test_gate_inverses():
-    u = controlled_u_gate(ControlStructure.of({1: 1}), (2,), np.diag([1, 1j]), "S")
-    assert np.allclose(
-        np.array(u.inverse().matrix), np.conjugate(np.array(u.matrix)).T
-    )
-    assert u.inverse().label == "S†" and u.inverse().inverse().label == "S"
-    swap = ControlledSwap(ControlStructure.empty(), (1,), (2,))
-    assert swap.inverse() == swap
-
-
-def test_circuit_inverse_undoes_circuit():
-    c = Circuit(
-        2,
-        0,
-        (
-            controlled_u_gate(ControlStructure.empty(), (1,), H),
-            ControlledNot(ControlStructure.of({1: 1}), 2),
-        ),
-    )
-    rng = np.random.default_rng(9)
-    amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amp /= np.linalg.norm(amp)
-    out = simulate_circuit(Circuit(c.n, c.ancillas, c.gates + c.inverse().gates), amp)
-    assert np.allclose(out, amp, atol=1e-12)
-
-
 def test_gate_and_size_metrics():
     gates = (
         ControlledNot(ControlStructure.of({1: 1, 2: 1, 3: 1}), 4),

@@ -292,7 +292,11 @@ def test_control_reuse_is_the_error_terminal_in_compile_and_diff(tmp_path, capsy
     assert dispatch(["run", str(path), "--state", "00"]) == 2
     expected = capsys.readouterr().err
     assert expected.startswith("error:") and expected.count("\n") == 1
-    for argv in (["compile", str(path), "-n", "2"], ["diff", str(path), "-n", "2"]):
+    for argv in (
+        ["compile", str(path), "-n", "2"],
+        ["diff", str(path), "-n", "2"],
+        ["level", str(path), "-n", "2"],
+    ):
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == expected
 

@@ -199,6 +199,8 @@ def test_rejected_program_verdicts():
             chunks.append(check_pfoq(program).to_json())
     chunks += [check_pfoq(parse_program(src)).to_json() for src in REJECTED_SOURCES]
     assert sum('"accepted": false' in chunk for chunk in chunks) == 33
+    # The last REJECTED_SOURCES program declares f twice: its verdict
+    # reports the widest body (width 2) and that body's width diagnostic.
     assert digest(chunks) == (
-        "145fa6f6ef31552c9058721c0b2128c2ff4fc86a39147bad3a59b5b30f1ea0ba"
+        "08b6e8822b1c8e2cadcd1e60ae4895c5484c9d634bf6193956d5f27cf497cb1d"
     )

@@ -18,11 +18,9 @@ from foqc.interpreter import (
     bind_call,
     eval_bool,
     eval_int,
-    eval_program,
     eval_qubit,
     eval_set,
     guard_errors,
-    level_of,
     run,
     walk,
 )
@@ -152,32 +150,40 @@ def test_qcase_superposed_control():
 
 def test_out_of_range_assignment_reaches_bottom():
     program = parse_program(":: q[5] *= NOT;")
-    outcome = eval_program(program, QuantumState.from_bits("00"))
-    assert outcome.terminal == BOTTOM
-    # The error terminal preserves the input state.
-    assert np.allclose(outcome.state.amplitudes, QuantumState.from_bits("00").amplitudes)
-    with pytest.raises(BottomError):
-        run(program, QuantumState.from_bits("00"))
+    walked = walk(program, 2)
+    assert (walked.terminal, walked.level) == (BOTTOM, 0)
+    assert walked.error == "assignment to q[5]: index 5 is out of range for a list of length 2"
+    state = QuantumState.from_bits("00")
+    before = state.amplitudes.copy()
+    with pytest.raises(BottomError) as excinfo:
+        run(program, state)
+    assert str(excinfo.value) == walked.error
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_control_qubit_reuse_reaches_bottom():
     program = parse_program(":: qcase q[1] of { 0 -> q[1] *= NOT; , 1 -> skip; }")
-    outcome = eval_program(program, QuantumState.from_bits("0"))
-    assert outcome.terminal == BOTTOM
+    walked = walk(program, 1)
+    assert (walked.terminal, walked.level) == (BOTTOM, 0)
+    assert walked.error == "assignment to q[1]: position 1 is not accessible"
+    with pytest.raises(BottomError, match="position 1 is not accessible"):
+        run(program, QuantumState.from_bits("0"))
 
 
 def test_error_terminal_after_a_branch_wrote_its_half():
-    # The 0-branch updates its half of the state in place before the
-    # 1-branch reaches the error terminal: the input must come back intact.
+    # The 0-branch records its ops before the 1-branch reaches the error
+    # terminal: none of them may reach the caller's state.
     program = parse_program(
         ":: qcase q[1] of { 0 -> q[2] *= H; q[3] *= NOT; , 1 -> q[1] *= NOT; }"
     )
+    walked = walk(program, 3)
+    assert (walked.terminal, walked.level) == (BOTTOM, 0)
+    assert walked.error == "assignment to q[1]: position 1 is not accessible"
     state = QuantumState.random(3, np.random.default_rng(4))
     before = state.amplitudes.copy()
-    outcome = eval_program(program, state)
-    assert outcome.terminal == BOTTOM
-    assert outcome.error == "assignment to q[1]: position 1 is not accessible"
-    assert np.array_equal(outcome.state.amplitudes, before)
+    with pytest.raises(BottomError) as excinfo:
+        run(program, state)
+    assert str(excinfo.value) == walked.error
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -193,8 +199,8 @@ def test_runs_never_mutate_the_callers_state(corpus):
 def test_guard_errors_makes_out_of_range_a_skip():
     program = parse_program(":: q[5] *= NOT;")
     guarded = guard_errors(program)
-    outcome = eval_program(guarded, QuantumState.from_bits("00"))
-    assert outcome.terminal == TOP
+    assert walk(guarded, 2).terminal == TOP
+    outcome = run(guarded, QuantumState.from_bits("00"))
     assert np.allclose(outcome.state.amplitudes, QuantumState.from_bits("00").amplitudes)
 
 
@@ -229,7 +235,7 @@ decl f(p) {
     )
     # n + 1 nested calls: n shrinking calls plus the final empty-set call.
     for n in range(1, 5):
-        assert level_of(program, n) == n + 1
+        assert walk(program, n).level == n + 1
 
 
 def test_level_seq_sums_and_qcase_maxes():
@@ -239,7 +245,7 @@ decl f(p) { skip; },
 :: qcase q[1] of { 0 -> call f(q \\ [1]); , 1 -> skip; } call f(q);
 """
     )
-    assert level_of(program, 2) == 2  # max(1, 0) + 1
+    assert walk(program, 2).level == 2  # max(1, 0) + 1
 
 
 def test_budget_exceeded():
@@ -371,8 +377,8 @@ def test_level_of_walks_without_a_state():
     assert walk(program, 3).terminal == BOTTOM
     tracemalloc.start()
     try:
-        assert level_of(program, 26) == 27
-        assert level_of(program, 40) == 41
+        assert walk(program, 26).level == 27
+        assert walk(program, 40).level == 41
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
