@@ -16,6 +16,8 @@ Well formed means (`check_wf`, diagnostics in this order):
     exactly when that procedure takes one;
   - the main statement uses at most one set variable and no integer
     variable, and its calls obey the same call rule.
+`check_wf` reads only what each body refers to, not the call relations,
+so a program can be refused as ill formed without building them.
 
 Relations on procedure names:
   - direct: P calls Q somewhere in P's body.
@@ -230,9 +232,15 @@ def _components(names: tuple[str, ...], direct: dict[str, set[str]]) -> list[set
     return components
 
 
+def program_refs(p: Program) -> tuple[list[StatementRefs], StatementRefs]:
+    """What each body refers to, aligned with the declarations, and what
+    the main statement refers to."""
+    return [statement_refs(d.body) for d in p.decls], statement_refs(p.main)
+
+
 def call_relations(p: Program) -> ProcRelations:
     names = tuple(d.name for d in p.decls)
-    decl_refs = [statement_refs(d.body) for d in p.decls]
+    decl_refs, main_refs = program_refs(p)
     direct: dict[str, set[str]] = {name: set() for name in names}
     for d, refs in zip(p.decls, decl_refs):
         for call in refs.calls:
@@ -247,9 +255,7 @@ def call_relations(p: Program) -> ProcRelations:
 
     components = _components(names, direct)
     equiv = {name: component for component in components for name in component}
-    return ProcRelations(
-        names, direct, equiv, components, decl_refs, statement_refs(p.main)
-    )
+    return ProcRelations(names, direct, equiv, components, decl_refs, main_refs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +273,9 @@ def _is_strict_restriction(set_expr, param: str) -> bool:
     return removals >= 1 and isinstance(base, SetVar) and base.name == param
 
 
-def check_wf(p: Program, relations: ProcRelations) -> tuple[bool, list[str]]:
-    """Check the well-formedness rules (see the module docstring), then
-    that mutual recursion always shrinks the set argument."""
+def check_wf(p: Program, decl_refs: list[StatementRefs], main: StatementRefs) -> list[str]:
+    """The well-formedness diagnostics (see the module docstring), read off
+    `program_refs(p)`; empty when p is well formed."""
     diags: list[str] = []
     seen: set[str] = set()
     for d in p.decls:
@@ -292,7 +298,7 @@ def check_wf(p: Program, relations: ProcRelations) -> tuple[bool, list[str]]:
                     f"{where}: procedure {call.proc} requires a classical argument"
                 )
 
-    for d, refs in zip(p.decls, relations.decl_refs):
+    for d, refs in zip(p.decls, decl_refs):
         bad_sets = refs.set_vars - {d.set_param}
         if bad_sets:
             diags.append(
@@ -305,25 +311,12 @@ def check_wf(p: Program, relations: ProcRelations) -> tuple[bool, list[str]]:
             )
         check_calls(f"procedure {d.name}", refs.calls)
 
-    main = relations.main_refs
     if len(main.set_vars) > 1:
         diags.append(f"main statement uses several set variables: {sorted(main.set_vars)}")
     if main.int_vars:
         diags.append(f"main statement uses integer variable(s): {sorted(main.int_vars)}")
     check_calls("main statement", main.calls)
-
-    for d, refs in zip(p.decls, relations.decl_refs):
-        for call in refs.calls:
-            _tick()
-            if call.proc not in relations.equiv[d.name]:
-                continue
-            if not _is_strict_restriction(call.set_expr, d.set_param):
-                diags.append(
-                    f"procedure {d.name}: recursive call to {call.proc} does not "
-                    f"strictly shrink the set parameter "
-                    f"(argument {format_set(call.set_expr)})"
-                )
-    return not diags, diags
+    return diags
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +413,19 @@ class PfoqVerdict:
 def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     """The tractability verdict and the call relations it was decided on."""
     relations = call_relations(p)
-    ok, diags = check_wf(p, relations)
+    diags = check_wf(p, relations.decl_refs, relations.main_refs)
+    # Mutual recursion must shrink the set argument.
+    for d, refs in zip(p.decls, relations.decl_refs):
+        for call in refs.calls:
+            _tick()
+            if call.proc not in relations.equiv[d.name]:
+                continue
+            if not _is_strict_restriction(call.set_expr, d.set_param):
+                diags.append(
+                    f"procedure {d.name}: recursive call to {call.proc} does not "
+                    f"strictly shrink the set parameter "
+                    f"(argument {format_set(call.set_expr)})"
+                )
     # A name declared twice reports its widest body; each body wider than
     # one gets its own diagnostic.
     width_map: dict[str, int] = {}
@@ -433,7 +438,7 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
                 f"(at most one is allowed)"
             )
     rank_map = ranks(relations)
-    accepted = ok and all(w <= 1 for w in width_map.values())
+    accepted = not diags
     degree = None
     if accepted:
         roots = {call.proc for call in relations.main_refs.calls} & set(relations.direct)

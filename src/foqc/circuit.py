@@ -217,19 +217,19 @@ class Circuit:
         )
 
 
-def elementary_gate_count(c: Circuit) -> int:
-    """Gate count after decomposing multi-controlled gates.
+def elementary_gate_count(ops) -> int:
+    """Gate count of lowered ops after decomposing multi-controlled gates.
 
-    A gate with c >= 2 controls costs 2(c - 1) + 1 elementary gates (the
-    standard ancilla-chain decomposition into two-control gates); gates
-    with at most one control cost 1.  Multi-pair swaps count per pair.
+    An op with c >= 2 controls costs 2(c - 1) + 1 elementary gates (the
+    standard ancilla-chain decomposition into two-control gates); one with
+    at most one control costs 1.  `lower` splits swaps per pair, so this
+    prices a compiled circuit (`lower(c)`) and the per-definition expansion
+    the interpreter's walk records (`walk(p, n).ops`) alike.
     """
     total = 0
-    for g in c.gates:
-        controls = len(g.controls.bits)
-        units = len(g.left) if isinstance(g, ControlledSwap) else 1
-        per_unit = 2 * (controls - 1) + 1 if controls >= 2 else 1
-        total += units * per_unit
+    for op in ops:
+        controls = op[1].bit_count()
+        total += 2 * controls - 1 if controls >= 2 else 1
     return total
 
 

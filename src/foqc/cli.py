@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 analysis rejection (or tolerance exceeded in
-`diff`); 2 runtime error terminal; 3 step budget exceeded; 4 I/O, parse,
+`diff`; `run` and `level` reject only an ill-formed program); 2 runtime error terminal; 3 step budget exceeded; 4 I/O, parse,
 schema or argument errors.  A malformed command line (a missing or
 ill-typed option, an unknown subcommand) is an argument error: it exits 4
 with one `error:` line, while `--help` still exits 0.  The step budget
@@ -26,7 +26,7 @@ from typing import NoReturn
 
 from . import programs
 from .algebra import AlgebraError, parse_term, to_pfoq
-from .analysis import NotPfoqError, check_pfoq
+from .analysis import NotPfoqError, check_pfoq, check_wf, program_refs
 from .circuit import (
     CircuitSchemaError,
     ancilla_residue,
@@ -88,6 +88,19 @@ def _load_program(path: str):
     return parse_program(_read_text(path), filename=path)
 
 
+def _load_wellformed(path: str):
+    """The program at path, refused with NotPfoqError when it is ill formed.
+
+    Only well-formedness is checked, so a program outside the tractable
+    fragment still runs.
+    """
+    program = _load_program(path)
+    diags = check_wf(program, *program_refs(program))
+    if diags:
+        raise NotPfoqError("ill-formed program: " + "; ".join(diags))
+    return program
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
@@ -129,7 +142,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.file)
+    program = _load_wellformed(args.file)
     state = _input_state(args)
     outcome = run(program, state, budget=_budget(args))
     print(
@@ -145,7 +158,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_level(args) -> int:
-    program = _load_program(args.file)
+    program = _load_wellformed(args.file)
     n = _qubits(args)
     walked = walk(program, n, budget=_budget(args)).checked()
     print(json.dumps({"n": n, "level": walked.level}))

@@ -192,9 +192,6 @@ class _Context:
     anc_keys: int = 0
     max_worklist: int = 0
     orthogonality_checks: int = 0
-    # False compiles every call by expanding its body under the caller's
-    # control structure, without ancillas (`compile_naive`).
-    merge: bool = True
     regions: Regions = field(default_factory=Regions)
     # For each ancilla wire, the input-wire region where it holds 1: the OR
     # of the regions of every call merged into it.
@@ -207,8 +204,9 @@ class _Context:
     # Callers of an ancilla can be found after its body has been compiled,
     # and a caller's own pins grow when callers of an ancilla it holds are.
     # `callers` keeps the (ancilla, cs, sub_l, seen_l) of every call merged
-    # into an ancilla, and `touched` the first statement per (ancilla,
-    # position) accessed under an ancilla, for `settle_pins`.
+    # into an ancilla (its first one included), and `touched` the first
+    # statement per (ancilla, position) accessed under an ancilla, for
+    # `settle_pins`.
     callers: list = field(default_factory=list)
     touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
     # statement_width of every subtree measured so far, keyed by id(stmt).
@@ -271,12 +269,6 @@ class _Context:
             return False
         self.pinned[a] = pins | carried
         return True
-
-    def add_caller(
-        self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
-    ) -> None:
-        """Record a call merged into ancilla a (its first one included)."""
-        self.callers.append((a, cs, sub_l, seen_l))
 
     def settle_pins(self) -> None:
         """Carry pins along every recorded caller until none grows, then
@@ -365,7 +357,7 @@ def compr(
             if bound is None:
                 continue
             sub_l, decl, sub_env = bound
-            if not ctx.merge or ctx.widths[stmt.proc] == 0:
+            if ctx.widths[stmt.proc] == 0:
                 stack.append((decl.body, sub_l, sub_env, cs))
             else:
                 worklist = deque([(cs, decl.body, sub_l, sub_env)])
@@ -453,7 +445,7 @@ def optimize(
             if key in anc:
                 a, seen_l = anc[key]
                 ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
-                ctx.add_caller(a, cs, sub_l, seen_l)
+                ctx.callers.append((a, cs, sub_l, seen_l))
                 if sub_l == seen_l:
                     c_left.append(ControlledNot(cs, a))
                     c_right = [ControlledNot(cs, a)] + c_right
@@ -472,7 +464,7 @@ def optimize(
             else:
                 a = ctx.new_ancilla()
                 ctx.meanings[a] = ctx.resolve(cs)
-                ctx.add_caller(a, cs, sub_l, sub_l)
+                ctx.callers.append((a, cs, sub_l, sub_l))
                 anc[key] = (a, sub_l)
                 ctx.anc_keys += 1
                 if len(anc) > ctx.key_budget():
@@ -488,7 +480,11 @@ def optimize(
     return c_left + c_right
 
 
-def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Context]:
+def compile_with_stats(p: Program, n: int, check: bool = True):
+    """Compile to a circuit, returning (circuit, statistics dict).
+
+    With check=False a rejected program is compiled all the same.
+    """
     verdict, relations = analyse(p)
     if check and not verdict.accepted:
         raise NotPfoqError(
@@ -500,16 +496,10 @@ def _compile(p: Program, n: int, check: bool, merge: bool) -> tuple[Circuit, _Co
         widths=verdict.widths,
         equiv=relations.equiv,
         n=n,
-        merge=merge,
     )
     gates = compr(ctx, p.main, tuple(range(1, n + 1)), NO_ENV, ControlStructure.empty())
     ctx.settle_pins()
-    return Circuit(n, ctx.ancillas, tuple(gates)), ctx
-
-
-def compile_with_stats(p: Program, n: int, check: bool = True):
-    """Compile to a circuit, returning (circuit, statistics dict)."""
-    circuit, ctx = _compile(p, n, check, merge=True)
+    circuit = Circuit(n, ctx.ancillas, tuple(gates))
     stats = {
         "gates": circuit.gate_count(),
         "wires": circuit.total_wires,
@@ -523,16 +513,6 @@ def compile_with_stats(p: Program, n: int, check: bool = True):
 
 def compile_program(p: Program, n: int, check: bool = True) -> Circuit:
     return compile_with_stats(p, n, check)[0]
-
-
-def compile_naive(p: Program, n: int, check: bool = True) -> Circuit:
-    """Per-definition expansion without merging, for size comparisons.
-
-    Every call is inlined under its full control structure, so repeated
-    recursive calls in quantum-case branches multiply out and the gate
-    count can grow exponentially with n.
-    """
-    return _compile(p, n, check, merge=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -125,14 +125,6 @@ class QuantumState:
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         return cls(n, amps / np.linalg.norm(amps))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-            }
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "QuantumState":
         data = json.loads(text)

@@ -9,7 +9,7 @@ Nine checks, one test per numbered behavior, with every tolerance pinned:
 4. inversion round-trips on random states for every bundled program;
 5. interpreter/compiler agreement (deviation and ancilla residue);
 6. merging effectiveness: exact ancilla count, linear merged gate growth,
-   exponential naive growth;
+   exponential growth of the per-definition expansion (the walk's ops);
 7. the compile-time orthogonality invariant is silent on the corpus and
    fires under a mutation that disables control-structure extension;
 8. algebra terms translate to accepted programs matching the reference
@@ -46,7 +46,6 @@ from foqc.circuit import (
 )
 from foqc.compiler import (
     OrthogonalityError,
-    compile_naive,
     compile_program,
     compile_with_stats,
     diff_check,
@@ -243,9 +242,8 @@ def test_acceptance_6_merging_effectiveness(branching):
     max_residual = float(np.max(np.abs(fitted - ys) / ys))
     assert max_residual <= 0.10, sizes
 
-    naive = [
-        elementary_gate_count(compile_naive(branching, n)) for n in range(4, 11)
-    ]
+    guarded = guard_errors(branching)
+    naive = [elementary_gate_count(walk(guarded, n).ops) for n in range(4, 11)]
     ratios = [b / a for a, b in zip(naive, naive[1:])]
     assert all(r > 1.8 for r in ratios), (naive, ratios)
 

@@ -8,6 +8,7 @@ from foqc.analysis import (
     check_pfoq,
     check_wf,
     op_count,
+    program_refs,
     ranks,
     reset_op_count,
     statement_refs,
@@ -153,24 +154,26 @@ decl f[x](p) { skip; },
 
 def test_non_shrinking_recursion_rejected():
     program = parse_program(NON_SHRINKING_SOURCE)
-    ok, diags = check_wf(program, call_relations(program))
-    assert not ok
-    assert any("strictly shrink" in d for d in diags)
-    assert not check_pfoq(program).accepted
+    # Well formed: the shrinking rule needs the call relations, so the
+    # verdict decides it, not check_wf.
+    assert check_wf(program, *program_refs(program)) == []
+    verdict = check_pfoq(program)
+    assert not verdict.accepted
+    assert any("strictly shrink" in d for d in verdict.diagnostics)
 
 
 def test_mutual_recursion_both_need_restriction():
     program = parse_program(MUTUAL_SOURCE)
-    ok, diags = check_wf(program, call_relations(program))
-    assert not ok
-    assert any("procedure g" in d for d in diags)
+    verdict = check_pfoq(program)
+    assert not verdict.accepted
+    assert any("procedure g" in d for d in verdict.diagnostics)
 
 
 def test_calls_outside_the_group_are_unrestricted(qft):
     # rec calls rot on the full set; rot is not equivalent to rec, so this
     # does not violate well-foundedness.
-    ok, diags = check_wf(qft, call_relations(qft))
-    assert ok, diags
+    verdict = check_pfoq(qft)
+    assert verdict.accepted, verdict.diagnostics
 
 
 def test_level_bound_degree(qft):

@@ -137,8 +137,9 @@ def test_gate_and_size_metrics():
     assert c.gate_count() == 3  # cswap counts per pair
     assert c.total_wires == 5
     assert c.gate_count() + c.total_wires == 8
-    # Three controls decompose into 2*(3-1)+1 = 5 elementary gates.
-    assert elementary_gate_count(c) == 5 + 2
+    # Three controls decompose into 2*(3-1)+1 = 5 elementary gates; the
+    # lowered swap is one op per pair.
+    assert elementary_gate_count(lower(c)) == 5 + 2
 
 
 def test_routing_swaps_route_and_reverse():

@@ -101,6 +101,41 @@ def test_run_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert dispatch(["run", str(path), "--state", "0"]) == 3
 
 
+ILL_FORMED = {
+    "duplicate": (
+        "decl f(p) { p[1] *= NOT; }, decl f(p) { skip; }, :: call f(q);",
+        "duplicate procedure declaration: f",
+    ),
+    "foreign-set": (
+        "decl f(p) { r[1] *= NOT; }, :: call f(q);",
+        "procedure f: unknown set variable(s) ['r']",
+    ),
+    "extra-argument": (
+        "decl f(p) { p[1] *= NOT; }, :: call f[3](q);",
+        "main statement: procedure f takes no classical argument",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ILL_FORMED)
+def test_every_program_subcommand_refuses_an_ill_formed_program(tmp_path, capsys, name):
+    source, diagnostic = ILL_FORMED[name]
+    path = tmp_path / f"{name}.foq"
+    path.write_text(source)
+    rejected = f"error: program rejected by the tractability check: {diagnostic}\n"
+    ill_formed = f"error: ill-formed program: {diagnostic}\n"
+    expected = {
+        ("check",): "",
+        ("run", "--state", "0"): ill_formed,
+        ("level", "-n", "1"): ill_formed,
+        ("compile", "-n", "1"): rejected,
+        ("diff", "-n", "1"): rejected,
+    }
+    for (command, *options), stderr in expected.items():
+        assert dispatch([command, str(path), *options]) == 1, command
+        assert capsys.readouterr().err == stderr, command
+
+
 def test_sequence_steps_match_the_binary_sequencing_rule(tmp_path, capsys):
     # Each sequencing rule of a k-statement sequence costs one step, charged
     # before the statement it opens; the largest failing budgets are pinned.
@@ -461,7 +496,10 @@ def test_callee_does_not_see_the_callers_parameter(tmp_path, capsys):
     path.write_text(
         "decl g(p) { p[x] *= NOT; }, decl f[x](p) { call g(p); }, :: call f[1](q);"
     )
-    assert_input_error(capsys, ["run", str(path), "--state", "0"])
+    # g's body names x, which only f binds: ill formed, so nothing runs.
+    expected = "procedure g: unknown integer variable(s) ['x']\n"
+    assert dispatch(["run", str(path), "--state", "0"]) == 1
+    assert capsys.readouterr().err == "error: ill-formed program: " + expected
     assert dispatch(["compile", str(path), "-n", "1"]) == 1
 
 

@@ -30,7 +30,6 @@ from foqc.compiler import (
     DIFF_SAMPLES,
     DiffReport,
     OrthogonalityError,
-    compile_naive,
     compile_program,
     compile_with_stats,
     diff_check,
@@ -40,6 +39,7 @@ from foqc.programs import EXAMPLES
 
 from test_circuit import H, dense_replay
 from test_fingerprint import TERMS
+from test_long_programs import QUBITS, chain_program, straight_program
 
 WIDTH_TWO_SOURCE = """
 decl bad(p) {
@@ -88,9 +88,9 @@ def test_branching_compiles_at_n40(branching):
 
 
 def test_naive_expansion_grows_exponentially(branching):
-    counts = [
-        elementary_gate_count(compile_naive(branching, n)) for n in range(4, 11)
-    ]
+    # The walk runs every call, so its ops are the per-definition expansion.
+    guarded = guard_errors(branching)
+    counts = [elementary_gate_count(walk(guarded, n).ops) for n in range(4, 11)]
     assert counts == [11, 29, 62, 127, 247, 468, 867]
     ratios = [b / a for a, b in zip(counts, counts[1:])]
     assert all(r > 1.8 for r in ratios)
@@ -107,8 +107,9 @@ def test_rejected_program_does_not_compile():
     with pytest.raises(NotPfoqError):
         compile_program(program, 3)
     # The check can be bypassed explicitly for experimentation.
-    circuit = compile_naive(program, 3, check=False)
-    assert circuit.gate_count() == 0  # body is all structure, no gates
+    assert compile_program(program, 3, check=False).gate_count() == 0
+    # The body is all structure: its per-definition expansion has no gates.
+    assert walk(guard_errors(program), 3).ops == []
 
 
 def test_diff_qft(qft):
@@ -340,6 +341,23 @@ def test_compiling_the_guarded_program_changes_nothing(corpus):
         assert Counter(plain.gates) == Counter(guarded.gates)
         for a, b in zip(all_wire_outputs(plain), all_wire_outputs(guarded)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+DIRECT_PROGRAMS = {"straight": straight_program(300), "chain": chain_program(60)}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("qft", "teleport") for n in (3, 6, 9)]
+    + [(name, QUBITS) for name in DIRECT_PROGRAMS],
+)
+def test_the_direct_compile_lowers_to_the_walks_ops(corpus, name, n):
+    # No call is merged here, so the compiler expands each one under its
+    # caller's control structure, as the walk runs it: gate for op.
+    program = corpus.get(name) or parse_program(DIRECT_PROGRAMS[name])
+    circuit = compile_program(program, n)
+    assert circuit.ancillas == 0
+    assert lower(circuit) == walk(guard_errors(program), n).ops
 
 
 def test_out_of_range_access_compiles_to_nothing():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.circuit import ControlStructure, replay_basis
+from foqc.cli import dispatch
 from foqc.interpreter import (
     BOTTOM,
     NO_ENV,
@@ -107,12 +109,20 @@ def test_quantum_state_validation():
         QuantumState(1, [0.9, 0.0])  # not normalized
 
 
-def test_quantum_state_json_round_trip():
-    rng = np.random.default_rng(7)
-    state = QuantumState.random(3, rng)
-    back = QuantumState.from_json(state.to_json())
-    assert back.n == 3
-    assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
+def test_quantum_state_json_round_trip(tmp_path, capsys):
+    # `run` prints a state that `--amplitudes` reads back as it was.
+    program = tmp_path / "qft.foq"
+    program.write_text(EXAMPLES["qft.foq"])
+    identity = tmp_path / "skip.foq"
+    identity.write_text(":: skip;")
+    assert dispatch(["run", str(program), "--state", "101"]) == 0
+    state = tmp_path / "state.json"
+    state.write_text(capsys.readouterr().out)
+    assert dispatch(["run", str(identity), "--amplitudes", str(state)]) == 0
+    back = json.loads(capsys.readouterr().out)
+    sent = json.loads(state.read_text())
+    assert back["n"] == sent["n"] == 3
+    assert back["amplitudes"] == sent["amplitudes"]
 
 
 def test_not_flips_most_significant_qubit():

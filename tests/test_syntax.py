@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foqc import QuantumState, compile_program, export_json, parse_program, run
-from foqc.analysis import call_relations, check_wf
+from foqc.analysis import check_wf, program_refs
 from foqc.syntax import (
     IntLit,
     IntVar,
@@ -177,7 +177,7 @@ decl f(p) { skip; },
 :: call h(q);
 """
     )
-    _, diags = check_wf(program, call_relations(program))
+    diags = check_wf(program, *program_refs(program))
     assert any("duplicate" in d for d in diags)
     assert any("undeclared" in d and "g" in d for d in diags)
     assert any("undeclared" in d and "h" in d for d in diags)
@@ -191,14 +191,14 @@ decl g(p) { skip; },
 :: call f(q); call g[1](q);
 """
     )
-    _, diags = check_wf(program, call_relations(program))
+    diags = check_wf(program, *program_refs(program))
     assert any("requires a classical argument" in d for d in diags)
     assert any("takes no classical argument" in d for d in diags)
 
 
 def test_wellformed_foreign_variables():
     program = parse_program("decl f(p) { r[1] *= NOT; }, :: call f(q);")
-    _, diags = check_wf(program, call_relations(program))
+    diags = check_wf(program, *program_refs(program))
     assert any("unknown set variable" in d for d in diags)
 
 
