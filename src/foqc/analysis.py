@@ -37,23 +37,21 @@ callees.  So the check takes time linear in the program.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .syntax import (
     Assign,
-    BoolAnd,
+    BoolBin,
     BoolCmp,
     BoolExpr,
     BoolNot,
-    BoolOr,
     Call,
     FoqError,
     If,
-    IntAdd,
     IntExpr,
     IntLit,
-    IntSub,
+    IntOffset,
     IntVar,
     Program,
     QCase,
@@ -114,7 +112,7 @@ def _int_vars_full(e: IntExpr | None, set_out: set[str], int_out: set[str]) -> N
         return
     if isinstance(e, IntVar):
         int_out.add(e.name)
-    elif isinstance(e, (IntAdd, IntSub)):
+    elif isinstance(e, IntOffset):
         _int_vars_full(e.base, set_out, int_out)
     elif isinstance(e, SetSize):
         _set_vars(e.set_expr, set_out, int_out)
@@ -124,7 +122,7 @@ def _bool_vars(b: BoolExpr, set_out: set[str], int_out: set[str]) -> None:
     if isinstance(b, BoolCmp):
         _int_vars_full(b.left, set_out, int_out)
         _int_vars_full(b.right, set_out, int_out)
-    elif isinstance(b, (BoolAnd, BoolOr)):
+    elif isinstance(b, BoolBin):
         _bool_vars(b.left, set_out, int_out)
         _bool_vars(b.right, set_out, int_out)
     elif isinstance(b, BoolNot):
@@ -397,17 +395,7 @@ class PfoqVerdict:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "accepted": self.accepted,
-                "widths": self.widths,
-                "ranks": self.ranks,
-                "degree": self.degree,
-                "diagnostics": self.diagnostics,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:

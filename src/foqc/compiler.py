@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -528,14 +528,7 @@ class DiffReport:
     max_ancilla_residue: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "cases": self.cases,
-                "max_deviation": self.max_deviation,
-                "max_ancilla_residue": self.max_ancilla_residue,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 # Basis states `diff_check` draws once 2^n exceeds 64.

@@ -38,18 +38,16 @@ import numpy as np
 from .circuit import check_dense_wires, one_target_op, replay_dense
 from .syntax import (
     Assign,
-    BoolAnd,
+    BoolBin,
     BoolCmp,
     BoolExpr,
     BoolNot,
-    BoolOr,
     Call,
     FoqError,
     If,
-    IntAdd,
     IntExpr,
     IntLit,
-    IntSub,
+    IntOffset,
     IntVar,
     Program,
     ProcDecl,
@@ -106,10 +104,6 @@ class QuantumState:
         self.amplitudes = amps
 
     @classmethod
-    def zero(cls, n: int) -> "QuantumState":
-        return cls.from_bits("0" * n)
-
-    @classmethod
     def from_bits(cls, bits: str) -> "QuantumState":
         if set(bits) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {bits!r}")
@@ -118,12 +112,6 @@ class QuantumState:
         amps = np.zeros(1 << n, dtype=complex)
         amps[int(bits, 2) if bits else 0] = 1.0
         return cls(n, amps)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "QuantumState":
-        check_dense_wires(n)
-        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        return cls(n, amps / np.linalg.norm(amps))
 
     @classmethod
     def from_json(cls, text: str) -> "QuantumState":
@@ -155,10 +143,9 @@ def eval_int(e: IntExpr, l: tuple[int, ...], env: Env = NO_ENV) -> int:
         if value is None:
             raise EvalError(f"unbound integer variable {e.name!r}")
         return value
-    if isinstance(e, IntAdd):
-        return eval_int(e.base, l, env) + e.offset
-    if isinstance(e, IntSub):
-        return eval_int(e.base, l, env) - e.offset
+    if isinstance(e, IntOffset):
+        base = eval_int(e.base, l, env)
+        return base + e.offset if e.op == "+" else base - e.offset
     if isinstance(e, SetSize):
         return len(eval_set(e.set_expr, l, env))
     raise TypeError(f"not an integer expression: {e!r}")
@@ -194,9 +181,10 @@ def eval_bool(b: BoolExpr, l: tuple[int, ...], env: Env = NO_ENV) -> bool:
         if b.op == "=":
             return lhs == rhs
         raise ValueError(f"unknown comparison {b.op!r}")
-    if isinstance(b, BoolAnd):
-        return eval_bool(b.left, l, env) and eval_bool(b.right, l, env)
-    if isinstance(b, BoolOr):
+    if isinstance(b, BoolBin):
+        # Short-circuit: the right side is evaluated only when it decides.
+        if b.op == "&&":
+            return eval_bool(b.left, l, env) and eval_bool(b.right, l, env)
         return eval_bool(b.left, l, env) or eval_bool(b.right, l, env)
     if isinstance(b, BoolNot):
         return not eval_bool(b.inner, l, env)
@@ -357,17 +345,22 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                     frames.pop()
                     result = terminal, frame[3], error
                     continue
+                frame[2] = i
+                stmt, (mask, want, l, env) = items[i], frame[4:]
                 if i < len(items) - 1:
                     # Checked with the item's own step, which comes next.
                     remaining -= 1
-                frame[2] = i
-                stmt, (mask, want, l, env) = items[i], frame[4:]
+                else:
+                    # The last item: drop the context, so a tail call does
+                    # not pin the caller's list.
+                    del frame[4:]
                 break
             elif frame[3] is None:  # the quantum case's 0-branch is done
                 frame[3] = result
                 bit = frame[2]
                 stmt, mask, want = frame[1].if_one, frame[4] | bit, frame[5] | bit
                 l, env = frame[6], frame[7]
+                del frame[4:]  # as for a sequence's last item
                 break
             else:
                 frames.pop()
@@ -403,7 +396,8 @@ def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOu
 
 def _bounds_guard(q: QubitExpr) -> BoolExpr:
     """0 < i and i <= size(s) for the qubit expression s[i]."""
-    return BoolAnd(
+    return BoolBin(
+        "&&",
         BoolCmp(">", q.index, IntLit(0)),
         BoolCmp(">=", SetSize(q.set_expr), q.index),
     )

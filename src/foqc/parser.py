@@ -59,32 +59,27 @@ from typing import NamedTuple
 
 from .syntax import (
     Assign,
-    BoolAnd,
+    BoolBin,
     BoolCmp,
     BoolExpr,
     BoolNot,
-    BoolOr,
     Call,
     FoqError,
     If,
-    IntAdd,
     IntExpr,
     IntLit,
-    IntSub,
+    IntOffset,
     IntVar,
     Operator,
     OP_NOT,
     OP_PH,
     OP_RY,
-    PhaseAdd,
+    PhaseBin,
     PhaseConst,
-    PhaseDiv,
     PhaseExpr,
-    PhaseMul,
     PhaseNeg,
     PhasePi,
     PhasePow2,
-    PhaseSub,
     PhaseVar,
     ProcDecl,
     Program,
@@ -221,7 +216,7 @@ def tokenize(text: str, filename: str) -> list[Token]:
 # The kinds of a leaf statement's first token: a gate on one or two qubits.
 _LEAF_KINDS = frozenset(("name", "nil", "H", "CNOT", "SWAP"))
 
-_PI_OVER_4 = PhaseDiv(PhasePi(), PhaseConst(4))
+_PI_OVER_4 = PhaseBin("/", PhasePi(), PhaseConst(4))
 
 
 def hadamard_statement(q: QubitExpr) -> Statement:
@@ -497,9 +492,8 @@ class _Parser:
     def parse_iexpr(self) -> IntExpr:
         expr = self.parse_iatom()
         while self.peek() in ("+", "-"):
-            plus = self.next() == "+"
-            offset = int(self.expect("int"))
-            expr = IntAdd(expr, offset) if plus else IntSub(expr, offset)
+            op = self.next()
+            expr = IntOffset(op, expr, int(self.expect("int")))
         return expr
 
     def parse_iatom(self) -> IntExpr:
@@ -524,13 +518,13 @@ class _Parser:
     def parse_bexpr(self) -> BoolExpr:
         expr = self.parse_band()
         while self.accept("||"):
-            expr = BoolOr(expr, self.parse_band())
+            expr = BoolBin("||", expr, self.parse_band())
         return expr
 
     def parse_band(self) -> BoolExpr:
         expr = self.parse_bunary()
         while self.accept("&&"):
-            expr = BoolAnd(expr, self.parse_bunary())
+            expr = BoolBin("&&", expr, self.parse_bunary())
         return expr
 
     def parse_bunary(self) -> BoolExpr:
@@ -569,17 +563,15 @@ class _Parser:
     def parse_phase(self) -> PhaseExpr:
         expr = self.parse_phase_term()
         while self.peek() in ("+", "-"):
-            plus = self.next() == "+"
-            right = self.parse_phase_term()
-            expr = PhaseAdd(expr, right) if plus else PhaseSub(expr, right)
+            op = self.next()
+            expr = PhaseBin(op, expr, self.parse_phase_term())
         return expr
 
     def parse_phase_term(self) -> PhaseExpr:
         expr = self.parse_phase_factor()
         while self.peek() in ("*", "/"):
-            times = self.next() == "*"
-            right = self.parse_phase_factor()
-            expr = PhaseMul(expr, right) if times else PhaseDiv(expr, right)
+            op = self.next()
+            expr = PhaseBin(op, expr, self.parse_phase_factor())
         return expr
 
     def parse_phase_factor(self) -> PhaseExpr:

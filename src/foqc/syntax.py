@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -53,25 +54,8 @@ class PhaseVar(PhaseExpr):
 
 
 @dataclass(frozen=True)
-class PhaseAdd(PhaseExpr):
-    left: PhaseExpr
-    right: PhaseExpr
-
-
-@dataclass(frozen=True)
-class PhaseSub(PhaseExpr):
-    left: PhaseExpr
-    right: PhaseExpr
-
-
-@dataclass(frozen=True)
-class PhaseMul(PhaseExpr):
-    left: PhaseExpr
-    right: PhaseExpr
-
-
-@dataclass(frozen=True)
-class PhaseDiv(PhaseExpr):
+class PhaseBin(PhaseExpr):
+    op: str  # one of "+", "-", "*", "/"
     left: PhaseExpr
     right: PhaseExpr
 
@@ -90,6 +74,8 @@ class PhaseNeg(PhaseExpr):
 
 TWO_PI = 2.0 * math.pi
 
+_PHASE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 
 def _eval_phase_raw(f: PhaseExpr, n: int) -> float:
     if isinstance(f, PhaseConst):
@@ -98,17 +84,14 @@ def _eval_phase_raw(f: PhaseExpr, n: int) -> float:
         return math.pi
     if isinstance(f, PhaseVar):
         return float(n)
-    if isinstance(f, PhaseAdd):
-        return _eval_phase_raw(f.left, n) + _eval_phase_raw(f.right, n)
-    if isinstance(f, PhaseSub):
-        return _eval_phase_raw(f.left, n) - _eval_phase_raw(f.right, n)
-    if isinstance(f, PhaseMul):
-        return _eval_phase_raw(f.left, n) * _eval_phase_raw(f.right, n)
-    if isinstance(f, PhaseDiv):
-        denom = _eval_phase_raw(f.right, n)
-        if denom == 0.0:
-            raise PhaseEvalError(f"division by zero in phase expression at n={n}")
-        return _eval_phase_raw(f.left, n) / denom
+    if isinstance(f, PhaseBin):
+        if f.op == "/":
+            # The denominator is checked before the numerator is evaluated.
+            denom = _eval_phase_raw(f.right, n)
+            if denom == 0.0:
+                raise PhaseEvalError(f"division by zero in phase expression at n={n}")
+            return _eval_phase_raw(f.left, n) / denom
+        return _PHASE_OPS[f.op](_eval_phase_raw(f.left, n), _eval_phase_raw(f.right, n))
     if isinstance(f, PhasePow2):
         return 2.0 ** _eval_phase_raw(f.exponent, n)
     if isinstance(f, PhaseNeg):
@@ -157,15 +140,11 @@ class IntVar(IntExpr):
 
 
 @dataclass(frozen=True)
-class IntAdd(IntExpr):
-    """base + offset, where the grammar restricts offset to a literal."""
+class IntOffset(IntExpr):
+    """base + offset or base - offset, where the grammar restricts offset to
+    a literal; op keeps the sign as written, so `x - 0` prints back."""
 
-    base: IntExpr
-    offset: int
-
-
-@dataclass(frozen=True)
-class IntSub(IntExpr):
+    op: str  # "+" or "-"
     base: IntExpr
     offset: int
 
@@ -216,13 +195,8 @@ class BoolCmp(BoolExpr):
 
 
 @dataclass(frozen=True)
-class BoolAnd(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
-
-
-@dataclass(frozen=True)
-class BoolOr(BoolExpr):
+class BoolBin(BoolExpr):
+    op: str  # "&&" or "||"
     left: BoolExpr
     right: BoolExpr
 
@@ -405,18 +379,11 @@ def _fmt_phase(f: PhaseExpr, prec: int) -> str:
         text, mine = "pi", _PHASE_PREC_ATOM
     elif isinstance(f, PhaseVar):
         text, mine = "x", _PHASE_PREC_ATOM
-    elif isinstance(f, PhaseAdd):
-        text = f"{_fmt_phase(f.left, _PHASE_PREC_ADD)} + {_fmt_phase(f.right, _PHASE_PREC_MUL)}"
-        mine = _PHASE_PREC_ADD
-    elif isinstance(f, PhaseSub):
-        text = f"{_fmt_phase(f.left, _PHASE_PREC_ADD)} - {_fmt_phase(f.right, _PHASE_PREC_MUL)}"
-        mine = _PHASE_PREC_ADD
-    elif isinstance(f, PhaseMul):
-        text = f"{_fmt_phase(f.left, _PHASE_PREC_MUL)} * {_fmt_phase(f.right, _PHASE_PREC_ATOM)}"
-        mine = _PHASE_PREC_MUL
-    elif isinstance(f, PhaseDiv):
-        text = f"{_fmt_phase(f.left, _PHASE_PREC_MUL)} / {_fmt_phase(f.right, _PHASE_PREC_ATOM)}"
-        mine = _PHASE_PREC_MUL
+    elif isinstance(f, PhaseBin):
+        # Both families are left-associative: a right operand at the
+        # operator's own precedence is parenthesized.
+        mine = _PHASE_PREC_MUL if f.op in ("*", "/") else _PHASE_PREC_ADD
+        text = f"{_fmt_phase(f.left, mine)} {f.op} {_fmt_phase(f.right, mine + 1)}"
     elif isinstance(f, PhasePow2):
         text = f"2^{_fmt_phase(f.exponent, _PHASE_PREC_ATOM)}"
         mine = _PHASE_PREC_ATOM
@@ -439,10 +406,8 @@ def format_int(e: IntExpr) -> str:
         return str(e.value)
     if isinstance(e, IntVar):
         return e.name
-    if isinstance(e, IntAdd):
-        return f"{format_int(e.base)} + {e.offset}"
-    if isinstance(e, IntSub):
-        return f"{format_int(e.base)} - {e.offset}"
+    if isinstance(e, IntOffset):
+        return f"{format_int(e.base)} {e.op} {e.offset}"
     if isinstance(e, SetSize):
         return f"size({format_set(e.set_expr)})"
     raise TypeError(f"not an integer expression: {e!r}")
@@ -469,10 +434,8 @@ def format_set(s: SetExpr) -> str:
 def format_bool(b: BoolExpr) -> str:
     if isinstance(b, BoolCmp):
         return f"{format_int(b.left)} {b.op} {format_int(b.right)}"
-    if isinstance(b, BoolAnd):
-        return f"({format_bool(b.left)} && {format_bool(b.right)})"
-    if isinstance(b, BoolOr):
-        return f"({format_bool(b.left)} || {format_bool(b.right)})"
+    if isinstance(b, BoolBin):
+        return f"({format_bool(b.left)} {b.op} {format_bool(b.right)})"
     if isinstance(b, BoolNot):
         return f"!({format_bool(b.inner)})"
     raise TypeError(f"not a boolean expression: {b!r}")

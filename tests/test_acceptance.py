@@ -53,6 +53,8 @@ from foqc.compiler import (
 from foqc.interpreter import QuantumState, guard_errors, walk
 from foqc.transform import invert
 
+from test_properties import random_state
+
 TOLERANCE = 1e-9
 
 WIDTH_TWO_SOURCE = """
@@ -142,7 +144,7 @@ def test_acceptance_3_two_qubit_rotation_example():
     # the leftover single qubit contributes one extra level.
     program = parse_program(ROT_ONLY_SOURCE)
     rng = np.random.default_rng(17)
-    state = QuantumState.random(2, rng)
+    state = random_state(2, rng)
     outcome = run(program, state)
     assert outcome.level == 2
     expected = state.amplitudes.copy()
@@ -161,7 +163,7 @@ def test_acceptance_4_reversibility(corpus):
         inverse = invert(program)
         for n in range(2, 6):
             for _ in range(16):
-                state = QuantumState.random(n, rng)
+                state = random_state(n, rng)
                 forward = run(program, state).state
                 back = run(inverse, forward).state
                 deviation = float(np.max(np.abs(back.amplitudes - state.amplitudes)))

@@ -22,7 +22,7 @@ from foqc.algebra import (
 )
 from foqc.analysis import check_pfoq
 from foqc.interpreter import QuantumState
-from foqc.syntax import PhaseConst, PhaseDiv, PhasePi
+from foqc.syntax import PhaseBin, PhaseConst, PhasePi
 
 TERM_CORPUS = [
     "i",
@@ -53,7 +53,7 @@ def test_basic_terms_evaluate():
     )
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     assert np.allclose(
-        eval_algebra(RotGate(PhaseDiv(PhasePi(), PhaseConst(4))), [1, 0]), [c, s]
+        eval_algebra(RotGate(PhaseBin("/", PhasePi(), PhaseConst(4))), [1, 0]), [c, s]
     )
 
 

@@ -453,7 +453,7 @@ def test_compile_reaches_the_error_terminal_exactly_when_run_does_at_any_call_de
             continue
         guarded = guard_errors(program)
         for n in (2, 3, 4, 5):
-            expected = _reaches_bottom(lambda: run(guarded, QuantumState.zero(n)))
+            expected = _reaches_bottom(lambda: run(guarded, QuantumState.from_bits("0" * n)))
             assert _reaches_bottom(lambda: compile_program(program, n)) == expected, (n, source)
             checked += 1
             bottoms += expected

@@ -31,9 +31,10 @@ from foqc.syntax import (
     Assign,
     Call,
     If,
-    IntAdd,
     IntLit,
+    IntOffset,
     IntVar,
+    PhaseEvalError,
     QCase,
     QubitExpr,
     Seq,
@@ -47,7 +48,7 @@ from foqc.syntax import (
 
 from test_circuit import dense_replay
 from test_fingerprint import PARAMETERISED_SOURCE, TERMS
-from test_properties import _dense
+from test_properties import _dense, random_state
 
 
 Q = SetVar("q")
@@ -96,7 +97,7 @@ def test_eval_int_size():
 
 def test_integer_variables_read_the_environment():
     x = IntVar("x")
-    assert eval_int(IntAdd(x, 1), (), {"x": 3}) == 4
+    assert eval_int(IntOffset("+", x, 1), (), {"x": 3}) == 4
     assert eval_qubit(QubitExpr(SetRemove(Q, x), x), (5, 7, 9), {"x": 2}) == 9
     with pytest.raises(EvalError, match="unbound integer variable 'x'"):
         eval_int(x, (1, 2))
@@ -189,7 +190,7 @@ def test_error_terminal_after_a_branch_wrote_its_half():
     walked = walk(program, 3)
     assert (walked.terminal, walked.level) == (BOTTOM, 0)
     assert walked.error == "assignment to q[1]: position 1 is not accessible"
-    state = QuantumState.random(3, np.random.default_rng(4))
+    state = random_state(3, np.random.default_rng(4))
     before = state.amplitudes.copy()
     with pytest.raises(BottomError) as excinfo:
         run(program, state)
@@ -198,7 +199,7 @@ def test_error_terminal_after_a_branch_wrote_its_half():
 
 
 def test_runs_never_mutate_the_callers_state(corpus):
-    state = QuantumState.random(3, np.random.default_rng(6))
+    state = random_state(3, np.random.default_rng(6))
     before = state.amplitudes.copy()
     for program in corpus.values():
         out = run(program, state)
@@ -221,7 +222,7 @@ def test_guard_errors_identity_on_skip():
 
 def test_guard_errors_preserves_normal_semantics(qft):
     rng = np.random.default_rng(3)
-    state = QuantumState.random(3, rng)
+    state = random_state(3, rng)
     plain = run(qft, state).state.amplitudes
     guarded = run(guard_errors(qft), state).state.amplitudes
     assert np.allclose(plain, guarded, atol=1e-12)
@@ -270,7 +271,7 @@ def test_norm_preserved_on_corpus(corpus):
     rng = np.random.default_rng(11)
     for name, program in corpus.items():
         n = 3 if name == "teleport" else 3
-        state = QuantumState.random(n, rng)
+        state = random_state(n, rng)
         out = run(program, state)
         assert abs(np.linalg.norm(out.state.amplitudes) - 1.0) < 1e-9
 
@@ -357,7 +358,7 @@ def test_run_matches_a_dense_reference(name):
     rng = np.random.default_rng(12)
     for n in range(1, 6):
         bits = "".join(rng.choice(["0", "1"], size=n))
-        for state in (QuantumState.random(n, rng), QuantumState.from_bits(bits)):
+        for state in (random_state(n, rng), QuantumState.from_bits(bits)):
             expected = dense_run(program, state.amplitudes)
             out = run(program, state).state.amplitudes
             assert np.allclose(out, expected, rtol=0, atol=1e-12), (n, bits)
@@ -393,3 +394,31 @@ def test_level_of_walks_without_a_state():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_connectives_short_circuit():
+    # The right side, an unbound variable, is reached only when it decides.
+    def cond(text):
+        return parse_program(f":: if {text} then {{ skip; }} else {{ skip; }}").main.cond
+
+    assert eval_bool(cond("0 > 1 && y > 0"), ()) is False
+    assert eval_bool(cond("1 > 0 || y > 0"), ()) is True
+    for text in ("1 > 0 && y > 0", "0 > 1 || y > 0"):
+        with pytest.raises(EvalError, match="unbound integer variable 'y'"):
+            eval_bool(cond(text), ())
+
+
+def test_a_tail_call_does_not_pin_its_callers_list():
+    # On 2000 qubits rot recurses about 1000 frames deep before its phase
+    # overflows.  Each frame's sequence and quantum case drop their list
+    # once they start their last part, so the frames do not hold one
+    # 2000-entry list each.
+    qft = parse_program(EXAMPLES["qft.foq"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(PhaseEvalError, match="overflows at n=1025"):
+            walk(qft, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

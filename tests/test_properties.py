@@ -22,14 +22,16 @@ QFT = parse_program(QFT_SOURCE)
 BRANCHING = parse_program(BRANCHING_SOURCE)
 
 
-def random_state(n, seed):
-    return QuantumState.random(n, np.random.default_rng(seed))
+def random_state(n, rng):
+    """A normalized statevector with Gaussian real and imaginary parts."""
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return QuantumState(n, amps / np.linalg.norm(amps))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**31))
 def test_run_preserves_norm(n, seed):
-    out = run(QFT, random_state(n, seed))
+    out = run(QFT, random_state(n, np.random.default_rng(seed)))
     assert abs(np.linalg.norm(out.state.amplitudes) - 1.0) < 1e-9
 
 
@@ -41,8 +43,8 @@ def test_run_preserves_norm(n, seed):
     weight=st.floats(0.1, 0.9),
 )
 def test_run_is_linear(n, seed_a, seed_b, weight):
-    a = random_state(n, seed_a).amplitudes
-    b = random_state(n, seed_b).amplitudes
+    a = random_state(n, np.random.default_rng(seed_a)).amplitudes
+    b = random_state(n, np.random.default_rng(seed_b)).amplitudes
     mix = weight * a + (1 - weight) * b
     norm = np.linalg.norm(mix)
     if norm < 1e-6:
@@ -57,8 +59,8 @@ def test_run_is_linear(n, seed_a, seed_b, weight):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**31))
 def test_level_is_amplitude_independent(n, seed):
-    reference = run(QFT, QuantumState.zero(n)).level
-    assert run(QFT, random_state(n, seed)).level == reference
+    reference = run(QFT, QuantumState.from_bits("0" * n)).level
+    assert run(QFT, random_state(n, np.random.default_rng(seed))).level == reference
 
 
 @settings(max_examples=10, deadline=None)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from foqc import QuantumState, compile_program, export_json, parse_program, run
+from foqc import compile_program, export_json, parse_program, run
 from foqc.analysis import check_wf, program_refs
+from foqc.parser import parse_phase_text
 from foqc.syntax import (
     IntLit,
     IntVar,
@@ -12,8 +13,9 @@ from foqc.syntax import (
     OP_NOT,
     OP_PH,
     OP_RY,
+    PhaseBin,
     PhaseConst,
-    PhaseDiv,
+    PhaseEvalError,
     PhaseNeg,
     PhasePi,
     PhasePow2,
@@ -21,6 +23,9 @@ from foqc.syntax import (
     Seq,
     Skip,
     eval_phase,
+    format_bool,
+    format_int,
+    format_phase,
     gate_matrix,
     invert_operator,
     phase_neg,
@@ -28,6 +33,8 @@ from foqc.syntax import (
     seq_all,
     seq_items,
 )
+
+from test_properties import random_state
 
 
 def test_phase_reduction_into_two_pi():
@@ -39,12 +46,12 @@ def test_phase_reduction_into_two_pi():
 
 def test_phase_pi_over_power():
     # pi / 2^(x-1) at x = 2 is pi/2.
-    expr = PhaseDiv(PhasePi(), PhasePow2(PhaseVar()))
+    expr = PhaseBin("/", PhasePi(), PhasePow2(PhaseVar()))
     assert eval_phase(expr, 1) == pytest.approx(math.pi / 2)
 
 
 def test_phase_double_negation_collapses():
-    f = PhaseDiv(PhasePi(), PhaseConst(4))
+    f = PhaseBin("/", PhasePi(), PhaseConst(4))
     assert phase_neg(phase_neg(f)) == f
 
 
@@ -54,14 +61,14 @@ def test_not_matrix():
 
 
 def test_rotation_matrix_is_special_orthogonal():
-    op = Operator(OP_RY, PhaseDiv(PhasePi(), PhaseConst(3)), IntLit(0))
+    op = Operator(OP_RY, PhaseBin("/", PhasePi(), PhaseConst(3)), IntLit(0))
     m = gate_matrix(op)
     c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
     assert np.allclose(m, [[c, -s], [s, c]], atol=1e-12)
 
 
 def test_phase_matrix_uses_argument():
-    op = Operator(OP_PH, PhaseDiv(PhasePi(), PhasePow2(PhaseVar())), IntVar("x"))
+    op = Operator(OP_PH, PhaseBin("/", PhasePi(), PhasePow2(PhaseVar())), IntVar("x"))
     m = gate_matrix(op, 1)  # evaluated at argument value 1
     assert np.allclose(m, np.diag([1, np.exp(1j * math.pi / 2)]), atol=1e-12)
 
@@ -156,7 +163,7 @@ def test_parameter_binding_matches_handwritten_literals(n):
         compile_program(literal, n)
     )
     rng = np.random.default_rng(n)
-    state = QuantumState.random(n, rng)
+    state = random_state(n, rng)
     a, b = run(bound, state), run(literal, state)
     assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
 
@@ -224,3 +231,57 @@ decl f[x](p) {
 """
     program = parse_program(src)
     assert parse_program(pretty_print(program)) == program
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("x - (pi - 2)", "x - (pi - 2)"),
+        ("(x - pi) - 2", "x - pi - 2"),
+        ("pi / (x * 2)", "pi / (x * 2)"),
+        ("(pi / x) * 2", "pi / x * 2"),
+        ("-(x + 1)", "-(x + 1)"),
+        ("2^(x - 1)", "2^(x - 1)"),
+        ("x * (2 + pi)", "x * (2 + pi)"),
+    ],
+)
+def test_phase_printer_parenthesizes_exactly_the_right_nested_operands(text, printed):
+    assert format_phase(parse_phase_text(text)) == printed
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("x - 0", "x - 0"),
+        ("x + 0", "x + 0"),
+        ("(x + 1) - 2", "x + 1 - 2"),
+        ("size(p \\ [1]) - 1", "size(p \\ [1]) - 1"),
+    ],
+)
+def test_integer_printer_keeps_the_written_sign(text, printed):
+    program = parse_program(f":: q[{text}] *= NOT;")
+    assert format_int(program.main.qubit.index) == printed
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("(x > 1 || x = 0) && 2 > x", "((x > 1 || x = 0) && 2 > x)"),
+        ("x > 1 || x = 0 && 2 > x", "(x > 1 || (x = 0 && 2 > x))"),
+        ("x > 1 && (x = 0 && 2 > x)", "(x > 1 && (x = 0 && 2 > x))"),
+        ("!(x > 1 || x = 0)", "!((x > 1 || x = 0))"),
+    ],
+)
+def test_boolean_printer_brackets_every_connective(text, printed):
+    program = parse_program(f":: if {text} then {{ skip; }} else {{ skip; }}")
+    assert format_bool(program.main.cond) == printed
+
+
+def test_division_checks_its_denominator_before_its_numerator():
+    # The numerator overflows, but the zero denominator is what is reported.
+    with pytest.raises(PhaseEvalError, match="^division by zero in phase expression at n=3$"):
+        eval_phase(parse_phase_text("2^2000 / 0"), 3)
+    # The other operators evaluate left to right.
+    for op in "+-*":
+        with pytest.raises(PhaseEvalError, match="^phase expression overflows at n=3$"):
+            eval_phase(parse_phase_text(f"2^2000 {op} (1 / 0)"), 3)

@@ -1,9 +1,10 @@
 import numpy as np
 
 from foqc import parse_program, pretty_print, run
-from foqc.interpreter import QuantumState
 from foqc.syntax import Assign, If, QCase
 from foqc.transform import invert
+
+from test_properties import random_state
 
 
 def test_sequence_order_is_reversed():
@@ -42,7 +43,7 @@ def test_inversion_reverses_corpus_semantics(corpus):
     for name, program in corpus.items():
         inv = invert(program)
         for _ in range(4):
-            state = QuantumState.random(3, rng)
+            state = random_state(3, rng)
             forward = run(program, state).state
             back = run(inv, forward).state
             assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
