@@ -119,6 +119,12 @@ def _qubits(args) -> int:
     return args.n
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise _CliIOError(f"--seed must be a nonnegative integer, got {args.seed}")
+    return args.seed
+
+
 def _input_state(args) -> QuantumState:
     if args.state is not None:
         return QuantumState.from_bits(args.state)
@@ -206,8 +212,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    seed = _seed(args)
     program = _load_program(args.file)
-    report = diff_check(program, _qubits(args), seed=args.seed)
+    report = diff_check(program, _qubits(args), seed=seed)
     print(report.to_json())
     ok = (
         report.max_deviation < DIFF_TOLERANCE

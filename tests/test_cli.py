@@ -429,6 +429,12 @@ def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
 def test_negative_qubit_count_is_refused(qft_file, capsys):
     for argv in (["compile", "-n", "-1"], ["level", "-n", "-1"], ["diff", "-n", "-2"]):
         assert_input_error(capsys, [argv[0], qft_file, *argv[1:]])
+    # A negative seed is refused alike, whether or not n draws a sample,
+    # and before the program file is read.
+    for file in (qft_file, qft_file + ".missing"):
+        for n in ("3", "7"):
+            err = assert_input_error(capsys, ["diff", file, "-n", n, "--seed", "-5"])
+            assert err == "error: --seed must be a nonnegative integer, got -5\n"
 
 
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -23,6 +25,7 @@ from foqc.circuit import (
     elementary_gate_count,
     export_json,
     lower,
+    replay_basis,
     simulate_circuit,
 )
 from foqc.cli import dispatch
@@ -264,12 +267,25 @@ def dirty_ancilla(c):
     return Circuit(c.n, c.ancillas + 1, c.gates + (h,))
 
 
-@pytest.mark.parametrize("edit", [None, add_gate, drop_gate, dirty_ancilla])
+def phase_nudge(c):
+    # A global phase e^{i 2^-30} on the first ControlledU: the op lists then
+    # differ only in float data, so both sides hold their keys in one order.
+    gates = list(c.gates)
+    for i, gate in enumerate(gates):
+        if isinstance(gate, ControlledU):
+            nudge = cmath.exp(1j * 2.0**-30)
+            matrix = tuple(tuple(x * nudge for x in row) for row in gate.matrix)
+            gates[i] = dataclasses.replace(gate, matrix=matrix)
+            break
+    return Circuit(c.n, c.ancillas, tuple(gates))
+
+
+@pytest.mark.parametrize("edit", [None, add_gate, drop_gate, dirty_ancilla, phase_nudge])
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_sparse_comparison_matches_a_dense_reference(corpus, monkeypatch, edit, n):
     # As compiled, the op lists of qft and teleport match the walk's, so
-    # both sides hold their keys in one order; an added or dropped gate
-    # leaves keys on one side only, and appendix-b's ancillas reorder them.
+    # nothing is replayed; an added or dropped gate leaves keys on one side
+    # only, and appendix-b's ancillas reorder them.
     for program in corpus.values():
         circuit = compile_program(program, n)
         if edit is not None:
@@ -280,6 +296,27 @@ def test_sparse_comparison_matches_a_dense_reference(corpus, monkeypatch, edit, 
             assert (got.n, got.cases, got.max_deviation) == (want.n, want.cases, want.max_deviation)
             # The reference adds up each column's residue in another order.
             assert got.max_ancilla_residue == pytest.approx(want.max_ancilla_residue, rel=1e-12)
+
+
+def test_equal_op_lists_are_not_replayed(corpus, monkeypatch):
+    # Without ancillas and with the walk's own ops, both sides are one op
+    # list on one kernel: the report is exact without a replay.
+    def refuse(*args):
+        raise AssertionError("replay_basis called")
+
+    monkeypatch.setattr(compiler, "replay_basis", refuse)
+    for name, n, cases in (("qft", 3, 8), ("qft", 10, 30), ("qft", 12, 31),
+                           ("teleport", 6, 64), ("teleport", 15, 32)):
+        assert diff_check(corpus[name], n).to_json() == DiffReport(n, cases, 0.0, 0.0).to_json()
+    replayed = []
+
+    def counted(*args):
+        replayed.append(args)
+        return replay_basis(*args)
+
+    monkeypatch.setattr(compiler, "replay_basis", counted)
+    assert diff_check(corpus["branching"], 8).to_json() == DiffReport(8, 29, 0.0, 0.0).to_json()
+    assert replayed
 
 
 def test_teleport_moves_payload(teleport):
@@ -349,6 +386,8 @@ DIRECT_PROGRAMS = {"straight": straight_program(300), "chain": chain_program(60)
 @pytest.mark.parametrize(
     "name, n",
     [(name, n) for name in ("qft", "teleport") for n in (3, 6, 9)]
+    # The `diff-verify` benchmark grid, whose diffs rely on this equality.
+    + [("qft", 10), ("qft", 11), ("qft", 12), ("teleport", 12), ("teleport", 15)]
     + [(name, QUBITS) for name in DIRECT_PROGRAMS],
 )
 def test_the_direct_compile_lowers_to_the_walks_ops(corpus, name, n):
