@@ -60,7 +60,7 @@ class ControlStructure:
     def of(cls, mapping: dict[int, int]) -> "ControlStructure":
         return cls(tuple(sorted(mapping.items())))
 
-    @property
+    @functools.cached_property
     def wires(self) -> frozenset[int]:
         return frozenset(w for w, _ in self.bits)
 
@@ -71,13 +71,23 @@ class ControlStructure:
         return None
 
     def extended(self, wire: int, bit: int) -> "ControlStructure":
-        """This structure with one more pinned wire; rejects conflicts."""
-        current = self.get(wire)
-        if current is not None:
+        """This structure with one more pinned wire; rejects conflicts.
+
+        The pins already held were validated when this structure was
+        built, so only the new one is checked.
+        """
+        if wire in self.wires:
+            current = self.get(wire)
             if current != bit:
                 raise CircuitError(f"wire {wire} already pinned to {current}")
             return self
-        return ControlStructure(tuple(sorted(self.bits + ((wire, bit),))))
+        if wire < 1:
+            raise CircuitError("control wires are 1-based positive integers")
+        if bit not in (0, 1):
+            raise CircuitError("control bits must be 0 or 1")
+        grown = object.__new__(ControlStructure)
+        object.__setattr__(grown, "bits", tuple(sorted(self.bits + ((wire, bit),))))
+        return grown
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +100,9 @@ def _check_wires(controls: ControlStructure, targets: tuple[int, ...]) -> None:
         raise CircuitError("target wires are 1-based positive integers")
     if len(set(targets)) != len(targets):
         raise CircuitError(f"duplicate target wire in {targets}")
-    overlap = controls.wires & set(targets)
-    if overlap:
-        raise CircuitError(f"control and target wires overlap: {sorted(overlap)}")
+    if not controls.wires.isdisjoint(targets):
+        overlap = sorted(controls.wires.intersection(targets))
+        raise CircuitError(f"control and target wires overlap: {overlap}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -106,6 +116,10 @@ def _matrix_error(matrix, targets: int) -> str | None:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         return f"matrix shape {m.shape} does not fit {targets} target wire(s)"
+    if not np.isfinite(m).all():
+        # An inf or NaN entry would make the unitarity test below NaN,
+        # which compares false.
+        return "matrix entries must be finite"
     if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
         return "matrix is not unitary"
     return None

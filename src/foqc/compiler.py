@@ -7,7 +7,11 @@ expressions, a procedure's classical argument, bound in an environment
 beside the current list) is evaluated at compile time; quantum cases split
 the control structure; recursive calls are the interesting part.
 
-A width-1 procedure call starts a worklist pass (`optimize`): controlled
+Merging pays only under quantum branches, so a call into a recursive
+group that nothing controls is expanded in place (`compr`), as a
+width-0 call is.  A worklist pass (`optimize`) starts where an instance
+of the group first gets a control: at a quantum case whose branches
+recurse, or at a recursive call under a control.  In a pass, controlled
 statement instances (cs, S, l) are peeled left context into C_L and right
 context into C_R until only recursive calls remain.  Calls that target a
 (procedure, argument, set-size) triple already seen are merged into the
@@ -214,7 +218,9 @@ class _Context:
     # a leaf the parser shares across groups holds no call, so its width
     # is 0 in each of them.
     stmt_widths: dict[int, int] = field(default_factory=dict)
-    # The matrix and label of each (operator, argument) compiled so far.
+    # The matrix and label of each (operator, argument) compiled so far,
+    # keyed by the operator's id(): the program keeps its operators alive,
+    # and an id hashes without walking the phase tree.
     gate_data: dict = field(default_factory=dict)
 
     def new_ancilla(self) -> int:
@@ -222,7 +228,8 @@ class _Context:
         return self.n + self.ancillas
 
     def width(self, stmt: Statement, group: set[str]) -> int:
-        return statement_width(stmt, group, self.stmt_widths)
+        w = self.stmt_widths.get(id(stmt))
+        return statement_width(stmt, group, self.stmt_widths) if w is None else w
 
     def key_budget(self) -> int:
         return (len(self.decls) + 1) * (self.n + 1) ** 2
@@ -313,55 +320,96 @@ def _assign_gates(
     if op.kind == OP_NOT:
         return [ControlledNot(cs, pos)]
     arg = eval_int(op.arg, l, env)
-    data = ctx.gate_data.get((op, arg))
+    data = ctx.gate_data.get((id(op), arg))
     if data is None:
         label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
         gate = controlled_u_gate(cs, (pos,), gate_matrix(op, arg), label)
-        ctx.gate_data[op, arg] = gate.matrix, gate.label
+        ctx.gate_data[id(op), arg] = gate.matrix, gate.label
         return [gate]
     return [ControlledU(cs, (pos,), *data)]
+
+
+def _recursing_item(ctx: _Context, items: tuple[Statement, ...], group: set[str]) -> int:
+    """The index of the first item of a sequence whose width against group
+    is 1, or of its last item when none is (width >= 2, unchecked)."""
+    return next(
+        (i for i, item in enumerate(items) if ctx.width(item, group) == 1), len(items) - 1
+    )
 
 
 def compr(
     ctx: _Context, stmt: Statement, l: tuple[int, ...], env: Env, cs: ControlStructure
 ) -> list[Gate]:
-    """Directly compile a statement whose recursive width is zero or whose
-    recursive calls each start their own worklist pass.
+    """Directly compile a statement, expanding in place every call that
+    nothing controls.
 
-    Runs on an explicit stack of (statement, list, env, control) entries,
-    popped in program order, so neither sequence length nor a chain of
-    expanded calls deepens the Python stack; only a width-1 call enters
-    `optimize`.
+    Runs on an explicit stack of (statement, list, env, control, group)
+    entries, popped in program order, so neither sequence length nor a
+    chain of expanded calls deepens the Python stack.  An uncontrolled
+    call into a recursive group is expanded here too, its entries carrying
+    the group: such an entry is the one instance of a worklist pass that
+    has nothing to merge yet.  Like `optimize`, it compiles a sequence's
+    prefix, then its suffix, then the item that recurses, and emits them in
+    program order.  A pass starts where an instance first gets a control:
+    at a quantum case that recurses, or at a controlled recursive call.
     """
     gates: list[Gate] = []
-    stack = [(stmt, l, env, cs)]
+    stack = [(stmt, l, env, cs, None)]
     while stack:
-        stmt, l, env, cs = stack.pop()
+        stmt, l, env, cs, group = stack.pop()
+        if group is not None and not ctx.width(stmt, group):
+            group = None
         if isinstance(stmt, Skip):
             continue
         if isinstance(stmt, Assign):
             gates += _assign_gates(ctx, stmt, l, env, cs)
         elif isinstance(stmt, Seq):
-            stack += [(item, l, env, cs) for item in reversed(stmt.items)]
+            items = stmt.items
+            if group is None:
+                stack += [(item, l, env, cs, None) for item in reversed(items)]
+                continue
+            k = _recursing_item(ctx, items, group)
+            if k + 1 < len(items):
+                # Ancilla numbers and the first error depend on this order:
+                # prefix, suffix, then the item.
+                for item in items[:k]:
+                    gates += compr(ctx, item, l, env, cs)
+                suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, env, cs)]
+                # The suffix's gates, emitted once the item's are.
+                stack.append((suffix, None, None, None, None))
+                stack.append((items[k], l, env, cs, group))
+            else:
+                stack.append((items[k], l, env, cs, group))
+                stack += [(item, l, env, cs, None) for item in reversed(items[:k])]
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
-            stack.append((branch, l, env, cs))
+            stack.append((branch, l, env, cs, group))
         elif isinstance(stmt, QCase):
+            if group is not None:
+                gates += optimize(ctx, deque([(cs, stmt, l, env)]), group, {})
+                continue
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
                 continue
-            stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1)))
-            stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0)))
+            stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1), None))
+            stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0), None))
         elif isinstance(stmt, Call):
             bound = bind_call(stmt, ctx.decls, l, env)
             if bound is None:
                 continue
             sub_l, decl, sub_env = bound
             if ctx.widths[stmt.proc] == 0:
-                stack.append((decl.body, sub_l, sub_env, cs))
+                stack.append((decl.body, sub_l, sub_env, cs, None))
+            elif not cs.bits:
+                # A one-entry worklist: nothing to merge with, so no pair
+                # to check and no key to record.
+                ctx.max_worklist = max(ctx.max_worklist, 1)
+                stack.append((decl.body, sub_l, sub_env, cs, ctx.equiv[stmt.proc]))
             else:
                 worklist = deque([(cs, decl.body, sub_l, sub_env)])
-                gates += optimize(ctx, worklist, stmt.proc, {})
+                gates += optimize(ctx, worklist, ctx.equiv[stmt.proc], {})
+        elif isinstance(stmt, list):
+            gates += stmt
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return gates
@@ -370,16 +418,16 @@ def compr(
 def optimize(
     ctx: _Context,
     worklist: deque,
-    proc: str,
+    group: set[str],
     anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]],
 ) -> list[Gate]:
     """Worklist compilation of one mutually recursive procedure group.
 
     `anc` is the pass's ancilla table: it maps (procedure, classical
     argument, set size) to the control ancilla and wire list of the first
-    instance compiled for that key.
+    instance compiled for that key.  Every call the pass meets is
+    controlled: a pass starts at a controlled call or at a quantum case.
     """
-    group = ctx.equiv[proc]
     c_left: list[Gate] = []
     c_right: list[Gate] = []
     while worklist:
@@ -402,10 +450,7 @@ def optimize(
             # The prefix before the width-1 item goes to C_L, the item to
             # the worklist, the suffix to C_R.
             items = stmt.items
-            k = next(
-                (i for i, item in enumerate(items) if ctx.width(item, group) == 1),
-                len(items) - 1,
-            )
+            k = _recursing_item(ctx, items, group)
             for item in items[:k]:
                 c_left += compr(ctx, item, l, env, cs)
             worklist.append((cs, items[k], l, env))
@@ -436,11 +481,6 @@ def optimize(
             if bound is None:
                 continue
             sub_l, decl, sub_env = bound
-            if not cs.bits:
-                # Nothing controls this instance, so there is nothing to
-                # merge under: expand the body directly.
-                worklist.append((cs, decl.body, sub_l, sub_env))
-                continue
             key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
             if key in anc:
                 a, seen_l = anc[key]

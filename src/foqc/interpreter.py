@@ -98,7 +98,8 @@ class QuantumState:
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for {n} qubits, got {amps.shape[0]}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_TOLERANCE:
+        # Negated, so that a NaN norm fails the test too.
+        if not abs(norm - 1.0) <= STATE_TOLERANCE:
             raise ValueError(f"state is not normalized (norm {norm!r})")
         self.n = n
         self.amplitudes = amps
@@ -279,7 +280,9 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     decls = p.decl_map()
     remaining = budget
     ops: list = []
-    entries: dict = {}  # (operator, argument) -> its 2x2 entries
+    # (id(operator), argument) -> its 2x2 entries: p keeps its operators
+    # alive, and an id hashes without walking the phase tree.
+    entries: dict = {}
     frames: list = []
     stmt, mask, want, l, env = p.main, 0, 0, tuple(range(1, n + 1)), NO_ENV
     while True:
@@ -317,10 +320,10 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
             else:
                 op = stmt.op
                 arg = eval_int(op.arg, l, env) if op.arg is not None else 0
-                u = entries.get((op, arg))
+                u = entries.get((id(op), arg))
                 if u is None:
                     (u00, u01), (u10, u11) = gate_matrix(op, arg).tolist()
-                    u = entries[op, arg] = (u00, u01, u10, u11)
+                    u = entries[id(op), arg] = (u00, u01, u10, u11)
                 ops.append(one_target_op(mask, want, bit, u))
                 result = TOP, 0, None
         elif isinstance(stmt, Skip):

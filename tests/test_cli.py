@@ -419,6 +419,24 @@ def test_simulate_refuses_a_non_unitary_gate_on_every_request(tmp_path, capsys):
         assert err == "error: matrix is not unitary\n"
 
 
+def test_simulate_refuses_a_non_finite_matrix_entry(tmp_path, capsys):
+    # 1e400 parses as inf, and the unitarity test on it compares NaN.
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"n":1,"ancillas":0,"gates":[{"kind":"cu","controls":[],"targets":[1],'
+        '"matrix":[[[1e400,0],[0,0]],[[0,0],[1,0]]]}]}'
+    )
+    err = assert_input_error(capsys, ["simulate", str(path), "--state", "0"])
+    assert err == "error: matrix entries must be finite\n"
+
+
+def test_run_refuses_a_nan_amplitude(qft_file, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n":1,"amplitudes":[[NaN,0],[0,0]]}')
+    err = assert_input_error(capsys, ["run", str(qft_file), "--amplitudes", str(path)])
+    assert err == "error: bad state JSON: state is not normalized (norm nan)\n"
+
+
 def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
     path = tmp_path / "huge.foq"
     path.write_text(":: q[1] *= RY[2^99999](0);")

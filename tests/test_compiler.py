@@ -65,6 +65,44 @@ def test_qft_compiles_without_ancillas(qft):
         assert stats["gates"] == gates
 
 
+@pytest.mark.parametrize("name", ["qft", "teleport"])
+def test_a_program_that_merges_nothing_starts_no_worklist_pass(corpus, monkeypatch, name):
+    # Every recursive call of these programs is uncontrolled, so each is
+    # expanded in place, as the walk runs it.
+    def refused(*args):
+        raise AssertionError("a worklist pass started")
+
+    monkeypatch.setattr(compiler, "optimize", refused)
+    for n in (3, 8, 16):
+        circuit = compile_program(corpus[name], n)
+        assert circuit.ancillas == 0 and circuit.gates
+
+
+@pytest.mark.parametrize("source", ["appendix-b.foq"] + TERMS[2:])
+def test_a_program_that_merges_starts_a_worklist_pass(monkeypatch, source):
+    program = parse_program(EXAMPLES[source]) if source in EXAMPLES else to_pfoq(parse_term(source))
+    original = compiler.optimize
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(compiler, "optimize", counted)
+    assert compile_with_stats(program, 8)[1]["ancillas"] > 0
+    assert passes
+
+
+def test_compile_stats_count_an_in_place_expansion_as_a_one_entry_worklist(
+    tmp_path, capsys
+):
+    path = tmp_path / "qft.foq"
+    path.write_text(EXAMPLES["qft.foq"])
+    assert dispatch(["compile", str(path), "-n", "5", "--stats"]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert stats["max_worklist"] == 1 and stats["ancillas"] == 0
+
+
 def test_branching_ancilla_and_gate_counts(branching):
     circuit, stats = compile_with_stats(branching, 7)
     assert stats == {

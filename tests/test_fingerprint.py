@@ -17,6 +17,7 @@ import pytest
 from foqc import check_pfoq, compile_with_stats, export_json, parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.cli import dispatch
+from foqc.interpreter import BottomError
 from foqc.parser import ParseError, tokenize
 from foqc.programs import EXAMPLES
 
@@ -203,4 +204,87 @@ def test_rejected_program_verdicts():
     # reports the widest body (width 2) and that body's width diagnostic.
     assert digest(chunks) == (
         "08b6e8822b1c8e2cadcd1e60ae4895c5484c9d634bf6193956d5f27cf497cb1d"
+    )
+
+
+def _leaf(rng, lo=1):
+    """A random statement that calls nothing and acts from p[lo] on."""
+    k = rng.randint(lo, lo + 2)
+    return rng.choice(
+        [
+            f"p[{k}] *= NOT;",
+            f"p[{k}] *= RY[pi / {rng.randint(2, 8)}](0);",
+            "skip;",
+            f"qcase p[{k}] of {{ 0 -> skip; , 1 -> p[{k + 1}] *= H; }}",
+        ]
+    )
+
+
+def _recursing_item(rng, proc, depth=0):
+    """A statement of width 1 against `proc`'s group: its recursive call,
+    perhaps under an `if` and nested quantum cases, one or both of whose
+    branches recurse."""
+    r = rng.random()
+    if depth >= 2 or r < 0.35:
+        return f"call {proc}(p \\ [{rng.choice([1, 1, 1, 2])}]);"
+    if r < 0.55:
+        return (
+            f"if size(p) > {rng.randint(1, 3)} then {{ {_recursing_item(rng, proc, depth + 1)} }}"
+            f" else {{ {_leaf(rng, depth + 1)} }}"
+        )
+    branches = [_recursing_item(rng, proc, depth + 1)]
+    if rng.random() < 0.5:
+        branches.append(_recursing_item(rng, proc, depth + 1))
+    else:
+        branches.append(_leaf(rng, depth + 2))
+    rng.shuffle(branches)
+    return f"qcase p[{depth + 1}] of {{ 0 -> {branches[0]} , 1 -> {branches[1]} }}"
+
+
+def _recursing_body(rng, proc, tail=""):
+    before = " ".join(_leaf(rng) for _ in range(rng.randint(0, 2)))
+    after = " ".join(_leaf(rng) for _ in range(rng.randint(0, 2)))
+    return (
+        f"if size(p) > 1 then {{ {before} {_recursing_item(rng, proc)} {after} {tail} }}"
+        f" else {{ {_leaf(rng)} }}"
+    )
+
+
+def generated_recursion_program(rng):
+    """Procedure `a` recurses and calls `b`, itself recursive in its own
+    group: in a leaf-free quantum case around the call, or at the end of
+    its body, where `b` is controlled exactly when `a`'s instance is."""
+    tail = rng.choice(["", "call b(p);", "qcase p[1] of { 0 -> call b(p \\ [1]); , 1 -> skip; }"])
+    main = "call a(q);"
+    if rng.random() < 0.5:
+        main = f"{_leaf(rng).replace('p[', 'q[')} {main} {_leaf(rng).replace('p[', 'q[')}"
+    return (
+        f"decl a(p) {{ {_recursing_body(rng, 'a', tail)} }},\n"
+        f"decl b(p) {{ {_recursing_body(rng, 'b')} }},\n"
+        f":: {main}"
+    )
+
+
+def test_generated_recursion_circuits():
+    # Two recursion groups whose instances get their first control at
+    # different depths, or none: the order in which the compiler numbers
+    # ancillas and meets errors shows in these bytes.
+    rng = random.Random(19)
+    chunks = []
+    bottoms = 0
+    for _ in range(600):
+        source = generated_recursion_program(rng)
+        program = parse_program(source)
+        chunks.append(source)
+        for n in range(2, 6):
+            try:
+                circuit, stats = compile_with_stats(program, n)
+            except BottomError as error:
+                chunks += [str(n), str(error)]
+                bottoms += 1
+                continue
+            chunks += [str(n), export_json(circuit), json.dumps(stats, sort_keys=True)]
+    assert bottoms == 920
+    assert digest(chunks) == (
+        "86aaf12bb7443b3a1277a02b88c9902afdb6bd9b5024fef5e5234815a24e7b37"
     )
