@@ -14,12 +14,18 @@ Gate kinds:
 
 The JSON form is canonical: fixed key order, controls sorted by wire, no
 whitespace variation — identical circuits serialize to identical bytes.
+
+Most gates of a compiled circuit repeat an earlier one, so a circuit shares
+its gates: the compiler and `import_json` build one object per distinct
+gate, and `Circuit` checks, `lower` lowers and `export_json` encodes each
+distinct gate object once.  Every such memo lives for one call.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import marshal
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,22 @@ class CircuitError(FoqError):
 
 class CircuitSchemaError(FoqError):
     """Circuit JSON does not match the expected schema."""
+
+
+class _cached:
+    """`functools.cached_property` without the lock it takes on each first
+    read before Python 3.12: the value goes into the instance's __dict__,
+    where every later read finds it before this descriptor."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -60,7 +82,7 @@ class ControlStructure:
     def of(cls, mapping: dict[int, int]) -> "ControlStructure":
         return cls(tuple(sorted(mapping.items())))
 
-    @functools.cached_property
+    @_cached
     def wires(self) -> frozenset[int]:
         return frozenset(w for w, _ in self.bits)
 
@@ -213,7 +235,8 @@ class Circuit:
         if self.n < 0 or self.ancillas < 0:
             raise CircuitError("wire counts n and ancillas must be nonnegative")
         total = self.n + self.ancillas
-        for gate in self.gates:
+        # Each distinct gate object once, in order of first occurrence.
+        for gate in {id(g): g for g in self.gates}.values():
             highest = max(gate_wires(gate), default=1)
             if highest > total:
                 raise CircuitError(
@@ -340,30 +363,38 @@ def one_target_op(mask: int, want: int, bit: int, entries) -> tuple:
 
 
 def lower(c: Circuit) -> list[tuple]:
-    """The circuit's gates as ops on indices over its n + ancillas wires."""
-    total = c.total_wires
+    """The circuit's gates as ops on indices over its n + ancillas wires.
 
+    Each distinct gate object is lowered once; its repeats share its ops.
+    """
+    total = c.total_wires
+    ops: list[tuple] = []
+    lowered: dict[int, list[tuple]] = {}
+    for gate in c.gates:
+        gate_ops = lowered.get(id(gate))
+        if gate_ops is None:
+            gate_ops = lowered[id(gate)] = _lower_gate(gate, total)
+        ops += gate_ops
+    return ops
+
+
+def _lower_gate(gate: Gate, total: int) -> list[tuple]:
     def bit(wire: int) -> int:
         return 1 << (total - wire)
 
-    ops: list[tuple] = []
-    for gate in c.gates:
-        mask = want = 0
-        for w, b in gate.controls.bits:
-            mask |= bit(w)
-            want |= b * bit(w)
-        if isinstance(gate, ControlledNot):
-            ops.append((FLIP, mask, want, bit(gate.target), None))
-        elif isinstance(gate, ControlledSwap):
-            # The pairs are disjoint, so swapping them one by one is exact.
-            for a, b in zip(gate.left, gate.right):
-                ops.append((SWAP, mask, want, (total - a, total - b), None))
-        elif len(gate.targets) == 1:
-            (u00, u01), (u10, u11) = gate.matrix
-            ops.append(one_target_op(mask, want, bit(gate.targets[0]), (u00, u01, u10, u11)))
-        else:
-            ops.append((MIX_MANY, mask, want, tuple(map(bit, gate.targets)), gate.matrix_array()))
-    return ops
+    mask = want = 0
+    for w, b in gate.controls.bits:
+        mask |= bit(w)
+        want |= b * bit(w)
+    if isinstance(gate, ControlledNot):
+        return [(FLIP, mask, want, bit(gate.target), None)]
+    if isinstance(gate, ControlledSwap):
+        # The pairs are disjoint, so swapping them one by one is exact.
+        return [(SWAP, mask, want, (total - a, total - b), None) for a, b in zip(gate.left, gate.right)]
+    if len(gate.targets) == 1:
+        (u00, u01), (u10, u11) = gate.matrix
+        return [one_target_op(mask, want, bit(gate.targets[0]), (u00, u01, u10, u11))]
+    return [(MIX_MANY, mask, want, tuple(map(bit, gate.targets)), gate.matrix_array())]
 
 
 def _combine(a0: np.ndarray, a1: np.ndarray, entries) -> None:
@@ -683,42 +714,99 @@ def _gate_to_json(gate: Gate) -> dict:
 
 
 def export_json(c: Circuit) -> str:
-    obj = {
-        "n": c.n,
-        "ancillas": c.ancillas,
-        "gates": [_gate_to_json(g) for g in c.gates],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text: `json.dumps(..., sort_keys=True,
+    separators=(",", ":"))` of the circuit, each distinct gate object
+    encoded once."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    pieces: dict[int, str] = {}
+    gates = []
+    for gate in c.gates:
+        piece = pieces.get(id(gate))
+        if piece is None:
+            piece = pieces[id(gate)] = encode(_gate_to_json(gate))
+        gates.append(piece)
+    # The keys in sorted order: ancillas, gates, n.
+    return f'{{"ancillas":{encode(c.ancillas)},"gates":[{",".join(gates)}],"n":{encode(c.n)}}}'
 
 
-def _gate_from_json(obj: dict) -> Gate:
-    try:
-        kind = obj["kind"]
-        controls = ControlStructure(tuple((int(w), int(b)) for w, b in obj["controls"]))
-        targets = [int(t) for t in obj["targets"]]
-    except (KeyError, TypeError, ValueError, CircuitError) as exc:
-        raise CircuitSchemaError(f"malformed gate object: {exc}") from exc
-    if kind == "cnot":
-        if len(targets) != 1:
-            raise CircuitSchemaError("cnot takes exactly one target")
-        return ControlledNot(controls, targets[0])
-    if kind == "cswap":
-        if len(targets) % 2:
-            raise CircuitSchemaError("cswap targets must split into two equal halves")
-        half = len(targets) // 2
-        return ControlledSwap(controls, tuple(targets[:half]), tuple(targets[half:]))
-    if kind == "cu":
+def _json_ints(values, what: str) -> None:
+    """Refuse any value that is not a JSON integer, such as 1.5 or true."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{what} must be integers, got {json.dumps(value)}")
+
+
+class _GateReader:
+    """Builds the gates of one circuit document, each distinct one once.
+
+    A gate object seen before returns the gate built for its first
+    occurrence, and a new one reuses the control structure and the matrix
+    of an earlier gate that has equal ones.  Gate objects and matrices are
+    keyed by their marshalled bytes, which tell apart what `==` does not:
+    0.0 from -0.0 (its sign shows in `simulate`'s zeros) and 1 from 1.0
+    and true.  Only gates that were built are remembered, so a malformed
+    gate raises on its first occurrence, with the error it always had.
+    """
+
+    def __init__(self) -> None:
+        self.gates: dict[bytes, Gate] = {}
+        self.controls: dict[tuple[tuple[int, int], ...], ControlStructure] = {}
+        self.matrices: dict[bytes, tuple] = {}
+
+    def gate(self, obj) -> Gate:
+        key = marshal.dumps(obj, 2)
+        gate = self.gates.get(key)
+        if gate is None:
+            gate = self.gates[key] = self._build(obj)
+        return gate
+
+    def _build(self, obj) -> Gate:
         try:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in obj["matrix"]]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CircuitSchemaError(f"malformed cu matrix: {exc}") from exc
-        return controlled_u_gate(controls, tuple(targets), matrix, obj.get("label"))
-    raise CircuitSchemaError(f"unknown gate kind {kind!r}")
+            kind = obj["kind"]
+            pairs = tuple((w, b) for w, b in obj["controls"])
+            _json_ints((v for pair in pairs for v in pair), "control wires and bits")
+            controls = self.controls.get(pairs)
+            if controls is None:
+                controls = self.controls[pairs] = ControlStructure(pairs)
+            targets = tuple(obj["targets"])
+            _json_ints(targets, "target wires")
+        except (KeyError, TypeError, ValueError, CircuitError) as exc:
+            raise CircuitSchemaError(f"malformed gate object: {exc}") from exc
+        if kind == "cnot":
+            if len(targets) != 1:
+                raise CircuitSchemaError("cnot takes exactly one target")
+            return ControlledNot(controls, targets[0])
+        if kind == "cswap":
+            if len(targets) % 2:
+                raise CircuitSchemaError("cswap targets must split into two equal halves")
+            half = len(targets) // 2
+            return ControlledSwap(controls, targets[:half], targets[half:])
+        if kind == "cu":
+            try:
+                rows = obj["matrix"]
+            except KeyError as exc:
+                raise CircuitSchemaError(f"malformed cu matrix: {exc}") from exc
+            gate = ControlledU(controls, targets, self._matrix(rows), obj.get("label"))
+            # Checked last, so a gate that breaks an older rule too keeps its error.
+            if gate.label is not None and not isinstance(gate.label, str):
+                raise CircuitSchemaError(f"cu label must be a string, got {json.dumps(gate.label)}")
+            return gate
+        raise CircuitSchemaError(f"unknown gate kind {kind!r}")
+
+    def _matrix(self, rows) -> tuple[tuple[complex, ...], ...]:
+        key = marshal.dumps(rows, 2)
+        matrix = self.matrices.get(key)
+        if matrix is None:
+            try:
+                m = np.array([[complex(re, im) for re, im in row] for row in rows])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CircuitSchemaError(f"malformed cu matrix: {exc}") from exc
+            matrix = self.matrices[key] = tuple(map(tuple, np.asarray(m, dtype=complex)))
+        return matrix
 
 
 def import_json(text: str) -> Circuit:
+    """The circuit of a JSON document; its repeated gates share one object."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -728,7 +816,8 @@ def import_json(text: str) -> Circuit:
     if not isinstance(obj["gates"], list):
         raise CircuitSchemaError("circuit JSON 'gates' must be a list")
     try:
-        gates = tuple(_gate_from_json(g) for g in obj["gates"])
-        return Circuit(int(obj["n"]), int(obj["ancillas"]), gates)
+        gates = tuple(map(_GateReader().gate, obj["gates"]))
+        _json_ints((obj["n"], obj["ancillas"]), "circuit JSON 'n' and 'ancillas'")
+        return Circuit(obj["n"], obj["ancillas"], gates)
     except (CircuitError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(str(exc)) from exc

@@ -116,6 +116,9 @@ def _budget(args) -> int:
 def _qubits(args) -> int:
     if args.n < 0:
         raise _CliIOError(f"-n must be a nonnegative qubit count, got {args.n}")
+    if args.n > sys.maxsize:
+        # A position list that long cannot even be indexed.
+        raise _CliIOError(f"-n must be at most {sys.maxsize}, got {args.n}")
     return args.n
 
 
@@ -131,7 +134,7 @@ def _input_state(args) -> QuantumState:
     if args.amplitudes is not None:
         try:
             return QuantumState.from_json(_read_text(args.amplitudes))
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise _CliIOError(f"bad state JSON: {exc}") from exc
     raise _CliIOError("provide an input state with --state or --amplitudes")
 

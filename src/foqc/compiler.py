@@ -222,6 +222,10 @@ class _Context:
     # keyed by the operator's id(): the program keeps its operators alive,
     # and an id hashes without walking the phase tree.
     gate_data: dict = field(default_factory=dict)
+    # The gate of each (operator id, argument, position, control bits)
+    # compiled so far, or of each (position, control bits) for a NOT: a
+    # repeated gate is the same object (`circuit` module docstring).
+    gates: dict = field(default_factory=dict)
 
     def new_ancilla(self) -> int:
         self.ancillas += 1
@@ -318,15 +322,24 @@ def _assign_gates(
         return []
     op = stmt.op
     if op.kind == OP_NOT:
-        return [ControlledNot(cs, pos)]
-    arg = eval_int(op.arg, l, env)
-    data = ctx.gate_data.get((id(op), arg))
-    if data is None:
-        label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
-        gate = controlled_u_gate(cs, (pos,), gate_matrix(op, arg), label)
-        ctx.gate_data[id(op), arg] = gate.matrix, gate.label
+        key = (pos, cs.bits)
+        gate = ctx.gates.get(key)
+        if gate is None:
+            gate = ctx.gates[key] = ControlledNot(cs, pos)
         return [gate]
-    return [ControlledU(cs, (pos,), *data)]
+    arg = eval_int(op.arg, l, env)
+    key = (id(op), arg, pos, cs.bits)
+    gate = ctx.gates.get(key)
+    if gate is None:
+        data = ctx.gate_data.get((id(op), arg))
+        if data is None:
+            label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
+            gate = controlled_u_gate(cs, (pos,), gate_matrix(op, arg), label)
+            ctx.gate_data[id(op), arg] = gate.matrix, gate.label
+        else:
+            gate = ControlledU(cs, (pos,), *data)
+        ctx.gates[key] = gate
+    return [gate]
 
 
 def _recursing_item(ctx: _Context, items: tuple[Statement, ...], group: set[str]) -> int:
@@ -487,18 +500,17 @@ def optimize(
                 ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
                 ctx.callers.append((a, cs, sub_l, seen_l))
                 if sub_l == seen_l:
-                    c_left.append(ControlledNot(cs, a))
-                    c_right = [ControlledNot(cs, a)] + c_right
+                    flip = ControlledNot(cs, a)
+                    c_left.append(flip)
+                    c_right = [flip] + c_right
                 else:
                     e = ctx.new_ancilla()
                     ctx.meanings[e] = ctx.resolve(cs)
-                    route = routing_swaps(
-                        ControlStructure.of({e: 1}), sub_l, seen_l
-                    )
+                    on_e = ControlStructure.of({e: 1})
                     forward: list[Gate] = [
                         ControlledNot(cs, e),
-                        ControlledNot(ControlStructure.of({e: 1}), a),
-                    ] + route
+                        ControlledNot(on_e, a),
+                    ] + routing_swaps(on_e, sub_l, seen_l)
                     c_left += forward
                     c_right = list(reversed(forward)) + c_right
             else:
@@ -512,8 +524,9 @@ def optimize(
                         "ancilla table exceeded its polynomial bound; "
                         "this indicates an internal bug"
                     )
-                c_left.append(ControlledNot(cs, a))
-                c_right = [ControlledNot(cs, a)] + c_right
+                flip = ControlledNot(cs, a)
+                c_left.append(flip)
+                c_right = [flip] + c_right
                 worklist.append((ControlStructure.of({a: 1}), decl.body, sub_l, sub_env))
         else:
             raise CompileError(f"width-1 statement of unexpected shape: {stmt!r}")

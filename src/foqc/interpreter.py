@@ -119,8 +119,11 @@ class QuantumState:
         data = json.loads(text)
         if not isinstance(data, dict) or "n" not in data or "amplitudes" not in data:
             raise ValueError("state JSON must be an object with 'n' and 'amplitudes'")
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError(f"'n' must be an integer, got {json.dumps(n)}")
         amps = [complex(re, im) for re, im in data["amplitudes"]]
-        return cls(int(data["n"]), amps)
+        return cls(n, amps)
 
     def __repr__(self) -> str:
         return f"QuantumState(n={self.n})"

@@ -34,6 +34,9 @@ from foqc.circuit import (
     trace_ancillas,
 )
 from foqc.compiler import compile_program
+from foqc.parser import parse_program
+
+from test_long_programs import straight_program
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,6 +219,43 @@ def test_import_json_schema_errors():
                 }
             )
         )
+
+
+def _distinct(c: Circuit) -> tuple[int, int]:
+    """How many distinct gate objects and distinct gate values c holds."""
+    return len({id(g) for g in c.gates}), len(set(c.gates))
+
+
+@pytest.fixture(scope="module")
+def straight_circuit():
+    return compile_program(parse_program(straight_program(400)), 8)
+
+
+def test_compile_builds_each_distinct_gate_once(straight_circuit):
+    objects, values = _distinct(straight_circuit)
+    assert values < len(straight_circuit.gates)  # the program repeats gates
+    assert objects == values
+
+
+def test_import_builds_each_distinct_gate_once(straight_circuit):
+    back = import_json(export_json(straight_circuit))
+    assert back == straight_circuit
+    values = len(set(back.gates))
+    assert _distinct(back) == (values, values)
+    # Repeats lower to the very ops of their first occurrence.
+    assert len({id(op) for op in lower(back)}) == values
+
+
+def test_gates_that_differ_only_in_the_sign_of_a_zero_stay_apart():
+    def gate(zero):
+        matrix = [[[1.0, 0.0], [zero, 0.0]], [[0.0, zero], [1.0, 0.0]]]
+        return {"controls": [], "kind": "cu", "matrix": matrix, "targets": [1]}
+
+    gates = [gate(0.0), gate(-0.0), gate(0.0), gate(-0.0)]
+    text = json.dumps(
+        {"ancillas": 0, "gates": gates, "n": 1}, sort_keys=True, separators=(",", ":")
+    )
+    assert export_json(import_json(text)) == text
 
 
 def test_gate_wires_helper():

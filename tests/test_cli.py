@@ -398,8 +398,33 @@ def assert_input_error(capsys, argv):
         '{"n":1,"ancillas":0,"gates":5}',
         '{"n":-1,"ancillas":0,"gates":[]}',
         '{"n":1,"ancillas":-2,"gates":[]}',
+        # 1e400 parses as inf; wire counts and wires must be JSON integers.
+        '{"n":1e400,"ancillas":0,"gates":[]}',
+        '{"n":1,"ancillas":1e400,"gates":[]}',
+        '{"n":1.5,"ancillas":0,"gates":[]}',
+        '{"n":1,"ancillas":0,"gates":[{"kind":"cnot","controls":[],"targets":[1e400]}]}',
+        '{"n":1,"ancillas":0,"gates":[{"kind":"cnot","controls":[],"targets":[true]}]}',
+        '{"n":2,"ancillas":0,"gates":[{"kind":"cnot","controls":[[1e400,1]],"targets":[1]}]}',
+        '{"n":2,"ancillas":0,"gates":[{"kind":"cnot","controls":[[2,true]],"targets":[1]}]}',
+        '{"n":1,"ancillas":0,"gates":[{"kind":"cu","controls":[],"targets":[1],'
+        '"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"label":5}]}',
+        '{"n":1,"ancillas":0,"gates":[{"kind":"cu","controls":[],"targets":[1],'
+        '"matrix":[[[1' + "0" * 400 + ',0],[0,0]],[[0,0],[1,0]]]}]}',
     ],
-    ids=["gates-not-a-list", "negative-n", "negative-ancillas"],
+    ids=[
+        "gates-not-a-list",
+        "negative-n",
+        "negative-ancillas",
+        "infinite-n",
+        "infinite-ancillas",
+        "fractional-n",
+        "infinite-target",
+        "boolean-target",
+        "infinite-control-wire",
+        "boolean-control-bit",
+        "non-string-label",
+        "huge-integer-matrix-entry",
+    ],
 )
 def test_malformed_circuit_json_is_a_schema_error(tmp_path, capsys, text):
     with pytest.raises(CircuitSchemaError):
@@ -437,6 +462,22 @@ def test_run_refuses_a_nan_amplitude(qft_file, tmp_path, capsys):
     assert err == "error: bad state JSON: state is not normalized (norm nan)\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n":1e400,"amplitudes":[[1,0]]}', "'n' must be an integer, got Infinity"),
+        ('{"n":true,"amplitudes":[[1,0],[0,0]]}', "'n' must be an integer, got true"),
+        ('{"n":1,"amplitudes":[[1' + "0" * 400 + ',0],[0,0]]}', "int too large to convert to float"),
+    ],
+    ids=["infinite-n", "boolean-n", "huge-integer-amplitude"],
+)
+def test_run_refuses_a_malformed_state(qft_file, tmp_path, capsys, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    err = assert_input_error(capsys, ["run", str(qft_file), "--amplitudes", str(path)])
+    assert err == f"error: bad state JSON: {message}\n"
+
+
 def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
     path = tmp_path / "huge.foq"
     path.write_text(":: q[1] *= RY[2^99999](0);")
@@ -447,6 +488,10 @@ def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
 def test_negative_qubit_count_is_refused(qft_file, capsys):
     for argv in (["compile", "-n", "-1"], ["level", "-n", "-1"], ["diff", "-n", "-2"]):
         assert_input_error(capsys, [argv[0], qft_file, *argv[1:]])
+    # So is a count past the largest index, which no position list can hold.
+    for command in ("compile", "level", "diff"):
+        err = assert_input_error(capsys, [command, qft_file, "-n", str(10**20)])
+        assert err == f"error: -n must be at most {sys.maxsize}, got {10**20}\n"
     # A negative seed is refused alike, whether or not n draws a sample,
     # and before the program file is read.
     for file in (qft_file, qft_file + ".missing"):

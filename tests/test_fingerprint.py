@@ -1,8 +1,8 @@
 """Byte-level fingerprints of parser, compiler, analysis and interpreter output.
 
 Each test hashes the exact text the toolchain produces on a fixed corpus:
-circuit JSON and compile statistics, verdict JSON, `foqc run` and `foqc diff`
-stdout, the circuits of a few algebra terms, and the parse errors of mutated
+circuit JSON and compile statistics, verdict JSON, `foqc run`, `foqc simulate`
+and `foqc diff` stdout, the circuits of a few algebra terms, and the parse errors of mutated
 programs.  A refactor that is meant to leave
 outputs unchanged must leave every digest unchanged; a change that moves
 them on purpose records the new digests here and says why.
@@ -287,4 +287,33 @@ def test_generated_recursion_circuits():
     assert bottoms == 920
     assert digest(chunks) == (
         "86aaf12bb7443b3a1277a02b88c9902afdb6bd9b5024fef5e5234815a24e7b37"
+    )
+
+
+# Long generated programs on the eight qubits their generators act on.
+LONG_SOURCES = {
+    **{f"straight-{k}.foq": straight_program(k) for k in (100, 400, 1500)},
+    **{f"chain-{k}.foq": chain_program(k) for k in (30, 150)},
+}
+
+
+def test_simulate_stdout(tmp_path, capsys):
+    # `compile`'s circuit JSON read back by `simulate`: the bytes of both.
+    requests = [(name, src, bits) for name, src in CORPUS.items() for bits in RUN_STATES]
+    requests += [(name, src, "01101001") for name, src in LONG_SOURCES.items()]
+    chunks = []
+    for name, src, bits in requests:
+        path = tmp_path / name
+        path.write_text(src)
+        circuit = tmp_path / "circuit.json"
+        for argv in (
+            ["compile", str(path), "-n", str(len(bits)), "-o", str(circuit)],
+            ["simulate", str(circuit), "--state", bits],
+        ):
+            assert dispatch(argv) == 0
+            captured = capsys.readouterr()
+            chunks += [name, bits, captured.out, captured.err]
+        chunks.append(circuit.read_text())
+    assert digest(chunks) == (
+        "0bc854dacd7df8638ad1040f23d4c9e1d5a41b29e527f72572001bbf2dd7cc97"
     )
