@@ -419,10 +419,14 @@ def parse_term(text: str) -> AlgebraTerm:
     tokens = _tokenize_term(text)
     if not tokens:
         raise AlgebraError("empty term text")
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise AlgebraError("trailing text after the term")
-    return _term_from_sexpr(node)
+    try:
+        # Both readers descend once per nesting level of the term.
+        node, pos = _read_sexpr(tokens, 0)
+        if pos != len(tokens):
+            raise AlgebraError("trailing text after the term")
+        return _term_from_sexpr(node)
+    except RecursionError:
+        raise AlgebraError("term text nests too deeply") from None
 
 
 def format_term(term: AlgebraTerm) -> str:

@@ -24,6 +24,7 @@ distinct gate object once.  Every such memo lives for one call.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import marshal
 from dataclasses import dataclass
@@ -57,6 +58,15 @@ class _cached:
         return value
 
 
+def _no_bools(values, what: str) -> None:
+    """Refuse True and False: as ints they pass every range check, but
+    `export_json` would write them as true and false, which `import_json`
+    refuses."""
+    for value in values:
+        if type(value) is bool:
+            raise CircuitError(f"{what} must be integers, not booleans")
+
+
 @dataclass(frozen=True)
 class ControlStructure:
     """A partial map wire -> required bit, stored sorted by wire."""
@@ -64,6 +74,7 @@ class ControlStructure:
     bits: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        _no_bools(itertools.chain.from_iterable(self.bits), "control wires and bits")
         wires = [w for w, _ in self.bits]
         if any(w < 1 for w in wires):
             raise CircuitError("control wires are 1-based positive integers")
@@ -103,6 +114,7 @@ class ControlStructure:
             if current != bit:
                 raise CircuitError(f"wire {wire} already pinned to {current}")
             return self
+        _no_bools((wire, bit), "control wires and bits")
         if wire < 1:
             raise CircuitError("control wires are 1-based positive integers")
         if bit not in (0, 1):
@@ -118,6 +130,7 @@ class ControlStructure:
 
 
 def _check_wires(controls: ControlStructure, targets: tuple[int, ...]) -> None:
+    _no_bools(targets, "target wires")
     if any(t < 1 for t in targets):
         raise CircuitError("target wires are 1-based positive integers")
     if len(set(targets)) != len(targets):
@@ -232,6 +245,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
+        _no_bools((self.n, self.ancillas), "wire counts n and ancillas")
         if self.n < 0 or self.ancillas < 0:
             raise CircuitError("wire counts n and ancillas must be nonnegative")
         total = self.n + self.ancillas

@@ -321,8 +321,9 @@ def dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except RecursionError:
-        # Parsers descend once per nesting level of the input.
-        print("error: input nests too deeply", file=sys.stderr)
+        # The parsers report deep nesting themselves, so a later stage ran
+        # out of Python stack.
+        print(f"error: {argv[0]} exceeded Python's recursion limit", file=sys.stderr)
         return EXIT_IO
 
 

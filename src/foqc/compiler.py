@@ -13,10 +13,11 @@ width-0 call is.  A worklist pass (`optimize`) starts where an instance
 of the group first gets a control: at a quantum case whose branches
 recurse, or at a recursive call under a control.  In a pass, controlled
 statement instances (cs, S, l) are peeled left context into C_L and right
-context into C_R until only recursive calls remain.  Calls that target a
-(procedure, argument, set-size) triple already seen are merged into the
-existing instance's control ancilla — via a routing ancilla and wire swaps
-when the wire lists differ — instead of being expanded again.  This is
+context into C_R until only recursive calls remain; one step (`_peel`)
+splits a sequence for both walkers.  Every call fans into the control
+ancilla of its (procedure, argument, set-size) key along one path — via a
+routing ancilla and wire swaps when its wire list differs from the first
+caller's — and only the first caller of a key expands the body.  This is
 what keeps the circuit polynomial: per worklist pass there are at most
 |procedures| * (n+1)^2 distinct keys.
 
@@ -58,7 +59,6 @@ from .circuit import (
     Gate,
     WireLimitError,
     check_sparse_index,
-    controlled_u_gate,
     lower,
     replay_basis,
     routing_swaps,
@@ -197,8 +197,9 @@ class _Context:
     max_worklist: int = 0
     orthogonality_checks: int = 0
     regions: Regions = field(default_factory=Regions)
-    # For each ancilla wire, the input-wire region where it holds 1: the OR
-    # of the regions of every call merged into it.
+    # For each merge ancilla, the input-wire region where it holds 1: the
+    # OR of the regions of every call merged into it.  (No worklist entry
+    # holds a routing ancilla.)
     meanings: dict[int, int] = field(default_factory=dict)
     # For each merge ancilla, the positions of its wire list that some
     # caller's control structure pins: its body must not touch them.
@@ -218,11 +219,12 @@ class _Context:
     # a leaf the parser shares across groups holds no call, so its width
     # is 0 in each of them.
     stmt_widths: dict[int, int] = field(default_factory=dict)
-    # The matrix and label of each (operator, argument) compiled so far,
-    # keyed by the operator's id(): the program keeps its operators alive,
-    # and an id hashes without walking the phase tree.
+    # The (matrix, label) of each (operator id, argument) compiled so far,
+    # interned in `gate_values` by the matrix's bytes, which keep 0.0 apart
+    # from -0.0: equal operators share one pair.
     gate_data: dict = field(default_factory=dict)
-    # The gate of each (operator id, argument, position, control bits)
+    gate_values: dict = field(default_factory=dict)
+    # The gate of each (id of its interned pair, position, control bits)
     # compiled so far, or of each (position, control bits) for a NOT: a
     # repeated gate is the same object (`circuit` module docstring).
     gates: dict = field(default_factory=dict)
@@ -328,26 +330,37 @@ def _assign_gates(
             gate = ctx.gates[key] = ControlledNot(cs, pos)
         return [gate]
     arg = eval_int(op.arg, l, env)
-    key = (id(op), arg, pos, cs.bits)
+    data = ctx.gate_data.get((id(op), arg))
+    if data is None:
+        m = np.asarray(gate_matrix(op, arg), dtype=complex)
+        label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
+        data = ctx.gate_values.setdefault((m.tobytes(), label), (tuple(map(tuple, m)), label))
+        ctx.gate_data[id(op), arg] = data
+    key = (id(data), pos, cs.bits)
     gate = ctx.gates.get(key)
     if gate is None:
-        data = ctx.gate_data.get((id(op), arg))
-        if data is None:
-            label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
-            gate = controlled_u_gate(cs, (pos,), gate_matrix(op, arg), label)
-            ctx.gate_data[id(op), arg] = gate.matrix, gate.label
-        else:
-            gate = ControlledU(cs, (pos,), *data)
-        ctx.gates[key] = gate
+        gate = ctx.gates[key] = ControlledU(cs, (pos,), *data)
     return [gate]
 
 
-def _recursing_item(ctx: _Context, items: tuple[Statement, ...], group: set[str]) -> int:
-    """The index of the first item of a sequence whose width against group
-    is 1, or of its last item when none is (width >= 2, unchecked)."""
-    return next(
-        (i for i, item in enumerate(items) if ctx.width(item, group) == 1), len(items) - 1
-    )
+def _peel(
+    ctx: _Context, seq: Seq, l: tuple[int, ...], env: Env, cs: ControlStructure, group: set[str]
+) -> tuple[list[Gate], Statement, list[Gate]]:
+    """The prefix's gates, the recursing item (the first of width 1 against
+    group, else the last) and the suffix's gates of a sequence.  Ancilla
+    numbers and the first error depend on the order: prefix, suffix, then
+    the item, which the caller compiles."""
+    items = seq.items
+    for k, item in enumerate(items):  # with no width-1 item, k ends on the last
+        if ctx.width(item, group) == 1:
+            break
+    prefix: list[Gate] = []
+    for item in items[:k]:
+        prefix += compr(ctx, item, l, env, cs)
+    suffix: list[Gate] = []
+    for item in items[k + 1 :]:
+        suffix += compr(ctx, item, l, env, cs)
+    return prefix, items[k], suffix
 
 
 def compr(
@@ -361,10 +374,10 @@ def compr(
     chain of expanded calls deepens the Python stack.  An uncontrolled
     call into a recursive group is expanded here too, its entries carrying
     the group: such an entry is the one instance of a worklist pass that
-    has nothing to merge yet.  Like `optimize`, it compiles a sequence's
-    prefix, then its suffix, then the item that recurses, and emits them in
-    program order.  A pass starts where an instance first gets a control:
-    at a quantum case that recurses, or at a controlled recursive call.
+    has nothing to merge yet; its sequences are peeled as in `optimize`,
+    the suffix's gates waiting on the stack under the recursing item.  A
+    pass starts where an instance first gets a control: at a quantum case
+    that recurses, or at a controlled recursive call.
     """
     gates: list[Gate] = []
     stack = [(stmt, l, env, cs, None)]
@@ -377,23 +390,15 @@ def compr(
         if isinstance(stmt, Assign):
             gates += _assign_gates(ctx, stmt, l, env, cs)
         elif isinstance(stmt, Seq):
-            items = stmt.items
             if group is None:
-                stack += [(item, l, env, cs, None) for item in reversed(items)]
+                stack += [(item, l, env, cs, None) for item in reversed(stmt.items)]
                 continue
-            k = _recursing_item(ctx, items, group)
-            if k + 1 < len(items):
-                # Ancilla numbers and the first error depend on this order:
-                # prefix, suffix, then the item.
-                for item in items[:k]:
-                    gates += compr(ctx, item, l, env, cs)
-                suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, env, cs)]
+            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, group)
+            gates += prefix
+            if suffix:
                 # The suffix's gates, emitted once the item's are.
                 stack.append((suffix, None, None, None, None))
-                stack.append((items[k], l, env, cs, group))
-            else:
-                stack.append((items[k], l, env, cs, group))
-                stack += [(item, l, env, cs, None) for item in reversed(items[:k])]
+            stack.append((item, l, env, cs, group))
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             stack.append((branch, l, env, cs, group))
@@ -440,9 +445,11 @@ def optimize(
     argument, set size) to the control ancilla and wire list of the first
     instance compiled for that key.  Every call the pass meets is
     controlled: a pass starts at a controlled call or at a quantum case.
+    C_R is kept backwards and turned around once at the end, so a fan-in's
+    mirror is the fan-in itself.
     """
     c_left: list[Gate] = []
-    c_right: list[Gate] = []
+    c_right: list[Gate] = []  # C_R, last gate first
     while worklist:
         ctx.max_worklist = max(ctx.max_worklist, len(worklist))
         resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
@@ -460,15 +467,10 @@ def optimize(
             c_left += compr(ctx, stmt, l, env, cs)
             continue
         if isinstance(stmt, Seq):
-            # The prefix before the width-1 item goes to C_L, the item to
-            # the worklist, the suffix to C_R.
-            items = stmt.items
-            k = _recursing_item(ctx, items, group)
-            for item in items[:k]:
-                c_left += compr(ctx, item, l, env, cs)
-            worklist.append((cs, items[k], l, env))
-            suffix = [g for item in items[k + 1 :] for g in compr(ctx, item, l, env, cs)]
-            c_right = suffix + c_right
+            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, group)
+            c_left += prefix
+            worklist.append((cs, item, l, env))
+            c_right += reversed(suffix)
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             worklist.append((cs, branch, l, env))
@@ -485,51 +487,42 @@ def optimize(
                 worklist.append((cs1, stmt.if_one, l, env))
             elif w1 == 0:
                 worklist.append((cs0, stmt.if_zero, l, env))
-                c_right = compr(ctx, stmt.if_one, l, env, cs1) + c_right
+                c_right += reversed(compr(ctx, stmt.if_one, l, env, cs1))
             else:
                 worklist.append((cs1, stmt.if_one, l, env))
-                c_right = compr(ctx, stmt.if_zero, l, env, cs0) + c_right
+                c_right += reversed(compr(ctx, stmt.if_zero, l, env, cs0))
         elif isinstance(stmt, Call):
             bound = bind_call(stmt, ctx.decls, l, env)
             if bound is None:
                 continue
             sub_l, decl, sub_env = bound
             key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
-            if key in anc:
-                a, seen_l = anc[key]
-                ctx.meanings[a] = ctx.regions.disj(ctx.meanings[a], ctx.resolve(cs))
-                ctx.callers.append((a, cs, sub_l, seen_l))
-                if sub_l == seen_l:
-                    flip = ControlledNot(cs, a)
-                    c_left.append(flip)
-                    c_right = [flip] + c_right
-                else:
-                    e = ctx.new_ancilla()
-                    ctx.meanings[e] = ctx.resolve(cs)
-                    on_e = ControlStructure.of({e: 1})
-                    forward: list[Gate] = [
-                        ControlledNot(cs, e),
-                        ControlledNot(on_e, a),
-                    ] + routing_swaps(on_e, sub_l, seen_l)
-                    c_left += forward
-                    c_right = list(reversed(forward)) + c_right
-            else:
+            entry = anc.get(key)
+            if entry is None:
                 a = ctx.new_ancilla()
-                ctx.meanings[a] = ctx.resolve(cs)
-                ctx.callers.append((a, cs, sub_l, sub_l))
-                anc[key] = (a, sub_l)
+                entry = anc[key] = (a, sub_l)
                 ctx.anc_keys += 1
                 if len(anc) > ctx.key_budget():
                     raise CompileError(
                         "ancilla table exceeded its polynomial bound; "
                         "this indicates an internal bug"
                     )
-                flip = ControlledNot(cs, a)
-                c_left.append(flip)
-                c_right = [flip] + c_right
                 worklist.append((ControlStructure.of({a: 1}), decl.body, sub_l, sub_env))
+            a, seen_l = entry
+            ctx.meanings[a] = ctx.regions.disj(ctx.meanings.get(a, Regions.FALSE), ctx.resolve(cs))
+            ctx.callers.append((a, cs, sub_l, seen_l))
+            if sub_l == seen_l:
+                fan_in = [ControlledNot(cs, a)]
+            else:
+                e = ctx.new_ancilla()
+                on_e = ControlStructure.of({e: 1})
+                fan_in = [ControlledNot(cs, e), ControlledNot(on_e, a)]
+                fan_in += routing_swaps(on_e, sub_l, seen_l)
+            c_left += fan_in
+            c_right += fan_in
         else:
             raise CompileError(f"width-1 statement of unexpected shape: {stmt!r}")
+    c_right.reverse()
     return c_left + c_right
 
 

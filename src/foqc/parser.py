@@ -264,6 +264,15 @@ class _Parser:
         """An error at token `pos`, by default the current one."""
         return ParseError(self.source.span(self.pos if pos is None else pos), message)
 
+    def descend(self, rule):
+        """rule(), which descends once per nesting level of the input; a
+        descent past Python's recursion limit is a ParseError at the token
+        it reached."""
+        try:
+            return rule()
+        except RecursionError:
+            raise self.error("input nests too deeply") from None
+
     # -- token helpers ----------------------------------------------------
 
     def peek(self) -> str:
@@ -604,12 +613,13 @@ class _Parser:
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse .foq source text into a Program; raises ParseError."""
-    return _Parser(text, filename).parse_program()
+    parser = _Parser(text, filename)
+    return parser.descend(parser.parse_program)
 
 
 def parse_phase_text(text: str, filename: str = "<phase>") -> PhaseExpr:
     """Parse a standalone phase expression (used by the algebra term reader)."""
     parser = _Parser(text, filename)
-    expr = parser.parse_phase()
+    expr = parser.descend(parser.parse_phase)
     parser.expect("eof")
     return expr

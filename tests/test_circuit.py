@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from foqc.algebra import parse_term, to_pfoq
 from foqc.circuit import (
     FLIP,
     MIX,
@@ -60,6 +61,27 @@ def test_control_structure_validation():
         ControlStructure.of({0: 1})
     with pytest.raises(CircuitError):
         ControlStructure.of({1: 2})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ControlStructure(((True, 1),)),
+        lambda: ControlStructure(((1, False),)),
+        lambda: ControlStructure.of({1: 0}).extended(2, True),
+        lambda: ControlStructure.empty().extended(True, 1),
+        lambda: ControlledNot(ControlStructure.empty(), True),
+        lambda: ControlledSwap(ControlStructure.empty(), (1,), (True,)),
+        lambda: Circuit(True, 0),
+        lambda: Circuit(1, False),
+    ],
+    ids=["wire", "bit", "extended-bit", "extended-wire", "cnot", "cswap", "n", "ancillas"],
+)
+def test_booleans_are_not_wires_or_bits(build):
+    # As ints they pass every range check, but export_json would write
+    # true or false, which import_json refuses.
+    with pytest.raises(CircuitError, match="not booleans"):
+        build()
 
 
 def test_extension_conflict_detected():
@@ -231,10 +253,25 @@ def straight_circuit():
     return compile_program(parse_program(straight_program(400)), 8)
 
 
+# Programs that write equal operators apart: `H(q[1])` desugars to a second
+# RY[pi / 4], and each algebra term repeats an atom.
+EQUAL_OPERATORS = [
+    (":: q[1] *= H; H(q[1]);", 1),
+    ("(kqrec :k 1 :t 0 :f (ph pi / 4) :g (ph pi / 4) :h (ph pi / 4) :sel (0 i) (1 rec))", 10),
+    ("(kqrec :k 1 :t 1 :f (rot pi / 2) :g (ph pi / 2) :h (ph pi / 2) :sel (0 rec) (1 rec))", 10),
+]
+
+
 def test_compile_builds_each_distinct_gate_once(straight_circuit):
-    objects, values = _distinct(straight_circuit)
-    assert values < len(straight_circuit.gates)  # the program repeats gates
-    assert objects == values
+    programs = [
+        (to_pfoq(parse_term(source)) if source[0] == "(" else parse_program(source), n)
+        for source, n in EQUAL_OPERATORS
+    ]
+    circuits = [straight_circuit] + [compile_program(p, n) for p, n in programs]
+    for circuit in circuits:
+        objects, values = _distinct(circuit)
+        assert values < len(circuit.gates)  # the program repeats gates
+        assert objects == values
 
 
 def test_import_builds_each_distinct_gate_once(straight_circuit):

@@ -504,10 +504,22 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     depth = 1000
     program = tmp_path / "deep.foq"
     program.write_text(":: q[1] *= RY[" + "(" * depth + "pi" + ")" * depth + "](0);")
-    assert_input_error(capsys, ["check", str(program)])
+    err = assert_input_error(capsys, ["check", str(program)])
+    # The parser names the token where its descent stopped.
+    assert err.startswith(f"error: {program}:1:") and err.endswith(": input nests too deeply\n")
     term = tmp_path / "deep.alg"
     term.write_text("(" * depth + "i" + ")" * depth)
-    assert_input_error(capsys, ["algebra", str(term)])
+    err = assert_input_error(capsys, ["algebra", str(term)])
+    assert err == "error: term text nests too deeply\n"
+
+
+def test_a_recursion_error_past_the_parser_names_the_subcommand(qft_file, capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(foqc.cli, "compile_with_stats", too_deep)
+    err = assert_input_error(capsys, ["compile", qft_file, "-n", "3"])
+    assert err == "error: compile exceeded Python's recursion limit\n"
 
 
 @pytest.mark.parametrize(
