@@ -200,10 +200,7 @@ def _q_at(i: int) -> QubitExpr:
 
 
 def _q_minus_first(k: int):
-    expr = _Q
-    for _ in range(k):
-        expr = SetRemove(expr, IntLit(1))
-    return expr
+    return SetRemove(_Q, (IntLit(1),) * k) if k else _Q
 
 
 @dataclass
@@ -238,7 +235,7 @@ class _Builder:
         if isinstance(term, Branch):
             zero = self.wrap("br", self.translate(term.if_zero))
             one = self.wrap("br", self.translate(term.if_one))
-            rest = SetRemove(_Q, IntLit(1))
+            rest = _q_minus_first(1)
             return QCase(_q_at(1), Call(zero, None, rest), Call(one, None, rest))
         if isinstance(term, KQRec):
             base = self.wrap("base", self.translate(term.base))

@@ -104,7 +104,8 @@ def _set_vars(s: SetExpr, set_out: set[str], int_out: set[str]) -> None:
         set_out.add(s.name)
     elif isinstance(s, SetRemove):
         _set_vars(s.base, set_out, int_out)
-        _int_vars_full(s.index, set_out, int_out)
+        for index in s.indices:
+            _int_vars_full(index, set_out, int_out)
 
 
 def _int_vars_full(e: IntExpr | None, set_out: set[str], int_out: set[str]) -> None:
@@ -123,8 +124,8 @@ def _bool_vars(b: BoolExpr, set_out: set[str], int_out: set[str]) -> None:
         _int_vars_full(b.left, set_out, int_out)
         _int_vars_full(b.right, set_out, int_out)
     elif isinstance(b, BoolBin):
-        _bool_vars(b.left, set_out, int_out)
-        _bool_vars(b.right, set_out, int_out)
+        for operand in b.operands:
+            _bool_vars(operand, set_out, int_out)
     elif isinstance(b, BoolNot):
         _bool_vars(b.inner, set_out, int_out)
 
@@ -263,12 +264,8 @@ def call_relations(p: Program) -> ProcRelations:
 
 def _is_strict_restriction(set_expr, param: str) -> bool:
     """True when the argument is the set parameter with >= 1 removals."""
-    removals = 0
-    base = set_expr
-    while isinstance(base, SetRemove):
-        removals += 1
-        base = base.base
-    return removals >= 1 and isinstance(base, SetVar) and base.name == param
+    base = set_expr.base if isinstance(set_expr, SetRemove) else None
+    return isinstance(base, SetVar) and base.name == param
 
 
 def check_wf(p: Program, decl_refs: list[StatementRefs], main: StatementRefs) -> list[str]:

@@ -3,10 +3,10 @@
 Exit codes: 0 success; 1 analysis rejection (or tolerance exceeded in
 `diff`; `run` and `level` reject only an ill-formed program); 2 runtime error terminal; 3 step budget exceeded; 4 I/O, parse,
 schema or argument errors.  A malformed command line (a missing or
-ill-typed option, an unknown subcommand) is an argument error: it exits 4
-with one `error:` line, while `--help` still exits 0.  The step budget
-defaults to 10^6 statement rules and can be overridden with --budget or
-the FOQC_BUDGET environment variable.
+ill-typed option, an unknown subcommand, a negative budget) is an argument
+error: it exits 4 with one `error:` line, while `--help` still exits 0.
+The step budget defaults to 10^6 statement rules and can be overridden
+with --budget or the FOQC_BUDGET environment variable.
 
 `dispatch(argv)` runs one request and returns its exit code (`--help`
 raises SystemExit(0), as argparse does).  One process can call it any
@@ -102,15 +102,16 @@ def _load_wellformed(path: str):
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FOQC_BUDGET")
-    if env is not None:
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env, source = os.environ.get("FOQC_BUDGET", DEFAULT_BUDGET), "FOQC_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise _CliIOError(f"FOQC_BUDGET is not an integer: {env!r}") from exc
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise _CliIOError(f"{source} must be a nonnegative integer, got {budget}")
+    return budget
 
 
 def _qubits(args) -> int:

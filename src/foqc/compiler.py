@@ -404,7 +404,7 @@ def compr(
             stack.append((branch, l, env, cs, group))
         elif isinstance(stmt, QCase):
             if group is not None:
-                gates += optimize(ctx, deque([(cs, stmt, l, env)]), group, {})
+                gates += optimize(ctx, deque([(cs, stmt, l, env)]), group)
                 continue
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
@@ -425,7 +425,7 @@ def compr(
                 stack.append((decl.body, sub_l, sub_env, cs, ctx.equiv[stmt.proc]))
             else:
                 worklist = deque([(cs, decl.body, sub_l, sub_env)])
-                gates += optimize(ctx, worklist, ctx.equiv[stmt.proc], {})
+                gates += optimize(ctx, worklist, ctx.equiv[stmt.proc])
         elif isinstance(stmt, list):
             gates += stmt
         else:
@@ -433,21 +433,17 @@ def compr(
     return gates
 
 
-def optimize(
-    ctx: _Context,
-    worklist: deque,
-    group: set[str],
-    anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]],
-) -> list[Gate]:
+def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
     """Worklist compilation of one mutually recursive procedure group.
 
-    `anc` is the pass's ancilla table: it maps (procedure, classical
+    `anc` is the pass's own ancilla table: it maps (procedure, classical
     argument, set size) to the control ancilla and wire list of the first
     instance compiled for that key.  Every call the pass meets is
     controlled: a pass starts at a controlled call or at a quantum case.
     C_R is kept backwards and turned around once at the end, so a fan-in's
     mirror is the fan-in itself.
     """
+    anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]] = {}
     c_left: list[Gate] = []
     c_right: list[Gate] = []  # C_R, last gate first
     while worklist:

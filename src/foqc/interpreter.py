@@ -142,24 +142,26 @@ NO_ENV: Env = MappingProxyType({})
 def eval_int(e: IntExpr, l: tuple[int, ...], env: Env = NO_ENV) -> int:
     if isinstance(e, IntLit):
         return e.value
+    if isinstance(e, SetSize):
+        return len(eval_set(e.set_expr, l, env))
     if isinstance(e, IntVar):
         value = env.get(e.name)
         if value is None:
             raise EvalError(f"unbound integer variable {e.name!r}")
         return value
     if isinstance(e, IntOffset):
-        base = eval_int(e.base, l, env)
-        return base + e.offset if e.op == "+" else base - e.offset
-    if isinstance(e, SetSize):
-        return len(eval_set(e.set_expr, l, env))
+        value = eval_int(e.base, l, env)
+        for op, k in e.steps:
+            value = value + k if op == "+" else value - k
+        return value
     raise TypeError(f"not an integer expression: {e!r}")
 
 
 def eval_set(s: SetExpr, l: tuple[int, ...], env: Env = NO_ENV) -> tuple[int, ...]:
     """Evaluate a sorted-set expression to a list of qubit positions.
 
-    A removal's index is evaluated against the list produced by the base
-    expression, so chained removals see the progressively shrinking list.
+    Each removal index is evaluated against the list left by the removals
+    before it, so chained removals see the progressively shrinking list.
     An out-of-range removal index yields the empty list.
     """
     if isinstance(s, SetNil):
@@ -167,11 +169,11 @@ def eval_set(s: SetExpr, l: tuple[int, ...], env: Env = NO_ENV) -> tuple[int, ..
     if isinstance(s, SetVar):
         return l
     if isinstance(s, SetRemove):
-        base = eval_set(s.base, l, env)
-        k = eval_int(s.index, base, env)
-        if 1 <= k <= len(base):
-            return base[: k - 1] + base[k:]
-        return ()
+        base = () if isinstance(s.base, SetNil) else l
+        for index in s.indices:
+            k = eval_int(index, base, env)
+            base = base[: k - 1] + base[k:] if 1 <= k <= len(base) else ()
+        return base
     raise TypeError(f"not a set expression: {s!r}")
 
 
@@ -186,10 +188,12 @@ def eval_bool(b: BoolExpr, l: tuple[int, ...], env: Env = NO_ENV) -> bool:
             return lhs == rhs
         raise ValueError(f"unknown comparison {b.op!r}")
     if isinstance(b, BoolBin):
-        # Short-circuit: the right side is evaluated only when it decides.
-        if b.op == "&&":
-            return eval_bool(b.left, l, env) and eval_bool(b.right, l, env)
-        return eval_bool(b.left, l, env) or eval_bool(b.right, l, env)
+        # Short-circuit: left to right, up to the first operand that decides.
+        decides = b.op == "||"
+        for operand in b.operands:
+            if eval_bool(operand, l, env) == decides:
+                return decides
+        return not decides
     if isinstance(b, BoolNot):
         return not eval_bool(b.inner, l, env)
     raise TypeError(f"not a boolean expression: {b!r}")
@@ -402,11 +406,8 @@ def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOu
 
 def _bounds_guard(q: QubitExpr) -> BoolExpr:
     """0 < i and i <= size(s) for the qubit expression s[i]."""
-    return BoolBin(
-        "&&",
-        BoolCmp(">", q.index, IntLit(0)),
-        BoolCmp(">=", SetSize(q.set_expr), q.index),
-    )
+    bounds = (BoolCmp(">", q.index, IntLit(0)), BoolCmp(">=", SetSize(q.set_expr), q.index))
+    return BoolBin("&&", bounds)
 
 
 def guard_statement(stmt: Statement) -> Statement:

@@ -33,9 +33,9 @@ Sugar expanded at parse time: `q *= H;` / `H(q);` become a rotation by pi/4
 followed by NOT; `CNOT(a, b);` becomes a quantum case on `a` applying NOT to
 `b` in the 1-branch; `SWAP(a, b);` is three CNOTs.  A quantum case over k > 1
 control qubits with 2^k bitstring-labelled branches expands into nested
-binary quantum cases.  A multi-index removal `s \\ [i, j]` nests into single
-removals applied left to right, each index evaluated against the list left
-by the preceding removals.
+binary quantum cases.  A chain of one operator family (`s \\ [i] \\ [j]`,
+`x + 1 - 2`, `a && b`, `pi / 2 * x`) is one node; a parenthesized chain of
+the same family on its left is spliced in: `(x + 1) + 2` is `x + 1 + 2`.
 
 Line comments start with `//`.
 
@@ -216,7 +216,8 @@ def tokenize(text: str, filename: str) -> list[Token]:
 # The kinds of a leaf statement's first token: a gate on one or two qubits.
 _LEAF_KINDS = frozenset(("name", "nil", "H", "CNOT", "SWAP"))
 
-_PI_OVER_4 = PhaseBin("/", PhasePi(), PhaseConst(4))
+_PI_OVER_4 = PhaseBin(PhasePi(), (("/", PhaseConst(4)),))
+_ADD, _MUL = ("+", "-"), ("*", "/")  # the operators of each precedence family
 
 
 def hadamard_statement(q: QubitExpr) -> Statement:
@@ -482,14 +483,16 @@ class _Parser:
             base = SetNil()
         else:
             raise self.error(f"expected a sorted set, found {self.texts[self.pos]!r}")
-        while self.peek() == "\\":
-            self.pos += 1
+        if self.peek() != "\\":
+            return base
+        indices = []
+        while self.accept("\\"):
             self.expect("[")
-            base = SetRemove(base, self.parse_iexpr())
+            indices.append(self.parse_iexpr())
             while self.accept(","):
-                base = SetRemove(base, self.parse_iexpr())
+                indices.append(self.parse_iexpr())
             self.expect("]")
-        return base
+        return SetRemove(base, tuple(indices))
 
     def parse_qubit(self) -> QubitExpr:
         s = self.parse_sexpr()
@@ -499,11 +502,13 @@ class _Parser:
         return QubitExpr(s, index)
 
     def parse_iexpr(self) -> IntExpr:
-        expr = self.parse_iatom()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            expr = IntOffset(op, expr, int(self.expect("int")))
-        return expr
+        base = self.parse_iatom()
+        if self.peek() not in _ADD:
+            return base
+        base, steps = (base.base, list(base.steps)) if isinstance(base, IntOffset) else (base, [])
+        while self.peek() in _ADD:
+            steps.append((self.next(), int(self.expect("int"))))
+        return IntOffset(base, tuple(steps))
 
     def parse_iatom(self) -> IntExpr:
         kind = self.peek()
@@ -525,16 +530,19 @@ class _Parser:
         raise self.error(f"expected an integer expression, found {self.texts[self.pos]!r}")
 
     def parse_bexpr(self) -> BoolExpr:
-        expr = self.parse_band()
-        while self.accept("||"):
-            expr = BoolBin("||", expr, self.parse_band())
-        return expr
+        e = self.parse_band()
+        return self.bool_chain(e, "||", self.parse_band) if self.peek() == "||" else e
 
     def parse_band(self) -> BoolExpr:
-        expr = self.parse_bunary()
-        while self.accept("&&"):
-            expr = BoolBin("&&", expr, self.parse_bunary())
-        return expr
+        e = self.parse_bunary()
+        return self.bool_chain(e, "&&", self.parse_bunary) if self.peek() == "&&" else e
+
+    def bool_chain(self, head: BoolExpr, op: str, parse_operand) -> BoolBin:
+        """The chain `head op ...`, its first `op` being the current token."""
+        operands = list(head.operands) if isinstance(head, BoolBin) and head.op == op else [head]
+        while self.accept(op):
+            operands.append(parse_operand())
+        return BoolBin(op, tuple(operands))
 
     def parse_bunary(self) -> BoolExpr:
         kind = self.peek()
@@ -570,18 +578,21 @@ class _Parser:
     # -- phase expressions ------------------------------------------------------
 
     def parse_phase(self) -> PhaseExpr:
-        expr = self.parse_phase_term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            expr = PhaseBin(op, expr, self.parse_phase_term())
-        return expr
+        e = self.parse_phase_term()
+        return self.phase_chain(e, _ADD, self.parse_phase_term) if self.peek() in _ADD else e
 
     def parse_phase_term(self) -> PhaseExpr:
-        expr = self.parse_phase_factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            expr = PhaseBin(op, expr, self.parse_phase_factor())
-        return expr
+        e = self.parse_phase_factor()
+        return self.phase_chain(e, _MUL, self.parse_phase_factor) if self.peek() in _MUL else e
+
+    def phase_chain(self, head: PhaseExpr, ops: tuple[str, str], parse_operand) -> PhaseBin:
+        """The chain `head op ...` over `ops`, the current token being one."""
+        steps = []
+        if isinstance(head, PhaseBin) and head.steps[0][0] in ops:
+            head, steps = head.first, list(head.steps)
+        while self.peek() in ops:
+            steps.append((self.next(), parse_operand()))
+        return PhaseBin(head, tuple(steps))
 
     def parse_phase_factor(self) -> PhaseExpr:
         kind = self.peek()

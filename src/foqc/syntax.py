@@ -55,9 +55,10 @@ class PhaseVar(PhaseExpr):
 
 @dataclass(frozen=True)
 class PhaseBin(PhaseExpr):
-    op: str  # one of "+", "-", "*", "/"
-    left: PhaseExpr
-    right: PhaseExpr
+    """`first op x op y ...`, left-associative, all ops "+"/"-" or all "*"/"/"."""
+
+    first: PhaseExpr  # never a PhaseBin of the same family
+    steps: tuple[tuple[str, PhaseExpr], ...]  # (op, operand) pairs, one or more
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,18 @@ def _eval_phase_raw(f: PhaseExpr, n: int) -> float:
     if isinstance(f, PhaseVar):
         return float(n)
     if isinstance(f, PhaseBin):
-        if f.op == "/":
-            # The denominator is checked before the numerator is evaluated.
-            denom = _eval_phase_raw(f.right, n)
-            if denom == 0.0:
-                raise PhaseEvalError(f"division by zero in phase expression at n={n}")
-            return _eval_phase_raw(f.left, n) / denom
-        return _PHASE_OPS[f.op](_eval_phase_raw(f.left, n), _eval_phase_raw(f.right, n))
+        # Each denominator is checked before anything to its left is evaluated:
+        # the "/" operands right to left, then the rest left to right.
+        denoms = []
+        for op, x in reversed(f.steps):
+            if op == "/":
+                denoms.append(_eval_phase_raw(x, n))
+                if denoms[-1] == 0.0:
+                    raise PhaseEvalError(f"division by zero in phase expression at n={n}")
+        value = _eval_phase_raw(f.first, n)
+        for op, x in f.steps:
+            value = value / denoms.pop() if op == "/" else _PHASE_OPS[op](value, _eval_phase_raw(x, n))
+        return value
     if isinstance(f, PhasePow2):
         return 2.0 ** _eval_phase_raw(f.exponent, n)
     if isinstance(f, PhaseNeg):
@@ -141,12 +147,11 @@ class IntVar(IntExpr):
 
 @dataclass(frozen=True)
 class IntOffset(IntExpr):
-    """base + offset or base - offset, where the grammar restricts offset to
-    a literal; op keeps the sign as written, so `x - 0` prints back."""
+    """`base op k op k ...`, where the grammar restricts each k to a literal;
+    each op keeps its sign as written, so `x - 0` prints back."""
 
-    op: str  # "+" or "-"
-    base: IntExpr
-    offset: int
+    base: IntExpr  # never an IntOffset
+    steps: tuple[tuple[str, int], ...]  # ("+" or "-", k) pairs, one or more
 
 
 class SetExpr:
@@ -172,15 +177,12 @@ class SetVar(SetExpr):
 
 @dataclass(frozen=True)
 class SetRemove(SetExpr):
-    """base with the element at position index removed.
+    """base with the elements at positions `indices` removed, one at a time:
+    each index is evaluated against the list the removals before it left,
+    so `p \\ [1, size(p)]` drops the first and last elements of p."""
 
-    In a chain of removals each index is evaluated against the list left by
-    the preceding removals, so `p \\ [1, size(p)]` drops the first and last
-    elements of p (the second index sees the already-shrunk list).
-    """
-
-    base: SetExpr
-    index: IntExpr
+    base: SetNil | SetVar  # `p \\ [1] \\ [2]` reads as `p \\ [1, 2]`
+    indices: tuple[IntExpr, ...]  # one or more
 
 
 class BoolExpr:
@@ -196,9 +198,10 @@ class BoolCmp(BoolExpr):
 
 @dataclass(frozen=True)
 class BoolBin(BoolExpr):
+    """`a op b op c ...`, left-associative; `a` is never a BoolBin of this op."""
+
     op: str  # "&&" or "||"
-    left: BoolExpr
-    right: BoolExpr
+    operands: tuple[BoolExpr, ...]  # two or more
 
 
 @dataclass(frozen=True)
@@ -380,21 +383,19 @@ def _fmt_phase(f: PhaseExpr, prec: int) -> str:
     elif isinstance(f, PhaseVar):
         text, mine = "x", _PHASE_PREC_ATOM
     elif isinstance(f, PhaseBin):
-        # Both families are left-associative: a right operand at the
-        # operator's own precedence is parenthesized.
-        mine = _PHASE_PREC_MUL if f.op in ("*", "/") else _PHASE_PREC_ADD
-        text = f"{_fmt_phase(f.left, mine)} {f.op} {_fmt_phase(f.right, mine + 1)}"
+        # Both families are left-associative: a later operand at the
+        # chain's own precedence is parenthesized.
+        mine = _PHASE_PREC_MUL if f.steps[0][0] in ("*", "/") else _PHASE_PREC_ADD
+        text = _fmt_phase(f.first, mine)
+        for op, x in f.steps:
+            text += f" {op} {_fmt_phase(x, mine + 1)}"
     elif isinstance(f, PhasePow2):
-        text = f"2^{_fmt_phase(f.exponent, _PHASE_PREC_ATOM)}"
-        mine = _PHASE_PREC_ATOM
+        text, mine = f"2^{_fmt_phase(f.exponent, _PHASE_PREC_ATOM)}", _PHASE_PREC_ATOM
     elif isinstance(f, PhaseNeg):
-        text = f"-{_fmt_phase(f.inner, _PHASE_PREC_ATOM)}"
-        mine = _PHASE_PREC_MUL
+        text, mine = f"-{_fmt_phase(f.inner, _PHASE_PREC_ATOM)}", _PHASE_PREC_MUL
     else:
         raise TypeError(f"not a phase expression: {f!r}")
-    if mine < prec:
-        return f"({text})"
-    return text
+    return f"({text})" if mine < prec else text
 
 
 def format_phase(f: PhaseExpr) -> str:
@@ -407,7 +408,7 @@ def format_int(e: IntExpr) -> str:
     if isinstance(e, IntVar):
         return e.name
     if isinstance(e, IntOffset):
-        return f"{format_int(e.base)} {e.op} {e.offset}"
+        return format_int(e.base) + "".join(f" {op} {k}" for op, k in e.steps)
     if isinstance(e, SetSize):
         return f"size({format_set(e.set_expr)})"
     raise TypeError(f"not an integer expression: {e!r}")
@@ -419,15 +420,7 @@ def format_set(s: SetExpr) -> str:
     if isinstance(s, SetVar):
         return s.name
     if isinstance(s, SetRemove):
-        # Fold a removal chain into one bracket list.
-        indices: list[IntExpr] = []
-        base: SetExpr = s
-        while isinstance(base, SetRemove):
-            indices.append(base.index)
-            base = base.base
-        indices.reverse()
-        inner = ", ".join(format_int(i) for i in indices)
-        return f"{format_set(base)} \\ [{inner}]"
+        return f"{format_set(s.base)} \\ [{', '.join(map(format_int, s.indices))}]"
     raise TypeError(f"not a set expression: {s!r}")
 
 
@@ -435,7 +428,9 @@ def format_bool(b: BoolExpr) -> str:
     if isinstance(b, BoolCmp):
         return f"{format_int(b.left)} {b.op} {format_int(b.right)}"
     if isinstance(b, BoolBin):
-        return f"({format_bool(b.left)} {b.op} {format_bool(b.right)})"
+        # Bracketed as the nested binary form: ((a && b) && c).
+        first, *rest = map(format_bool, b.operands)
+        return "(" * len(rest) + first + "".join(f" {b.op} {x})" for x in rest)
     if isinstance(b, BoolNot):
         return f"!({format_bool(b.inner)})"
     raise TypeError(f"not a boolean expression: {b!r}")

@@ -53,7 +53,7 @@ def test_basic_terms_evaluate():
     )
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     assert np.allclose(
-        eval_algebra(RotGate(PhaseBin("/", PhasePi(), PhaseConst(4))), [1, 0]), [c, s]
+        eval_algebra(RotGate(PhaseBin(PhasePi(), (("/", PhaseConst(4)),))), [1, 0]), [c, s]
     )
 
 

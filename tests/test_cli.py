@@ -500,6 +500,18 @@ def test_negative_qubit_count_is_refused(qft_file, capsys):
             assert err == "error: --seed must be a nonnegative integer, got -5\n"
 
 
+def test_negative_budget_is_refused(qft_file, capsys, monkeypatch):
+    for argv in (["level", qft_file, "-n", "5"], ["run", qft_file, "--state", "0110"]):
+        err = assert_input_error(capsys, [*argv, "--budget", "-1"])
+        assert err == "error: --budget must be a nonnegative integer, got -1\n"
+        monkeypatch.setenv("FOQC_BUDGET", "-3")
+        err = assert_input_error(capsys, argv)
+        assert err == "error: FOQC_BUDGET must be a nonnegative integer, got -3\n"
+        monkeypatch.delenv("FOQC_BUDGET")
+    # A zero budget is a budget, and the first statement exceeds it.
+    assert dispatch(["level", qft_file, "-n", "5", "--budget", "0"]) == 3
+
+
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     depth = 1000
     program = tmp_path / "deep.foq"

@@ -60,28 +60,26 @@ def test_eval_set_variable_and_nil():
 
 
 def test_eval_set_single_removal():
-    assert eval_set(SetRemove(Q, IntLit(2)), (1, 2, 3)) == (1, 3)
+    assert eval_set(SetRemove(Q, (IntLit(2),)), (1, 2, 3)) == (1, 3)
 
 
 def test_eval_set_out_of_range_removal_is_empty():
-    assert eval_set(SetRemove(Q, IntLit(5)), (1, 2, 3)) == ()
-    assert eval_set(SetRemove(Q, IntLit(0)), (1, 2, 3)) == ()
+    assert eval_set(SetRemove(Q, (IntLit(5),)), (1, 2, 3)) == ()
+    assert eval_set(SetRemove(Q, (IntLit(0),)), (1, 2, 3)) == ()
 
 
 def test_removal_chain_is_progressive():
     # Indices are evaluated against the list left by earlier removals:
     # removing [1, size(q)] from (1..4) drops the first and last elements.
-    expr = SetRemove(SetRemove(Q, IntLit(1)), SetSize(Q))
+    expr = SetRemove(Q, (IntLit(1), SetSize(Q)))
     assert eval_set(expr, (1, 2, 3, 4)) == (2, 3)
     # Removing [1, 1] drops the first two elements.
-    expr = SetRemove(SetRemove(Q, IntLit(1)), IntLit(1))
+    expr = SetRemove(Q, (IntLit(1), IntLit(1)))
     assert eval_set(expr, (1, 2, 3, 4)) == (3, 4)
 
 
 def test_triple_removal_first_secondlast_last():
-    expr = SetRemove(
-        SetRemove(SetRemove(Q, IntLit(1)), SetSize(Q)), SetSize(Q)
-    )
+    expr = SetRemove(Q, (IntLit(1), SetSize(Q), SetSize(Q)))
     # Progressive sizes: remove 1, then index size-of-remaining twice.
     assert eval_set(expr, (1, 2, 3, 4, 5, 6)) == (2, 3, 4)
 
@@ -92,13 +90,13 @@ def test_eval_qubit_out_of_range_is_zero():
 
 
 def test_eval_int_size():
-    assert eval_int(SetSize(SetRemove(Q, IntLit(1))), (1, 2, 3)) == 2
+    assert eval_int(SetSize(SetRemove(Q, (IntLit(1),))), (1, 2, 3)) == 2
 
 
 def test_integer_variables_read_the_environment():
     x = IntVar("x")
-    assert eval_int(IntOffset("+", x, 1), (), {"x": 3}) == 4
-    assert eval_qubit(QubitExpr(SetRemove(Q, x), x), (5, 7, 9), {"x": 2}) == 9
+    assert eval_int(IntOffset(x, (("+", 1),)), (), {"x": 3}) == 4
+    assert eval_qubit(QubitExpr(SetRemove(Q, (x,)), x), (5, 7, 9), {"x": 2}) == 9
     with pytest.raises(EvalError, match="unbound integer variable 'x'"):
         eval_int(x, (1, 2))
 

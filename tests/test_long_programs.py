@@ -2,8 +2,10 @@
 
 Statement walkers loop over sequences and the compiler expands width-0
 calls on an explicit stack, so neither a long body nor a long chain of
-procedures needs a raised recursion limit.  Both shapes run through every
-front-end subcommand at the default limit.
+procedures needs a raised recursion limit.  An operator chain in an
+expression is one node that every walker loops over, so a long one needs
+none either.  Every shape runs through every front-end subcommand at the
+default limit.
 """
 
 import random
@@ -54,6 +56,22 @@ def chain_program(procedures: int) -> str:
     return "\n".join(decls) + "\n:: call f1(q);\n"
 
 
+# Operator chains of CHAIN_TERMS terms, one program for each kind of chain.
+# Every qubit index stays in range at n = QUBITS; the removals empty the
+# list, so that call does nothing.
+CHAIN_TERMS = 3000
+EXPRESSION_CHAINS = {
+    "phase-sum": ":: q[1] *= RY[" + " + ".join(["pi"] * CHAIN_TERMS) + "](0);\n",
+    "offsets": ":: q[1" + " + 1 - 1" * (CHAIN_TERMS // 2) + "] *= NOT;\n",
+    "removals": "decl f(p) { p[1] *= NOT; },\n:: call f(q \\ ["
+    + ", ".join(["1"] * CHAIN_TERMS)
+    + "]);\n",
+    "conjunction": ":: if "
+    + " && ".join(["1 = 1"] * CHAIN_TERMS)
+    + " then { q[1] *= NOT; } else { skip; }\n",
+}
+
+
 @pytest.fixture()
 def default_recursion_limit():
     limit = sys.getrecursionlimit()
@@ -64,8 +82,8 @@ def default_recursion_limit():
 
 @pytest.mark.parametrize(
     "source",
-    [straight_program(10_000), chain_program(1300)],
-    ids=["straight-10000", "chain-1300"],
+    [straight_program(10_000), chain_program(1300), *EXPRESSION_CHAINS.values()],
+    ids=["straight-10000", "chain-1300", *(f"{k}-{CHAIN_TERMS}" for k in EXPRESSION_CHAINS)],
 )
 def test_every_subcommand_runs_at_the_default_recursion_limit(
     source, tmp_path, capsys, default_recursion_limit
@@ -79,6 +97,16 @@ def test_every_subcommand_runs_at_the_default_recursion_limit(
     assert dispatch(["compile", str(path), "-n", str(QUBITS), "-o", circuit]) == 0
     assert dispatch(["simulate", circuit, "--state", STATE]) == 0
     assert dispatch(["run", str(path), "--state", STATE]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("source", EXPRESSION_CHAINS.values(), ids=EXPRESSION_CHAINS.keys())
+def test_a_long_expression_chain_diffs_at_the_default_recursion_limit(
+    source, tmp_path, capsys, default_recursion_limit
+):
+    path = tmp_path / "chain.foq"
+    path.write_text(source)
+    assert dispatch(["diff", str(path), "-n", "4"]) == 0
     assert capsys.readouterr().err == ""
 
 

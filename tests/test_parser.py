@@ -13,11 +13,13 @@ from foqc.syntax import (
     Assign,
     Call,
     If,
+    IntLit,
     OP_NOT,
     OP_RY,
     QCase,
     SetNil,
     SetRemove,
+    SetSize,
     SetVar,
     Skip,
     seq_items,
@@ -66,12 +68,9 @@ def test_swap_macro_is_three_cnots():
     assert len(parts) == 3 and all(isinstance(p, QCase) for p in parts)
 
 
-def test_removal_chain_desugars_to_nested_removals():
+def test_removal_chain_is_one_node():
     (call,) = stmts(":: call f(q \\ [1, size(q)]);")
-    inner = call.set_expr
-    assert isinstance(inner, SetRemove)
-    assert isinstance(inner.base, SetRemove)
-    assert inner.base.base == SetVar("q")
+    assert call.set_expr == SetRemove(SetVar("q"), (IntLit(1), SetSize(SetVar("q"))))
 
 
 def test_nil_set():

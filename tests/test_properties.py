@@ -1,3 +1,5 @@
+import math
+import operator
 from functools import reduce
 
 import numpy as np
@@ -14,8 +16,10 @@ from foqc.circuit import (
     simulate_circuit,
 )
 from foqc.compiler import Regions, _Context, compile_program
-from foqc.interpreter import QuantumState
+from foqc.interpreter import QuantumState, eval_bool, eval_int, eval_set
+from foqc.parser import parse_phase_text
 from foqc.programs import BRANCHING_SOURCE, QFT_SOURCE
+from foqc.syntax import _eval_phase_raw, format_phase, pretty_print
 
 
 QFT = parse_program(QFT_SOURCE)
@@ -236,3 +240,129 @@ def test_simulate_matches_dense_unitary(circuit, seed, padded, support):
     for gate in circuit.gates:
         expected = _dense_gate(total, gate) @ expected
     assert np.allclose(simulate_circuit(circuit, amps), expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Operator chains.  Each strategy draws source text and the value computed
+# here as a left fold.  A chain's first operand may be a parenthesized chain
+# of the same kind, which the parser splices; a later operand may be any
+# parenthesized chain, which stays nested.
+# ---------------------------------------------------------------------------
+
+PHASE_X = 3
+PHASE_LEAVES = [("1", 1.0), ("2", 2.0), ("3", 3.0), ("pi", math.pi), ("x", float(PHASE_X))]
+PHASE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+BOOL_LEAVES = [("1 = 1", True), ("2 > 3", False), ("!(1 >= 2)", True)]
+
+
+@st.composite
+def phase_chains(draw, ops=None, depth=2):
+    """A phase chain of one family, "+-" or "*/", as (text, value at x =
+    PHASE_X).  Every denominator is a leaf, and no leaf is zero."""
+    ops = ops or draw(st.sampled_from(["+-", "*/"]))
+    if depth and draw(st.booleans()):
+        text, value = draw(phase_chains(ops, depth - 1))
+        text = f"({text})"
+    else:
+        text, value = draw(st.sampled_from(PHASE_LEAVES))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(ops))
+        if op != "/" and depth and draw(st.booleans()):
+            operand, v = draw(phase_chains(None, depth - 1))
+            operand = f"({operand})"
+        else:
+            operand, v = draw(st.sampled_from(PHASE_LEAVES))
+        text, value = f"{text} {op} {operand}", PHASE_OPS[op](value, v)
+    return text, value
+
+
+@st.composite
+def bool_chains(draw, op=None, depth=2):
+    """A chain of one connective as (text, value)."""
+    op = op or draw(st.sampled_from(["&&", "||"]))
+    if depth and draw(st.booleans()):
+        text, value = draw(bool_chains(op, depth - 1))
+        text = f"({text})"
+    else:
+        text, value = draw(st.sampled_from(BOOL_LEAVES))
+    for _ in range(draw(st.integers(1, 4))):
+        if depth and draw(st.booleans()):
+            operand, v = draw(bool_chains(None, depth - 1))
+            operand = f"({operand})"
+        else:
+            operand, v = draw(st.sampled_from(BOOL_LEAVES))
+        text = f"{text} {op} {operand}"
+        value = (value and v) if op == "&&" else (value or v)
+    return text, value
+
+
+@st.composite
+def offset_chains(draw, depth=2):
+    """An integer offset chain as (text, value)."""
+    if depth and draw(st.booleans()):
+        text, value = draw(offset_chains(depth - 1))
+        text = f"({text})"
+    else:
+        value = draw(st.integers(0, 9))
+        text = str(value)
+    for _ in range(draw(st.integers(1, 4))):
+        op, k = draw(st.sampled_from("+-")), draw(st.integers(0, 9))
+        text, value = f"{text} {op} {k}", value + k if op == "+" else value - k
+    return text, value
+
+
+@st.composite
+def removal_chains(draw):
+    """Removals from q = (1..6) in one or more bracket lists, as (text,
+    the list left): each index sees the list the removals before it left."""
+    left = tuple(range(1, 7))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        group = []
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.one_of(st.integers(0, 7), st.just("size(q)")))
+            group.append(str(k))
+            k = len(left) if k == "size(q)" else k
+            left = left[: k - 1] + left[k:] if 1 <= k <= len(left) else ()
+        groups.append(f" \\ [{', '.join(group)}]")
+    return "q" + "".join(groups), left
+
+
+def assert_round_trip(program):
+    assert parse_program(pretty_print(program)) == program
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=phase_chains())
+def test_phase_chains_print_back_and_fold_left(chain):
+    text, value = chain
+    f = parse_phase_text(text)
+    assert parse_phase_text(format_phase(f)) == f
+    assert _eval_phase_raw(f, PHASE_X) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=bool_chains())
+def test_boolean_chains_print_back_and_fold_left(chain):
+    text, value = chain
+    program = parse_program(f":: if {text} then {{ skip; }} else {{ skip; }}")
+    assert_round_trip(program)
+    assert eval_bool(program.main.cond, ()) is value
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=offset_chains())
+def test_offset_chains_print_back_and_fold_left(chain):
+    text, value = chain
+    program = parse_program(f":: q[{text}] *= NOT;")
+    assert_round_trip(program)
+    assert eval_int(program.main.qubit.index, ()) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=removal_chains())
+def test_removal_chains_print_back_and_remove_progressively(chain):
+    text, left = chain
+    program = parse_program(f":: call f({text});")
+    assert_round_trip(program)
+    assert eval_set(program.main.set_expr, tuple(range(1, 7))) == left

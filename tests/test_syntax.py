@@ -46,12 +46,12 @@ def test_phase_reduction_into_two_pi():
 
 def test_phase_pi_over_power():
     # pi / 2^(x-1) at x = 2 is pi/2.
-    expr = PhaseBin("/", PhasePi(), PhasePow2(PhaseVar()))
+    expr = PhaseBin(PhasePi(), (("/", PhasePow2(PhaseVar())),))
     assert eval_phase(expr, 1) == pytest.approx(math.pi / 2)
 
 
 def test_phase_double_negation_collapses():
-    f = PhaseBin("/", PhasePi(), PhaseConst(4))
+    f = PhaseBin(PhasePi(), (("/", PhaseConst(4)),))
     assert phase_neg(phase_neg(f)) == f
 
 
@@ -61,14 +61,14 @@ def test_not_matrix():
 
 
 def test_rotation_matrix_is_special_orthogonal():
-    op = Operator(OP_RY, PhaseBin("/", PhasePi(), PhaseConst(3)), IntLit(0))
+    op = Operator(OP_RY, PhaseBin(PhasePi(), (("/", PhaseConst(3)),)), IntLit(0))
     m = gate_matrix(op)
     c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
     assert np.allclose(m, [[c, -s], [s, c]], atol=1e-12)
 
 
 def test_phase_matrix_uses_argument():
-    op = Operator(OP_PH, PhaseBin("/", PhasePi(), PhasePow2(PhaseVar())), IntVar("x"))
+    op = Operator(OP_PH, PhaseBin(PhasePi(), (("/", PhasePow2(PhaseVar())),)), IntVar("x"))
     m = gate_matrix(op, 1)  # evaluated at argument value 1
     assert np.allclose(m, np.diag([1, np.exp(1j * math.pi / 2)]), atol=1e-12)
 
@@ -285,3 +285,18 @@ def test_division_checks_its_denominator_before_its_numerator():
     for op in "+-*":
         with pytest.raises(PhaseEvalError, match="^phase expression overflows at n=3$"):
             eval_phase(parse_phase_text(f"2^2000 {op} (1 / 0)"), 3)
+    # In a chain, every denominator is checked before anything to its left,
+    # right to left; then the rest evaluates left to right.
+    division_by_zero = (
+        "1 / 2^2000 / 0",
+        "2^2000 * 1 / 0",
+        "1 / 0 * 2^2000",
+        "(1 / 0) * 2^2000 / 3",
+        "1 / 0 - 2^2000",
+    )
+    for text in division_by_zero:
+        with pytest.raises(PhaseEvalError, match="^division by zero in phase expression at n=3$"):
+            eval_phase(parse_phase_text(text), 3)
+    for text in ("1 / 0 / 2^2000", "2^2000 / 1 * (1 / 0)", "2^2000 - 1 / 0", "2^2000 + 0 / 0"):
+        with pytest.raises(PhaseEvalError, match="^phase expression overflows at n=3$"):
+            eval_phase(parse_phase_text(text), 3)
