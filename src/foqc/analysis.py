@@ -88,6 +88,12 @@ class NotPfoqError(FoqError):
     """Raised when an operation requires an accepted program but got none."""
 
 
+def refuse_ill_formed(diags: list[str]) -> None:
+    """Raise NotPfoqError naming `check_wf`'s diagnostics, if there are any."""
+    if diags:
+        raise NotPfoqError("ill-formed program: " + "; ".join(diags))
+
+
 # ---------------------------------------------------------------------------
 # Variables and calls of a statement.
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import NoReturn
 
 from . import programs
 from .algebra import AlgebraError, parse_term, to_pfoq
-from .analysis import NotPfoqError, check_pfoq, check_wf, program_refs
+from .analysis import NotPfoqError, check_pfoq, check_wf, program_refs, refuse_ill_formed
 from .circuit import (
     CircuitSchemaError,
     ancilla_residue,
@@ -95,9 +95,7 @@ def _load_wellformed(path: str):
     fragment still runs.
     """
     program = _load_program(path)
-    diags = check_wf(program, *program_refs(program))
-    if diags:
-        raise NotPfoqError("ill-formed program: " + "; ".join(diags))
+    refuse_ill_formed(check_wf(program, *program_refs(program)))
     return program
 
 

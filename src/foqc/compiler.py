@@ -28,7 +28,11 @@ controls stand for the input-wire regions fanned into them, so each
 control structure is first resolved to a reduced ordered binary decision
 diagram (BDD) over the input wires; two structures are disjoint exactly
 when the AND of their BDDs is the false node.  Merging ORs a caller's
-region into the ancilla's.
+region into the ancilla's.  The BDD order is the order in which the
+compile first pins each wire, the latest on top (`Regions`): a recursion
+that pins one more wire per level, from either end of its list, builds
+each ancilla's region on top of the last one, so the node table stays
+linear in n.
 
 The program is compiled as written: a bounds guard is classical control,
 settled where a qubit position is evaluated.  An out-of-range position
@@ -44,12 +48,13 @@ under each ancilla are checked once the whole program is compiled
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import NotPfoqError, analyse, statement_width
+from .analysis import NotPfoqError, analyse, check_wf, refuse_ill_formed, statement_width
 from .circuit import (
     MAX_DENSE_WIRES,
     Circuit,
@@ -114,9 +119,13 @@ class Regions:
 
     A region is an int: 0 is the false node, 1 the true node, and any other
     value indexes `nodes`, a (wire, low, high) triple whose children test
-    only larger wires.  The unique table never builds a node with equal
-    children nor the same triple twice, so two regions are the same set of
-    basis states exactly when they are the same int.
+    only wires of lower level.  A wire gets its level in `levels` the first
+    time `literal` sees it, above every earlier wire's, so the order
+    follows the order in which control structures pin wires, and a new
+    variable goes on top without reordering any node already built.  The
+    unique table never builds a node with equal children nor the same
+    triple twice, so two regions are the same set of basis states exactly
+    when they are the same int.
     """
 
     FALSE = 0
@@ -127,6 +136,7 @@ class Regions:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memo: dict[tuple[bool, int, int], int] = {}
         self._negated: dict[int, int] = {}
+        self.levels: dict[int, int] = {}
 
     def node(self, wire: int, low: int, high: int) -> int:
         if low == high:
@@ -141,6 +151,7 @@ class Regions:
 
     def literal(self, wire: int, bit: int) -> int:
         """The region where `wire` holds `bit`."""
+        self.levels.setdefault(wire, len(self.levels))
         return self.node(wire, 1 - bit, bit)
 
     def conj(self, u: int, v: int) -> int:
@@ -176,11 +187,13 @@ class Regions:
         if r is None:
             wu, lu, hu = self.nodes[u]
             wv, lv, hv = self.nodes[v]
-            wire = min(wu, wv)
-            if wu != wire:
-                lu = hu = u
-            if wv != wire:
-                lv = hv = v
+            wire = wu
+            if wu != wv:
+                if self.levels[wu] < self.levels[wv]:
+                    wire = wv
+                    lu = hu = u
+                else:
+                    lv = hv = v
             r = self.node(wire, self._apply(conj, lu, lv), self._apply(conj, hu, hv))
             self._memo[key] = r
         return r
@@ -275,8 +288,11 @@ class _Context:
         """Add a caller's pins to ancilla a's, moved from the caller's wire
         list sub_l to the ancilla's wire list seen_l.  Returns whether a's
         pins grew."""
-        wires = self.pinned_wires(cs)
-        carried = {seen for wire, seen in zip(sub_l, seen_l) if wire in wires}
+        carried: set[int] = set()
+        for wire in self.pinned_wires(cs):
+            i = bisect_left(sub_l, wire)
+            if i < len(sub_l) and sub_l[i] == wire:
+                carried.add(seen_l[i])
         pins = self.pinned[a]
         if carried <= pins:
             return False
@@ -525,10 +541,12 @@ def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
 def compile_with_stats(p: Program, n: int, check: bool = True):
     """Compile to a circuit, returning (circuit, statistics dict).
 
-    With check=False a rejected program is compiled all the same.
+    With check=False a rejected program is compiled all the same.  An
+    ill-formed program is refused as `run` refuses it.
     """
     verdict, relations = analyse(p)
     if check and not verdict.accepted:
+        refuse_ill_formed(check_wf(p, relations.decl_refs, relations.main_refs))
         raise NotPfoqError(
             "program rejected by the tractability check: "
             + "; ".join(verdict.diagnostics)

@@ -122,14 +122,13 @@ def test_every_program_subcommand_refuses_an_ill_formed_program(tmp_path, capsys
     source, diagnostic = ILL_FORMED[name]
     path = tmp_path / f"{name}.foq"
     path.write_text(source)
-    rejected = f"error: program rejected by the tractability check: {diagnostic}\n"
     ill_formed = f"error: ill-formed program: {diagnostic}\n"
     expected = {
         ("check",): "",
         ("run", "--state", "0"): ill_formed,
         ("level", "-n", "1"): ill_formed,
-        ("compile", "-n", "1"): rejected,
-        ("diff", "-n", "1"): rejected,
+        ("compile", "-n", "1"): ill_formed,
+        ("diff", "-n", "1"): ill_formed,
     }
     for (command, *options), stderr in expected.items():
         assert dispatch([command, str(path), *options]) == 1, command
@@ -532,6 +531,16 @@ def test_a_recursion_error_past_the_parser_names_the_subcommand(qft_file, capsys
     monkeypatch.setattr(foqc.cli, "compile_with_stats", too_deep)
     err = assert_input_error(capsys, ["compile", qft_file, "-n", "3"])
     assert err == "error: compile exceeded Python's recursion limit\n"
+
+
+def test_compile_handles_a_deep_merging_recursion(branching_file, tmp_path, capsys):
+    # Each ancilla region of appendix-b is built on top of the one before,
+    # so no region operation recurses once per qubit.
+    circuit_path = tmp_path / "appendix-b.json"
+    argv = ["compile", branching_file, "-n", "1500", "-o", str(circuit_path), "--stats"]
+    assert dispatch(argv) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert (stats["gates"], stats["ancillas"]) == (5994, 1499)
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,46 @@ def test_branching_compiles_at_n40(branching):
     assert circuit.ancillas == 39
 
 
+# appendix-b peeling the tail of its list instead of the head.
+MIRROR_SOURCE = """
+decl proc(p) {
+  if size(p) > 2 then {
+    qcase p[size(p)] of {
+      0 -> call proc(p \\ [size(p)]);
+      ,
+      1 -> qcase p[size(p) - 1] of {
+             0 -> skip;
+             ,
+             1 -> call proc(p \\ [size(p), size(p)]);
+           }
+    }
+  } else {
+    p[1] *= RY[pi / 4](0);
+  }
+},
+:: call proc(q);
+"""
+
+
+@pytest.mark.parametrize("source", [EXAMPLES["appendix-b.foq"], MIRROR_SOURCE])
+def test_ancilla_regions_stay_linear_whichever_end_the_recursion_peels(monkeypatch, source):
+    # The BDD order follows the wires in the order they are pinned, so the
+    # region of each ancilla shares its nodes with the earlier ones.
+    contexts = []
+    settle_pins = compiler._Context.settle_pins
+
+    def recorded(ctx):
+        contexts.append(ctx)
+        settle_pins(ctx)
+
+    monkeypatch.setattr(compiler._Context, "settle_pins", recorded)
+    n = 256
+    circuit = compile_program(parse_program(source), n)
+    assert circuit.gate_count() == 4 * n - 6
+    assert circuit.ancillas == n - 1
+    assert len(contexts[0].regions.nodes) <= 8 * n
+
+
 def test_naive_expansion_grows_exponentially(branching):
     # The walk runs every call, so its ops are the per-definition expansion.
     guarded = guard_errors(branching)

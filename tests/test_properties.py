@@ -128,11 +128,13 @@ def test_bdd_regions_match_truth_tables(problem):
             assert (r_i == r_j) == (t_i == t_j)
             disjoint = not any(a and b for a, b in zip(t_i, t_j))
             assert (regions.conj(r_i, r_j) == Regions.FALSE) == disjoint
-    # Reduced and ordered: no node has equal children, children test larger wires.
+    # Reduced and ordered: no node has equal children, children test wires
+    # of strictly lower level.
+    levels = regions.levels
     for wire, low, high in regions.nodes[2:]:
         assert low != high
         for child in (low, high):
-            assert child <= Regions.TRUE or regions.nodes[child][0] > wire
+            assert child <= Regions.TRUE or levels[regions.nodes[child][0]] < levels[wire]
 
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
