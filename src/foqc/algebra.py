@@ -119,9 +119,13 @@ class KQRec(AlgebraTerm):
             raise AlgebraError("kqrec needs k >= 1")
         if self.t < self.k - 1:
             raise AlgebraError(f"kqrec needs t >= k - 1 (got k={self.k}, t={self.t})")
+        # Checked without listing the 2^k bitstrings, so a large k fails at once.
         labels = [w for w, _ in self.selection]
-        expected = {format(j, f"0{self.k}b") for j in range(1 << self.k)}
-        if set(labels) != expected or len(labels) != len(expected):
+        if (
+            len(labels) != 1 << self.k
+            or len(set(labels)) != len(labels)
+            or any(len(w) != self.k or set(w) - {"0", "1"} for w in labels)
+        ):
             raise AlgebraError(
                 f"kqrec selection must name each of the {1 << self.k} "
                 f"length-{self.k} bitstrings exactly once"

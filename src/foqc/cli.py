@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
 def cmd_level(args) -> int:
     program = _load_wellformed(args.file)
     n = _qubits(args)
-    walked = walk(program, n, budget=_budget(args)).checked()
+    walked = walk(program, n, budget=_budget(args))
     print(json.dumps({"n": n, "level": walked.level}))
     return EXIT_OK
 
@@ -323,6 +323,10 @@ def dispatch(argv: list[str]) -> int:
         # The parsers report deep nesting themselves, so a later stage ran
         # out of Python stack.
         print(f"error: {argv[0]} exceeded Python's recursion limit", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        # A qubit count whose list or index range cannot be allocated.
+        print(f"error: {argv[0]} ran out of memory", file=sys.stderr)
         return EXIT_IO
 
 

@@ -665,7 +665,7 @@ def diff_check(p: Program, n: int, seed: int = 0) -> DiffReport:
     circuit = compile_program(p, n)
     actual_ops = lower(circuit)
     bits = _column_bits(actual_ops, columns)
-    expected_ops = walk(guard_errors(p), n).checked().ops
+    expected_ops = walk(guard_errors(p), n).ops
     bits = max(bits, _column_bits(expected_ops, columns))
     chunk = max(1, DIFF_CHUNK_AMPLITUDES >> bits)
     check_sparse_index(n + circuit.ancillas, min(chunk, columns))

@@ -17,8 +17,8 @@ Evaluation produces either a normal terminal (with a mutual-call nesting
 level used by the resource analysis) or an error terminal, which arises
 exactly when a statement touches a qubit outside the accessible set: an
 index outside the current list, or a position an enclosing quantum case
-controls.  The walk decides it, so `run` raises BottomError there
-without replaying any op.
+controls.  The walk raises BottomError at the first such access, depth
+first, as `compile` does, so `run` raises it without replaying any op.
 
 `guard_errors` rewrites a program so that every qubit access is wrapped in
 a classical bounds test, so out-of-range accesses become skips.  Reusing a
@@ -64,9 +64,6 @@ from .syntax import (
     format_qubit,
     gate_matrix,
 )
-
-TOP = "top"
-BOTTOM = "bottom"
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -253,21 +250,13 @@ def _range_error(stmt: Assign | QCase, index: int, length: int) -> str:
 class Walk:
     """What one evaluation's classical control decides.
 
-    The terminal, the mutual-call nesting level, the first access error
-    (depth first) and, in execution order, each executed assignment as one
-    lowered op (`circuit.one_target_op`) on indices over the n qubits.
+    The mutual-call nesting level and, in execution order, each executed
+    assignment as one lowered op (`circuit.one_target_op`) on indices over
+    the n qubits.
     """
 
-    terminal: str  # TOP or BOTTOM
     level: int
-    error: str | None
     ops: list
-
-    def checked(self) -> "Walk":
-        """This walk, or BottomError if it reached the error terminal."""
-        if self.terminal == BOTTOM:
-            raise BottomError(self.error or "program reached the error terminal")
-        return self
 
 
 # Frame kinds of the walk's explicit stack; a call's frame holds nothing else.
@@ -278,11 +267,13 @@ _CALL_FRAME = (_CALL,)
 def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     """Walk the main statement on n qubits without touching any state.
 
-    Neither long sequences nor deep call chains use the Python stack.  A
-    step is one statement rule: every statement costs one on entry, and a
-    k-item sequence k - 1 more, charged before each item but the first and
-    the last, as k - 1 nested binary sequences did.  The positions the
-    enclosing quantum cases pin are `mask` as index bits, holding `want`.
+    Raises BottomError at the first inaccessible access, depth first, and
+    walks nothing after it.  Neither long sequences nor deep call chains use
+    the Python stack.  A step is one statement rule: every statement costs
+    one on entry, and a k-item sequence k - 1 more, charged before each item
+    but the first and the last, as k - 1 nested binary sequences did.  The
+    positions the enclosing quantum cases pin are `mask` as index bits,
+    holding `want`.
     """
     decls = p.decl_map()
     remaining = budget
@@ -293,7 +284,7 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     frames: list = []
     stmt, mask, want, l, env = p.main, 0, 0, tuple(range(1, n + 1)), NO_ENV
     while True:
-        # Descend from stmt until a statement yields (terminal, level, error).
+        # Descend from stmt until a statement yields its level.
         remaining -= 1
         if remaining < 0:
             raise BudgetExceededError("statement-step budget exceeded")
@@ -311,49 +302,47 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                 l, decl, env = bound
                 stmt = decl.body
                 continue
-            result = TOP, 1, None
+            level = 1
         elif isinstance(stmt, (Assign, QCase)):
             positions = eval_set(stmt.qubit.set_expr, l, env)
             k = eval_int(stmt.qubit.index, l, env)
-            bit = 1 << (n - positions[k - 1]) if 1 <= k <= len(positions) else 0
-            if not bit:
-                result = BOTTOM, 0, _range_error(stmt, k, len(positions))
-            elif mask & bit:
-                result = BOTTOM, 0, access_error(stmt, positions[k - 1])
-            elif isinstance(stmt, QCase):
+            if not 1 <= k <= len(positions):
+                raise BottomError(_range_error(stmt, k, len(positions)))
+            bit = 1 << (n - positions[k - 1])
+            if mask & bit:
+                raise BottomError(access_error(stmt, positions[k - 1]))
+            if isinstance(stmt, QCase):
                 frames.append([_QCASE, stmt, bit, None, mask, want, l, env])
                 stmt, mask = stmt.if_zero, mask | bit
                 continue
-            else:
-                op = stmt.op
-                arg = eval_int(op.arg, l, env) if op.arg is not None else 0
-                u = entries.get((id(op), arg))
-                if u is None:
-                    (u00, u01), (u10, u11) = gate_matrix(op, arg).tolist()
-                    u = entries[id(op), arg] = (u00, u01, u10, u11)
-                ops.append(one_target_op(mask, want, bit, u))
-                result = TOP, 0, None
+            op = stmt.op
+            arg = eval_int(op.arg, l, env) if op.arg is not None else 0
+            u = entries.get((id(op), arg))
+            if u is None:
+                (u00, u01), (u10, u11) = gate_matrix(op, arg).tolist()
+                u = entries[id(op), arg] = (u00, u01, u10, u11)
+            ops.append(one_target_op(mask, want, bit, u))
+            level = 0
         elif isinstance(stmt, Skip):
-            result = TOP, 0, None
+            level = 0
         else:
             raise TypeError(f"not a statement: {stmt!r}")
-        # Ascend: hand the result to the enclosing frames until one of
-        # them has a statement left to run.
+        # Ascend: hand the level to the enclosing frames until one of them
+        # has a statement left to run.  A call adds one, a sequence sums
+        # and a quantum case takes the max of its branches.
         while True:
             if not frames:
-                return Walk(*result, ops)
+                return Walk(level, ops)
             frame = frames[-1]
             if frame[0] == _CALL:
                 frames.pop()
-                terminal, level, error = result
-                result = terminal, level + 1, error
+                level += 1
             elif frame[0] == _SEQ:
-                terminal, level, error = result
                 items, i = frame[1], frame[2] + 1
                 frame[3] += level
-                if terminal == BOTTOM or i == len(items):
+                if i == len(items):
                     frames.pop()
-                    result = terminal, frame[3], error
+                    level = frame[3]
                     continue
                 frame[2] = i
                 stmt, (mask, want, l, env) = items[i], frame[4:]
@@ -366,7 +355,7 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                     del frame[4:]
                 break
             elif frame[3] is None:  # the quantum case's 0-branch is done
-                frame[3] = result
+                frame[3] = level
                 bit = frame[2]
                 stmt, mask, want = frame[1].if_one, frame[4] | bit, frame[5] | bit
                 l, env = frame[6], frame[7]
@@ -374,8 +363,7 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                 break
             else:
                 frames.pop()
-                (t0, m0, err0), (t1, m1, err1) = frame[3], result
-                result = (t0, max(m0, m1), err0) if t0 == BOTTOM else (t1, max(m0, m1), err1)
+                level = max(frame[3], level)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +382,7 @@ def run(p: Program, state: QuantumState, budget: int = DEFAULT_BUDGET) -> EvalOu
 
     Raises BottomError on the error terminal, before any op is replayed.
     """
-    walked = walk(p, state.n, budget).checked()
+    walked = walk(p, state.n, budget)
     psi = replay_dense(walked.ops, state.amplitudes, state.n)
     return EvalOutcome(QuantumState(state.n, psi), walked.level)
 

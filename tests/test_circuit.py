@@ -219,6 +219,14 @@ def test_export_json_is_canonical():
     assert payload["gates"][1]["targets"] == [1, 2]
 
 
+def test_import_json_sorts_controls():
+    gate = {"kind": "cnot", "controls": [[3, 1], [1, 0]], "targets": [2]}
+    c = import_json(json.dumps({"n": 3, "ancillas": 0, "gates": [gate]}))
+    assert c.gates[0].controls.bits == ((1, 0), (3, 1))
+    payload = json.loads(export_json(c))
+    assert payload["gates"][0]["controls"] == [[1, 0], [3, 1]]
+
+
 def test_json_round_trip(qft):
     from foqc.compiler import compile_program
 

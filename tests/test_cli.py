@@ -280,6 +280,17 @@ def test_algebra_bad_term(tmp_path, capsys):
     assert dispatch(["algebra", str(term_path)]) == 4
 
 
+def test_algebra_refuses_a_wide_kqrec_selection_without_listing_it(tmp_path, capsys):
+    # 2^40 bitstrings would not fit in memory: the labels are checked alone.
+    term_path = tmp_path / "wide.alg"
+    term_path.write_text("(kqrec :k 40 :t 40 :f i :g i :h i :sel (0 rec) (1 i))")
+    assert dispatch(["algebra", str(term_path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: kqrec selection must name each of the 1099511627776"
+        " length-40 bitstrings exactly once\n"
+    )
+
+
 def test_examples_command(tmp_path, capsys):
     target = tmp_path / "ex"
     assert dispatch(["examples", str(target)]) == 0
@@ -333,6 +344,28 @@ def test_control_reuse_is_the_error_terminal_in_compile_and_diff(tmp_path, capsy
     ):
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "3"]], ids=["default", "budget-3"])
+def test_the_walk_stops_at_the_error_terminal_in_every_subcommand(tmp_path, capsys, budget):
+    # The 0-branch reaches the error terminal.  The 1-branch would exhaust
+    # a budget of 3 and then divide by zero, but nothing after the error is
+    # walked, so all four subcommands report the same access (`compile` and
+    # `diff` take no budget).
+    path = tmp_path / "bottom-first.foq"
+    path.write_text(
+        ":: qcase q[1] of { 0 -> q[1] *= NOT; , 1 -> q[2] *= NOT; q[2] *= NOT;"
+        " q[2] *= NOT; q[2] *= NOT; q[2] *= PH[pi / (x - x)](0); }"
+    )
+    expected = "error: assignment to q[1]: position 1 is not accessible\n"
+    for argv in (
+        ["run", str(path), "--state", "00", *budget],
+        ["level", str(path), "-n", "2", *budget],
+        ["compile", str(path), "-n", "2"],
+        ["diff", str(path), "-n", "2"],
+    ):
+        assert dispatch(argv) == 2, argv[0]
+        assert capsys.readouterr().err == expected, argv[0]
 
 
 MERGED_BRANCHES = ["call proc(p \\ [1]);", "call proc(p \\ [2]);", "skip;"]
@@ -433,6 +466,25 @@ def test_malformed_circuit_json_is_a_schema_error(tmp_path, capsys, text):
     assert_input_error(capsys, ["simulate", str(path), "--state", "0"])
 
 
+@pytest.mark.parametrize(
+    "kind, targets, message",
+    [
+        ("cnot", [], "cnot takes exactly one target"),
+        ("cnot", [1, 2], "cnot takes exactly one target"),
+        ("cswap", [1, 2, 3], "cswap targets must split into two equal halves"),
+    ],
+    ids=["cnot-none", "cnot-two", "cswap-odd"],
+)
+def test_simulate_refuses_a_gate_with_the_wrong_number_of_targets(
+    tmp_path, capsys, kind, targets, message
+):
+    gate = {"kind": kind, "controls": [], "targets": targets}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "ancillas": 0, "gates": [gate]}))
+    err = assert_input_error(capsys, ["simulate", str(path), "--state", "000"])
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_refuses_a_non_unitary_gate_on_every_request(tmp_path, capsys):
     matrix = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
     gate = {"kind": "cu", "controls": [], "targets": [1], "matrix": matrix}
@@ -497,6 +549,14 @@ def test_negative_qubit_count_is_refused(qft_file, capsys):
         for n in ("3", "7"):
             err = assert_input_error(capsys, ["diff", file, "-n", n, "--seed", "-5"])
             assert err == "error: --seed must be a nonnegative integer, got -5\n"
+
+
+def test_a_qubit_count_past_the_address_space_is_an_input_error(qft_file, capsys):
+    # 10^15 positions need 8 PB, more than the address space holds, so the
+    # allocation fails at once and touches no memory.
+    for command in ("level", "compile", "diff"):
+        err = assert_input_error(capsys, [command, qft_file, "-n", str(10**15)])
+        assert err == f"error: {command} ran out of memory\n"
 
 
 def test_negative_budget_is_refused(qft_file, capsys, monkeypatch):
@@ -603,6 +663,19 @@ def test_callee_does_not_see_the_callers_parameter(tmp_path, capsys):
     assert dispatch(["run", str(path), "--state", "0"]) == 1
     assert capsys.readouterr().err == "error: ill-formed program: " + expected
     assert dispatch(["compile", str(path), "-n", "1"]) == 1
+
+
+def test_a_variable_used_only_under_a_negation_is_checked(tmp_path, capsys):
+    path = tmp_path / "negated.foq"
+    path.write_text(
+        "decl f(p) { if !(y > 0) then { p[1] *= NOT; } else { skip; } }, :: call f(q);"
+    )
+    diagnostic = "procedure f: unknown integer variable(s) ['y']"
+    assert dispatch(["check", str(path)]) == 1
+    assert out_json(capsys)["diagnostics"] == [diagnostic]
+    for argv in (["run", str(path), "--state", "0"], ["compile", str(path), "-n", "1"]):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: ill-formed program: {diagnostic}\n"
 
 
 def test_access_error_names_the_source_expression(tmp_path, capsys):

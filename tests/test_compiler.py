@@ -266,7 +266,7 @@ def test_diff_refuses_more_entries_than_the_limit_before_allocating(tmp_path, ca
 def test_the_diff_entry_limit_on_both_sides(name, n, admitted):
     # The limit alone, without running the diff it admits.
     p = parse_program(EXAMPLES[name])
-    for ops in (lower(compile_program(p, n)), walk(guard_errors(p), n).checked().ops):
+    for ops in (lower(compile_program(p, n)), walk(guard_errors(p), n).ops):
         if admitted:
             bits = compiler._column_bits(ops, DIFF_SAMPLES)
             assert DIFF_SAMPLES << bits <= 1 << MAX_DENSE_WIRES
@@ -320,7 +320,7 @@ def dense_diff(program, circuit, n, seed):
     outputs subtracted."""
     basis = diff_basis(n, seed)
     m = circuit.ancillas
-    expected, _ = dense_replay(walk(guard_errors(program), n).checked().ops, n, 0, basis)
+    expected, _ = dense_replay(walk(guard_errors(program), n).ops, n, 0, basis)
     full, _ = dense_replay(lower(circuit), n + m, 0, [b << m for b in basis])
     full = full.reshape(1 << n, 1 << m, len(basis))
     actual = full.sum(axis=1)

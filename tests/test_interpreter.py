@@ -10,9 +10,7 @@ from foqc.algebra import parse_term, to_pfoq
 from foqc.circuit import ControlStructure, replay_basis
 from foqc.cli import dispatch
 from foqc.interpreter import (
-    BOTTOM,
     NO_ENV,
-    TOP,
     BottomError,
     BudgetExceededError,
     EvalError,
@@ -159,22 +157,23 @@ def test_qcase_superposed_control():
 
 def test_out_of_range_assignment_reaches_bottom():
     program = parse_program(":: q[5] *= NOT;")
-    walked = walk(program, 2)
-    assert (walked.terminal, walked.level) == (BOTTOM, 0)
-    assert walked.error == "assignment to q[5]: index 5 is out of range for a list of length 2"
+    error = "assignment to q[5]: index 5 is out of range for a list of length 2"
+    with pytest.raises(BottomError) as walked:
+        walk(program, 2)
+    assert str(walked.value) == error
     state = QuantumState.from_bits("00")
     before = state.amplitudes.copy()
     with pytest.raises(BottomError) as excinfo:
         run(program, state)
-    assert str(excinfo.value) == walked.error
+    assert str(excinfo.value) == error
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_control_qubit_reuse_reaches_bottom():
     program = parse_program(":: qcase q[1] of { 0 -> q[1] *= NOT; , 1 -> skip; }")
-    walked = walk(program, 1)
-    assert (walked.terminal, walked.level) == (BOTTOM, 0)
-    assert walked.error == "assignment to q[1]: position 1 is not accessible"
+    with pytest.raises(BottomError) as walked:
+        walk(program, 1)
+    assert str(walked.value) == "assignment to q[1]: position 1 is not accessible"
     with pytest.raises(BottomError, match="position 1 is not accessible"):
         run(program, QuantumState.from_bits("0"))
 
@@ -185,14 +184,15 @@ def test_error_terminal_after_a_branch_wrote_its_half():
     program = parse_program(
         ":: qcase q[1] of { 0 -> q[2] *= H; q[3] *= NOT; , 1 -> q[1] *= NOT; }"
     )
-    walked = walk(program, 3)
-    assert (walked.terminal, walked.level) == (BOTTOM, 0)
-    assert walked.error == "assignment to q[1]: position 1 is not accessible"
+    error = "assignment to q[1]: position 1 is not accessible"
+    with pytest.raises(BottomError) as walked:
+        walk(program, 3)
+    assert str(walked.value) == error
     state = random_state(3, np.random.default_rng(4))
     before = state.amplitudes.copy()
     with pytest.raises(BottomError) as excinfo:
         run(program, state)
-    assert str(excinfo.value) == walked.error
+    assert str(excinfo.value) == error
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -208,7 +208,7 @@ def test_runs_never_mutate_the_callers_state(corpus):
 def test_guard_errors_makes_out_of_range_a_skip():
     program = parse_program(":: q[5] *= NOT;")
     guarded = guard_errors(program)
-    assert walk(guarded, 2).terminal == TOP
+    assert walk(guarded, 2).ops == []
     outcome = run(guarded, QuantumState.from_bits("00"))
     assert np.allclose(outcome.state.amplitudes, QuantumState.from_bits("00").amplitudes)
 
@@ -284,7 +284,7 @@ def test_run_basis_columns_are_per_state_runs(corpus, n):
     for program in corpus.values():
         guarded = guard_errors(program)
         basis = list(range(1 << n))
-        columns = dense_replay(walk(guarded, n).checked().ops, n, 0, basis)[0]
+        columns = dense_replay(walk(guarded, n).ops, n, 0, basis)[0]
         assert columns.shape == (1 << n, len(basis))
         for j, b in enumerate(basis):
             alone = run(guarded, QuantumState.from_bits(format(b, f"0{n}b")))
@@ -301,7 +301,7 @@ def test_run_basis_reports_the_error_terminal_as_run_does():
     with pytest.raises(BottomError) as alone:
         run(program, QuantumState.from_bits("000"))
     with pytest.raises(BottomError) as batched:
-        replay_basis(walk(program, 3).checked().ops, 3, 0, range(8))
+        replay_basis(walk(program, 3).ops, 3, 0, range(8))
     assert str(batched.value) == str(alone.value)
 
 
@@ -377,16 +377,19 @@ def test_the_walk_records_one_op_per_executed_assignment():
 
 
 def test_level_of_walks_without_a_state():
-    # The walk alone gives the level, also on the error terminal, and no
+    # The walk alone gives the level or reaches the error terminal, and no
     # state is built: 26 qubits would take 1 GiB of amplitudes, and 40 are
     # past the dense cap.
     program = parse_program(
         "decl f(p) { p[1] *= NOT; call f(p \\ [1]); }, :: call f(q); q[30] *= H;"
     )
-    assert walk(program, 3).terminal == BOTTOM
+    with pytest.raises(BottomError) as walked:
+        walk(program, 3)
+    assert str(walked.value) == "assignment to q[30]: index 30 is out of range for a list of length 3"
     tracemalloc.start()
     try:
-        assert walk(program, 26).level == 27
+        with pytest.raises(BottomError, match="out of range for a list of length 26$"):
+            walk(program, 26)
         assert walk(program, 40).level == 41
         peak = tracemalloc.get_traced_memory()[1]
     finally:

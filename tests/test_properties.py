@@ -13,6 +13,7 @@ from foqc.circuit import (
     ControlStructure,
     controlled_u_gate,
     export_json,
+    import_json,
     simulate_circuit,
 )
 from foqc.compiler import Regions, _Context, compile_program
@@ -221,6 +222,13 @@ def _dense_gate(total, gate):
             [_dense(total, gate.controls, [a, b], SWAP) for a, b in zip(gate.left, gate.right)],
         )
     return _dense(total, gate.controls, list(gate.targets), gate.matrix_array())
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=small_circuits())
+def test_circuit_json_round_trips(circuit):
+    # Multi-pair cswap and multi-target cu gates come back as they went.
+    assert import_json(export_json(circuit)) == circuit
 
 
 @settings(max_examples=150, deadline=None)
