@@ -119,15 +119,18 @@ class KQRec(AlgebraTerm):
             raise AlgebraError("kqrec needs k >= 1")
         if self.t < self.k - 1:
             raise AlgebraError(f"kqrec needs t >= k - 1 (got k={self.k}, t={self.t})")
-        # Checked without listing the 2^k bitstrings, so a large k fails at once.
+        # Checked without listing the 2^k bitstrings, and 2^k is built only
+        # once it has the label count's bit length, so a large k fails at once.
         labels = [w for w, _ in self.selection]
         if (
-            len(labels) != 1 << self.k
+            len(labels).bit_length() != self.k + 1
+            or len(labels) != 1 << self.k
             or len(set(labels)) != len(labels)
             or any(len(w) != self.k or set(w) - {"0", "1"} for w in labels)
         ):
+            count = 1 << self.k if self.k <= 64 else f"2^{self.k}"
             raise AlgebraError(
-                f"kqrec selection must name each of the {1 << self.k} "
+                f"kqrec selection must name each of the {count} "
                 f"length-{self.k} bitstrings exactly once"
             )
 
@@ -314,8 +317,7 @@ def _tokenize_term(text: str) -> list[str]:
 
 
 def _read_sexpr(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise AlgebraError("unexpected end of term text")
+    # Called only while tokens remain: `parse_term` refuses an empty list.
     tok = tokens[pos]
     if tok == "(":
         items = []

@@ -249,14 +249,13 @@ def call_relations(p: Program) -> ProcRelations:
     direct: dict[str, set[str]] = {name: set() for name in names}
     for d, refs in zip(p.decls, decl_refs):
         for call in refs.calls:
+            # An unknown callee would break the closures, so it is left out
+            # (well-formedness reports it separately).
             if call.proc in direct[d.name] or call.proc not in direct:
                 _tick()
-            direct[d.name].add(call.proc)
+            else:
+                direct[d.name].add(call.proc)
             _tick()
-    # Unknown callees would break the closures; drop them (well-formedness
-    # reports them separately).
-    for name in names:
-        direct[name] &= set(names)
 
     components = _components(names, direct)
     equiv = {name: component for component in components for name in component}

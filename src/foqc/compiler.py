@@ -135,7 +135,6 @@ class Regions:
         self.nodes: list[tuple[int, int, int]] = [(0, 0, 0), (0, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memo: dict[tuple[bool, int, int], int] = {}
-        self._negated: dict[int, int] = {}
         self.levels: dict[int, int] = {}
 
     def node(self, wire: int, low: int, high: int) -> int:
@@ -159,16 +158,6 @@ class Regions:
 
     def disj(self, u: int, v: int) -> int:
         return self._apply(False, u, v)
-
-    def negate(self, u: int) -> int:
-        if u <= self.TRUE:
-            return 1 - u
-        r = self._negated.get(u)
-        if r is None:
-            wire, low, high = self.nodes[u]
-            r = self.node(wire, self.negate(low), self.negate(high))
-            self._negated[u] = r
-        return r
 
     def _apply(self, conj: bool, u: int, v: int) -> int:
         # absorbing is the terminal that decides the result alone (false
@@ -201,6 +190,17 @@ class Regions:
 
 @dataclass
 class _Context:
+    """The state of one compile.
+
+    Every control structure that a statement is compiled under pins some
+    input wires and at most one merge ancilla, held at 1: the compile
+    starts from the empty control, a quantum case pins a position of the
+    current list (lists only shrink from 1..n), and a merged body runs
+    under its ancilla alone.  A routing ancilla controls only its own
+    fan-in gates.  So an ancilla pin always means "the ancilla holds 1"
+    (`resolve` refuses any other).
+    """
+
     decls: dict
     widths: dict[str, int]
     equiv: dict[str, set[str]]
@@ -211,8 +211,7 @@ class _Context:
     orthogonality_checks: int = 0
     regions: Regions = field(default_factory=Regions)
     # For each merge ancilla, the input-wire region where it holds 1: the
-    # OR of the regions of every call merged into it.  (No worklist entry
-    # holds a routing ancilla.)
+    # OR of the regions of every call merged into it.
     meanings: dict[int, int] = field(default_factory=dict)
     # For each merge ancilla, the positions of its wire list that some
     # caller's control structure pins: its body must not touch them.
@@ -254,45 +253,36 @@ class _Context:
         return (len(self.decls) + 1) * (self.n + 1) ** 2
 
     def resolve(self, cs: ControlStructure) -> int:
-        """The input-wire region where a control structure is satisfied.
-
-        An ancilla pinned to 1 stands for its meaning, one pinned to 0 for
-        the complement of its meaning.
-        """
+        """The input-wire region where a control structure is satisfied:
+        an ancilla pin stands for the ancilla's meaning."""
         regions = self.regions
         region = regions.TRUE
         for wire, bit in cs.bits:
             if wire <= self.n:
                 pin = regions.literal(wire, bit)
             else:
-                pin = self.meanings[wire]
                 if not bit:
-                    pin = regions.negate(pin)
+                    raise CompileError(
+                        f"control pins ancilla {wire} to 0; a compiled control holds"
+                        " its ancilla at 1"
+                    )
+                pin = self.meanings[wire]
             region = regions.conj(region, pin)
         return region
-
-    def pinned_wires(self, cs: ControlStructure) -> set[int]:
-        """The input positions cs pins, directly or through the callers of
-        a merge ancilla that it holds at 1."""
-        wires: set[int] = set()
-        for wire, bit in cs.bits:
-            if wire <= self.n:
-                wires.add(wire)
-            elif bit:
-                wires |= self.pinned[wire]
-        return wires
 
     def carry_pins(
         self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
     ) -> bool:
         """Add a caller's pins to ancilla a's, moved from the caller's wire
-        list sub_l to the ancilla's wire list seen_l.  Returns whether a's
-        pins grew."""
+        list sub_l to the ancilla's wire list seen_l.  The caller pins its
+        input positions, and through a merge ancilla that it holds, the
+        positions pinned for that ancilla.  Returns whether a's pins grew."""
         carried: set[int] = set()
-        for wire in self.pinned_wires(cs):
-            i = bisect_left(sub_l, wire)
-            if i < len(sub_l) and sub_l[i] == wire:
-                carried.add(seen_l[i])
+        for wire, _ in cs.bits:
+            for pos in (wire,) if wire <= self.n else self.pinned[wire]:
+                i = bisect_left(sub_l, pos)
+                if i < len(sub_l) and sub_l[i] == pos:
+                    carried.add(seen_l[i])
         pins = self.pinned[a]
         if carried <= pins:
             return False
@@ -324,10 +314,10 @@ def _position(
     every caller has been compiled (`_Context.settle_pins`).
     """
     pos = eval_qubit(stmt.qubit, l, env)
-    for wire, bit in cs.bits:
+    for wire, _ in cs.bits:
         if wire == pos:
             raise BottomError(access_error(stmt, pos))
-        if wire > ctx.n and bit:
+        if wire > ctx.n:
             ctx.touched.setdefault((wire, pos), stmt)
     return pos
 

@@ -428,9 +428,9 @@ def format_bool(b: BoolExpr) -> str:
     if isinstance(b, BoolCmp):
         return f"{format_int(b.left)} {b.op} {format_int(b.right)}"
     if isinstance(b, BoolBin):
-        # Bracketed as the nested binary form: ((a && b) && c).
-        first, *rest = map(format_bool, b.operands)
-        return "(" * len(rest) + first + "".join(f" {b.op} {x})" for x in rest)
+        # One bracket pair per chain, (a && b && c), so a long chain prints
+        # text the parser reads back without nesting.
+        return "(" + f" {b.op} ".join(map(format_bool, b.operands)) + ")"
     if isinstance(b, BoolNot):
         return f"!({format_bool(b.inner)})"
     raise TypeError(f"not a boolean expression: {b!r}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 from foqc import parse_program
 from foqc.algebra import to_pfoq
@@ -228,3 +229,18 @@ def test_analysis_cost_is_linear_on_a_chain():
         costs[k] = op_count()
     assert costs[80] / costs[40] <= 2.5
     assert costs[160] / costs[80] <= 2.5
+
+
+def test_check_time_is_linear_on_a_long_chain():
+    # The operation counter does not see set work, so time a chain 4x
+    # longer: a linear check takes about 4x as long, a quadratic one 16x.
+    def best_ms(k):
+        program = parse_program(_chain_program(k))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            check_pfoq(program)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_ms(4000) / best_ms(1000) < 10

@@ -291,6 +291,46 @@ def test_algebra_refuses_a_wide_kqrec_selection_without_listing_it(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("foo", "unknown algebra atom 'foo'"),
+        ("()", "empty term"),
+        ("((i) i)", "term head must be an atom"),
+        ("(ph)", "ph takes a phase expression"),
+        ("(comp i)", "comp takes at least two terms"),
+        ("(branch i)", "branch takes exactly two terms"),
+        ("(comp i", "unbalanced parentheses in term text"),
+        (")", "unexpected ')' in term text"),
+        ("i i", "trailing text after the term"),
+        ("(frob i)", "unknown algebra form 'frob'"),
+        ("(kqrec k 1)", "expected a :keyword in kqrec, got 'k'"),
+        (
+            "(kqrec :k 1 :t 0 :f i :g i :h i :sel (0 rec) 1)",
+            "each :sel entry must be (BITSTRING rec) or (BITSTRING i)",
+        ),
+        ("(kqrec :k)", "kqrec keyword :k is missing its value"),
+        ("(kqrec :k x)", "kqrec :k takes a natural number"),
+        ("(kqrec :x 1)", "unknown kqrec keyword :x"),
+        ("(kqrec :k 1 :t 0 :f i :g i)", "kqrec is missing :h"),
+    ],
+)
+def test_algebra_reader_errors(tmp_path, capsys, text, message):
+    term_path = tmp_path / "term.alg"
+    term_path.write_text(text)
+    assert assert_input_error(capsys, ["algebra", str(term_path)]) == f"error: {message}\n"
+
+
+def test_algebra_refuses_a_huge_kqrec_k_without_building_2_to_the_k(tmp_path, capsys):
+    # 2^20000 has more decimal digits than Python converts to text.
+    term_path = tmp_path / "huge.alg"
+    term_path.write_text("(kqrec :k 20000 :t 20000 :f i :g i :h i :sel (0 rec))")
+    assert assert_input_error(capsys, ["algebra", str(term_path)]) == (
+        "error: kqrec selection must name each of the 2^20000"
+        " length-20000 bitstrings exactly once\n"
+    )
+
+
 def test_examples_command(tmp_path, capsys):
     target = tmp_path / "ex"
     assert dispatch(["examples", str(target)]) == 0
@@ -534,6 +574,21 @@ def test_phase_overflow_is_a_phase_error(tmp_path, capsys):
     path.write_text(":: q[1] *= RY[2^99999](0);")
     err = assert_input_error(capsys, ["run", str(path), "--state", "0"])
     assert "phase expression overflows" in err
+
+
+def test_an_infinite_phase_is_a_phase_error(tmp_path, capsys):
+    # Each factor is a finite float; their product is not.
+    path = tmp_path / "inf.foq"
+    path.write_text(":: q[1] *= PH[2^1000 * 2^1000](0);")
+    err = assert_input_error(capsys, ["run", str(path), "--state", "0"])
+    assert err == "error: phase expression is not finite at n=0\n"
+
+
+def test_simulate_refuses_a_state_of_the_wrong_size(branching_file, tmp_path, capsys):
+    circuit = tmp_path / "appendix-b.json"
+    assert dispatch(["compile", branching_file, "-n", "4", "-o", str(circuit)]) == 0
+    err = assert_input_error(capsys, ["simulate", str(circuit), "--state", "000"])
+    assert err == "error: state has 8 amplitudes; expected 2^4 or 2^7\n"
 
 
 def test_negative_qubit_count_is_refused(qft_file, capsys):

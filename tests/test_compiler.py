@@ -420,6 +420,29 @@ def test_orthogonality_violation_detected(branching, monkeypatch):
         compile_program(branching, 7)
 
 
+def test_resolve_refuses_an_ancilla_pinned_to_0(branching, monkeypatch):
+    # A compiled control holds its merge ancilla at 1, so an ancilla pinned
+    # to 0 is refused rather than resolved to a region nothing built.
+    ctx = compiler._Context(decls={}, widths={}, equiv={}, n=2)
+    regions = ctx.regions
+    ctx.meanings[3] = regions.literal(1, 1)
+    at_one = ctx.resolve(ControlStructure.of({2: 0, 3: 1}))
+    assert at_one == regions.conj(regions.literal(2, 0), regions.literal(1, 1))
+    message = "^control pins ancilla 3 to 0; a compiled control holds its ancilla at 1$"
+    with pytest.raises(compiler.CompileError, match=message):
+        ctx.resolve(ControlStructure.of({2: 0, 3: 0}))
+
+    # So is a compile whose merged bodies run under their ancilla at 0.
+    class AtZero(ControlStructure):
+        @classmethod
+        def of(cls, mapping):
+            return ControlStructure.of(dict.fromkeys(mapping, 0))
+
+    monkeypatch.setattr(compiler, "ControlStructure", AtZero)
+    with pytest.raises(compiler.CompileError, match="^control pins ancilla 8 to 0"):
+        compile_program(branching, 7)
+
+
 def test_no_orthogonality_failures_on_corpus(corpus):
     for name, program in corpus.items():
         n = 3 if name != "branching" else 7

@@ -110,6 +110,19 @@ def test_a_long_expression_chain_diffs_at_the_default_recursion_limit(
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("source", EXPRESSION_CHAINS.values(), ids=EXPRESSION_CHAINS.keys())
+def test_an_inverted_long_expression_chain_checks_at_the_default_recursion_limit(
+    source, tmp_path, capsys, default_recursion_limit
+):
+    # The printer brackets a chain once, so its output reads back flat.
+    path = tmp_path / "chain.foq"
+    path.write_text(source)
+    inverse = str(tmp_path / "chain.inv.foq")
+    assert dispatch(["invert", str(path), "-o", inverse]) == 0
+    assert dispatch(["check", inverse]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_long_body_checks_without_a_traceback(tmp_path):
     path = tmp_path / "long.foq"
     path.write_text(straight_program(10_000))

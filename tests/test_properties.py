@@ -79,13 +79,14 @@ def test_compile_is_deterministic_bytes(n):
 @st.composite
 def region_problems(draw):
     """n <= 6 input wires, ancillas meaning ORs of input-wire control
-    structures, and control structures pinning inputs and ancillas."""
+    structures, and control structures pinning inputs, and ancillas at 1
+    as the compiler pins them."""
     n = draw(st.integers(1, 6))
     cube = st.dictionaries(st.integers(1, n), st.integers(0, 1), max_size=n)
     meanings = draw(st.lists(st.lists(cube, max_size=3), max_size=3))
     pins = st.dictionaries(
         st.integers(1, n + len(meanings)), st.integers(0, 1), max_size=4
-    )
+    ).map(lambda c: {w: 1 if w > n else b for w, b in c.items()})
     structures = draw(st.lists(pins, min_size=1, max_size=5))
     return n, meanings, structures
 
