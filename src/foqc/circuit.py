@@ -369,7 +369,9 @@ def one_target_op(mask: int, want: int, bit: int, entries) -> tuple:
     """The op applying the 2x2 `entries` (u00, u01, u10, u11) to index bit `bit`."""
     u00, u01, u10, u11 = entries
     if u01 == 0 and u10 == 0:
-        phases = tuple((v, ph) for v, ph in ((0, u00), (bit, u11)) if ph != 1)
+        phases = ((0, u00),) if u00 != 1 else ()
+        if u11 != 1:
+            phases += ((bit, u11),)
         return (SCALE, mask, want, bit, phases)
     if u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
         return (FLIP, mask, want, bit, None)
@@ -627,9 +629,8 @@ def simulate_circuit(c: Circuit, psi) -> np.ndarray:
     elif amps.shape[0] == 1 << c.total_wires:
         shift = 0
     else:
-        raise CircuitError(
-            f"state has {amps.shape[0]} amplitudes; expected 2^{c.n} or 2^{c.total_wires}"
-        )
+        sizes = f"2^{c.n}" if not c.ancillas else f"2^{c.n} or 2^{c.total_wires}"
+        raise CircuitError(f"state has {amps.shape[0]} amplitudes; expected {sizes}")
     return replay_dense(lower(c), amps, c.total_wires, shift)
 
 

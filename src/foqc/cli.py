@@ -5,6 +5,7 @@ Exit codes: 0 success; 1 analysis rejection (or tolerance exceeded in
 schema or argument errors.  A malformed command line (a missing or
 ill-typed option, an unknown subcommand, a negative budget) is an argument
 error: it exits 4 with one `error:` line, while `--help` still exits 0.
+So does `main` when the reader closes stdout before the output is written.
 The step budget defaults to 10^6 statement rules and can be overridden
 with --budget or the FOQC_BUDGET environment variable.
 
@@ -331,4 +332,13 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`foqc run ... | head -c 30`).  Point
+        # stdout at devnull, so the flush at shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = EXIT_IO
+    sys.exit(code)

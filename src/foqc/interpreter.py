@@ -8,8 +8,11 @@ parameter afresh, so a body never sees its caller's bindings), and the
 positions the enclosing quantum cases pin.  It records each executed
 assignment as one op (`circuit.one_target_op`): the target qubit, the
 pins as a control mask and wanted bits, and the 2x2 entries, or a flip
-for NOT.  The replay applies the ops to the non-zero amplitudes of the
-input, on the kernel that simulates circuits (`circuit._SparseState`).
+for NOT.  Equal calls (same procedure, list and argument) are walked once
+and share one block of ops, as `compile` merges them; the op list is
+expanded from the blocks when it is first read.  The replay applies the
+ops to the non-zero amplitudes of the input, on the kernel that simulates
+circuits (`circuit._SparseState`).
 Qubit 1 is the most significant bit of the basis-state index, and
 evaluation is exact (no measurement, no sampling).
 
@@ -62,7 +65,7 @@ from .syntax import (
     Skip,
     Statement,
     format_qubit,
-    gate_matrix,
+    gate_entries,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -161,10 +164,10 @@ def eval_set(s: SetExpr, l: tuple[int, ...], env: Env = NO_ENV) -> tuple[int, ..
     before it, so chained removals see the progressively shrinking list.
     An out-of-range removal index yields the empty list.
     """
-    if isinstance(s, SetNil):
-        return ()
     if isinstance(s, SetVar):
         return l
+    if isinstance(s, SetNil):
+        return ()
     if isinstance(s, SetRemove):
         base = () if isinstance(s.base, SetNil) else l
         for index in s.indices:
@@ -217,14 +220,21 @@ def bind_call(
     sub_l = eval_set(call.set_expr, l, env)
     if not sub_l:
         return None
+    return (sub_l, *bind_callee(call, decls, l, env))
+
+
+def bind_callee(
+    call: Call, decls: Mapping[str, ProcDecl], l: tuple[int, ...], env: Env
+) -> tuple[ProcDecl, Env]:
+    """The declaration and env of a call whose list is not empty."""
     decl = decls.get(call.proc)
     if decl is None:
         raise EvalError(f"call to undeclared procedure {call.proc!r}")
     if decl.param is None:
-        return sub_l, decl, NO_ENV
+        return decl, NO_ENV
     if call.arg is None:
         raise EvalError(f"procedure {call.proc!r} requires a classical argument")
-    return sub_l, decl, {decl.param: eval_int(call.arg, l, env)}
+    return decl, {decl.param: eval_int(call.arg, l, env)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +256,90 @@ def _range_error(stmt: Assign | QCase, index: int, length: int) -> str:
     return f"{_naming(stmt)}: index {index} is out of range for a list of length {length}"
 
 
-@dataclass(frozen=True)
 class Walk:
     """What one evaluation's classical control decides.
 
     The mutual-call nesting level and, in execution order, each executed
     assignment as one lowered op (`circuit.one_target_op`) on indices over
-    the n qubits.
+    the n qubits.  `blocks` counts the calls the walk recorded for sharing
+    (see `walk`).  `ops` is expanded from the record when it is first read,
+    so a walk read only for its level builds no ops.
     """
 
-    level: int
-    ops: list
+    __slots__ = ("level", "blocks", "_record", "_ops")
+
+    def __init__(self, level: int, blocks: int, record: list, repeats: bool):
+        self.level = level
+        self.blocks = blocks
+        self._record = record
+        self._ops = None if repeats else record
+
+    @property
+    def ops(self) -> list:
+        if self._ops is None:
+            self._ops = _expand(self._record)
+            self._record = None
+        return self._ops
 
 
-# Frame kinds of the walk's explicit stack; a call's frame holds nothing else.
+def _expand(record: list) -> list:
+    """The ops a walk's record stands for, in one pass.
+
+    An item is an op, or a repeat (start, end, mask, want): the ops that
+    record[start:end] expands to, with `mask` and `want` xored into their
+    pins.  A repeat comes after its range, so those ops are already a
+    slice of the output.
+    """
+    ops: list = []
+    at: list[int] = []  # at[i]: where record[i]'s ops begin in the output
+    for item in record:
+        at.append(len(ops))
+        if len(item) == 5:
+            ops.append(item)
+            continue
+        start, end, xmask, xwant = item
+        span = ops[at[start] : at[end]]
+        if xmask or xwant:
+            span = [(kind, m ^ xmask, w ^ xwant, bit, data) for kind, m, w, bit, data in span]
+        ops += span
+    return ops
+
+
+def _call_list(
+    s: SetExpr, l: tuple[int, ...], lid: int, env: Env, children: dict
+) -> tuple[tuple[int, ...], int, bool]:
+    """`eval_set` of a call's list, the list's per-walk id, and whether
+    the id is new.
+
+    Ids are interned by removal: `children` maps (parent id, evaluated
+    index) to the child's id, so equal ids are equal lists and no table
+    keeps a list.  The id of an empty list means nothing.
+    """
+    if isinstance(s, SetVar):
+        return l, lid, False
+    if isinstance(s, SetNil):
+        return (), lid, False
+    base = () if isinstance(s.base, SetNil) else l
+    new = False
+    for index in s.indices:
+        k = eval_int(index, base, env)
+        if 1 <= k <= len(base):
+            base = base[: k - 1] + base[k:]
+            child = children.get((lid, k))
+            # A child of a new id is new too, so the last removal decides.
+            new = child is None
+            if new:
+                child = children[lid, k] = len(children) + 1
+            lid = child
+        else:
+            base = ()
+    return base, lid, new
+
+
+# Frame kinds of the walk's explicit stack.  A call on a new list records
+# no block, and its frame holds nothing else.
 _SEQ, _QCASE, _CALL = range(3)
-_CALL_FRAME = (_CALL,)
+_NEW_CALL_FRAME = (_CALL,)
 
 
 def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
@@ -274,35 +352,73 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     but the first and the last, as k - 1 nested binary sequences did.  The
     positions the enclosing quantum cases pin are `mask` as index bits,
     holding `want`.
+
+    Equal calls share one block.  A body depends only on its procedure,
+    list and argument, so a call returning records its block under that
+    key: its level, its steps, the index bits its body touched, and the
+    span of the record its ops fill.  A later call with the key adds the
+    block's level, charges its steps (raising BudgetExceededError exactly
+    when the expanded walk would) and records one repeat of the span under
+    its own pins.  If those pins meet the touched bits, the expanded walk
+    stops inside the call, at the error terminal or earlier on the budget,
+    so that call is walked again, to the same stop.  A call whose list was
+    first derived at that call records no block: no earlier call can have
+    had its key, and a later one walks it again and records it then.  So
+    the calls of a chain that derives a new list at each step, as `qft`'s
+    do, keep no block.
     """
     decls = p.decl_map()
     remaining = budget
-    ops: list = []
+    # Each op walked, and for each shared call one repeat of its block.
+    record: list = []
+    repeats = False
+    # (procedure, list id, argument) -> the block of the call's first walk:
+    # (level, steps, touched bits, start, end, mask, want), where the call's
+    # ops are what record[start:end] expands to, under the pins mask, want.
+    blocks: dict = {}
+    children: dict = {}  # (list id, removal index) -> list id
     # (id(operator), argument) -> its 2x2 entries: p keeps its operators
     # alive, and an id hashes without walking the phase tree.
     entries: dict = {}
     frames: list = []
-    stmt, mask, want, l, env = p.main, 0, 0, tuple(range(1, n + 1)), NO_ENV
+    stmt, mask, want, l, lid, env = p.main, 0, 0, tuple(range(1, n + 1)), 0, NO_ENV
+    touched = 0  # the index bits accessed since the innermost recording call began
     while True:
         # Descend from stmt until a statement yields its level.
         remaining -= 1
         if remaining < 0:
             raise BudgetExceededError("statement-step budget exceeded")
         if isinstance(stmt, Seq):
-            frames.append([_SEQ, stmt.items, 0, 0, mask, want, l, env])
+            frames.append([_SEQ, stmt.items, 0, 0, mask, want, l, lid, env])
             stmt = stmt.items[0]
             continue
         if isinstance(stmt, If):
             stmt = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             continue
         if isinstance(stmt, Call):
-            bound = bind_call(stmt, decls, l, env)
-            if bound is not None:
-                frames.append(_CALL_FRAME)
-                l, decl, env = bound
-                stmt = decl.body
-                continue
-            level = 1
+            sub_l, sub_id, new = _call_list(stmt.set_expr, l, lid, env, children)
+            if sub_l:
+                decl, sub_env = bind_callee(stmt, decls, l, env)
+                if new:
+                    frames.append(_NEW_CALL_FRAME)
+                    stmt, l, lid, env = decl.body, sub_l, sub_id, sub_env
+                    continue
+                key = (stmt.proc, sub_id, None if sub_env is NO_ENV else sub_env[decl.param])
+                block = blocks.get(key)
+                if block is None or mask & block[2]:
+                    frames.append((_CALL, key, remaining, len(record), touched, mask, want))
+                    stmt, l, lid, env, touched = decl.body, sub_l, sub_id, sub_env, 0
+                    continue
+                level, steps, block_touched, start, end, block_mask, block_want = block
+                if remaining < steps:
+                    raise BudgetExceededError("statement-step budget exceeded")
+                remaining -= steps
+                touched |= block_touched
+                if end > start:
+                    record.append((start, end, block_mask ^ mask, block_want ^ want))
+                    repeats = True
+            else:
+                level = 1
         elif isinstance(stmt, (Assign, QCase)):
             positions = eval_set(stmt.qubit.set_expr, l, env)
             k = eval_int(stmt.qubit.index, l, env)
@@ -311,32 +427,38 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
             bit = 1 << (n - positions[k - 1])
             if mask & bit:
                 raise BottomError(access_error(stmt, positions[k - 1]))
+            touched |= bit
             if isinstance(stmt, QCase):
-                frames.append([_QCASE, stmt, bit, None, mask, want, l, env])
+                frames.append([_QCASE, stmt, bit, None, mask, want, l, lid, env])
                 stmt, mask = stmt.if_zero, mask | bit
                 continue
             op = stmt.op
             arg = eval_int(op.arg, l, env) if op.arg is not None else 0
             u = entries.get((id(op), arg))
             if u is None:
-                (u00, u01), (u10, u11) = gate_matrix(op, arg).tolist()
-                u = entries[id(op), arg] = (u00, u01, u10, u11)
-            ops.append(one_target_op(mask, want, bit, u))
+                u = entries[id(op), arg] = gate_entries(op, arg)
+            record.append(one_target_op(mask, want, bit, u))
             level = 0
         elif isinstance(stmt, Skip):
             level = 0
         else:
             raise TypeError(f"not a statement: {stmt!r}")
         # Ascend: hand the level to the enclosing frames until one of them
-        # has a statement left to run.  A call adds one, a sequence sums
-        # and a quantum case takes the max of its branches.
+        # has a statement left to run.  A call adds one (and records its
+        # block), a sequence sums and a quantum case takes the max of its
+        # branches.
         while True:
             if not frames:
-                return Walk(level, ops)
+                return Walk(level, len(blocks), record, repeats)
             frame = frames[-1]
             if frame[0] == _CALL:
                 frames.pop()
                 level += 1
+                if len(frame) > 1:  # a call that records its block
+                    _, key, entered, start, outer, call_mask, call_want = frame
+                    steps = entered - remaining
+                    blocks[key] = (level, steps, touched, start, len(record), call_mask, call_want)
+                    touched |= outer
             elif frame[0] == _SEQ:
                 items, i = frame[1], frame[2] + 1
                 frame[3] += level
@@ -345,7 +467,7 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                     level = frame[3]
                     continue
                 frame[2] = i
-                stmt, (mask, want, l, env) = items[i], frame[4:]
+                stmt, (mask, want, l, lid, env) = items[i], frame[4:]
                 if i < len(items) - 1:
                     # Checked with the item's own step, which comes next.
                     remaining -= 1
@@ -358,7 +480,7 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
                 frame[3] = level
                 bit = frame[2]
                 stmt, mask, want = frame[1].if_one, frame[4] | bit, frame[5] | bit
-                l, env = frame[6], frame[7]
+                l, lid, env = frame[6], frame[7], frame[8]
                 del frame[4:]  # as for a sequence's last item
                 break
             else:

@@ -344,19 +344,26 @@ def seq_items(stmt: Statement) -> tuple[Statement, ...]:
 # ---------------------------------------------------------------------------
 
 
+def gate_entries(op: Operator, n: int = 0) -> tuple[complex, complex, complex, complex]:
+    """The 2x2 unitary of an operator evaluated at integer argument n, as
+    its entries (u00, u01, u10, u11)."""
+    if op.kind == OP_NOT:
+        return 0j, 1 + 0j, 1 + 0j, 0j
+    theta = eval_phase(op.phase, n)
+    if op.kind == OP_RY:
+        c, s = math.cos(theta), math.sin(theta)
+        return complex(c), complex(-s), complex(s), complex(c)
+    if op.kind == OP_PH:
+        return 1 + 0j, 0j, 0j, cmath.exp(1j * theta)
+    raise ValueError(f"unknown operator kind {op.kind!r}")
+
+
 def gate_matrix(op: Operator, n: int = 0):
     """The 2x2 unitary of an operator evaluated at integer argument n."""
     import numpy as np
 
-    if op.kind == OP_NOT:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    theta = eval_phase(op.phase, n)
-    if op.kind == OP_RY:
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if op.kind == OP_PH:
-        return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=complex)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+    u00, u01, u10, u11 = gate_entries(op, n)
+    return np.array([[u00, u01], [u10, u11]], dtype=complex)
 
 
 def invert_operator(op: Operator) -> Operator:

@@ -212,18 +212,38 @@ def test_simulate_schema_error(tmp_path, capsys):
     assert dispatch(["simulate", str(path), "--state", "0"]) == 4
 
 
-def run_cli(*argv):
-    """Run `python -m foqc` in a fresh process, so tracebacks reach stderr."""
+def cli_env() -> dict:
+    """The environment under which a fresh process imports this checkout's foqc."""
     src = str(Path(foqc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*argv):
+    """Run `python -m foqc` in a fresh process, so tracebacks reach stderr."""
     return subprocess.run(
         [sys.executable, "-m", "foqc", *argv],
-        env=env,
+        env=cli_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_a_closed_stdout_exits_4_without_a_traceback(branching_file):
+    # `foqc run … | head -c 30`: the reader closes the pipe while the
+    # process still writes 2^16 amplitudes, far more than a pipe holds.
+    with subprocess.Popen(
+        [sys.executable, "-m", "foqc", "run", branching_file, "--state", "0" * 16],
+        env=cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.read(30) == b'{"n": 16, "level": 15, "amplit'
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 4
+    assert stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_simulate_over_the_wire_cap_is_an_input_error(tmp_path):
@@ -408,6 +428,45 @@ def test_the_walk_stops_at_the_error_terminal_in_every_subcommand(tmp_path, caps
         assert capsys.readouterr().err == expected, argv[0]
 
 
+def test_a_shared_call_under_a_pin_it_touches_reaches_the_error_terminal(tmp_path, capsys):
+    # The second call has the first one's key, but runs under a pin on the
+    # position its body writes: it is walked again, to the same error the
+    # expanded walk meets.
+    path = tmp_path / "shared-bottom.foq"
+    path.write_text(
+        "decl f(p) { p[1] *= NOT; }, :: call f(q); qcase q[1] of { 0 -> call f(q); , 1 -> skip; }"
+    )
+    expected = "error: assignment to p[1]: position 1 is not accessible\n"
+    for argv in (
+        ["run", str(path), "--state", "00"],
+        ["level", str(path), "-n", "2"],
+        ["compile", str(path), "-n", "2"],
+        ["diff", str(path), "-n", "2"],
+    ):
+        assert dispatch(argv) == 2, argv[0]
+        assert capsys.readouterr().err == expected, argv[0]
+
+
+def test_level_shares_equal_calls(branching_file, capsys):
+    # appendix-b makes about phi^60 calls at n = 60, but only 60 distinct ones.
+    argv = ["level", branching_file, "-n", "60", "--budget", str(10**20)]
+    assert dispatch(argv) == 0
+    assert out_json(capsys) == {"n": 60, "level": 59}
+
+
+def test_invert_is_syntactic_on_an_ill_formed_program(tmp_path, capsys):
+    # `invert` does not check well-formedness; `check` on its output does.
+    path = tmp_path / "ill-formed.foq"
+    path.write_text("decl f(p) { p[1] *= H; }, decl f(p) { skip; }, :: call f(q); call g(q);")
+    inverse = tmp_path / "inverse.foq"
+    assert dispatch(["invert", str(path), "-o", str(inverse)]) == 0
+    assert dispatch(["check", str(inverse)]) == 1
+    assert out_json(capsys)["diagnostics"] == [
+        "duplicate procedure declaration: f",
+        "main statement: call to undeclared procedure g",
+    ]
+
+
 MERGED_BRANCHES = ["call proc(p \\ [1]);", "call proc(p \\ [2]);", "skip;"]
 MERGED_IDS = ["drop-1", "drop-2", "skip"]
 
@@ -523,6 +582,13 @@ def test_simulate_refuses_a_gate_with_the_wrong_number_of_targets(
     path.write_text(json.dumps({"n": 3, "ancillas": 0, "gates": [gate]}))
     err = assert_input_error(capsys, ["simulate", str(path), "--state", "000"])
     assert err == f"error: {message}\n"
+
+
+def test_simulate_names_one_size_for_a_circuit_without_ancillas(qft_file, tmp_path, capsys):
+    circuit = tmp_path / "qft.json"
+    assert dispatch(["compile", qft_file, "-n", "8", "-o", str(circuit)]) == 0
+    err = assert_input_error(capsys, ["simulate", str(circuit), "--state", "000"])
+    assert err == "error: state has 8 amplitudes; expected 2^8\n"
 
 
 def test_simulate_refuses_a_non_unitary_gate_on_every_request(tmp_path, capsys):

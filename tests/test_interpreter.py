@@ -397,6 +397,90 @@ def test_level_of_walks_without_a_state():
     assert peak < 1 << 20
 
 
+def test_appendix_b_smallest_budgets_are_pinned():
+    # A shared call charges its block's steps, so the smallest budget that
+    # does not raise is the expanded walk's step count.
+    program = parse_program(EXAMPLES["appendix-b.foq"])
+
+    def smallest(n):
+        lo, hi = 0, 1 << 12
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                walk(program, n, budget=mid)
+                hi = mid
+            except BudgetExceededError:
+                lo = mid + 1
+        return lo
+
+    assert [smallest(n) for n in (8, 10, 12)] == [163, 435, 1147]
+
+
+def test_the_walk_shares_equal_calls_without_building_ops():
+    # About phi^60 calls, 60 of them distinct: the walk records a block per
+    # distinct call and builds no op until `ops` is read.
+    program = parse_program(EXAMPLES["appendix-b.foq"])
+    tracemalloc.start()
+    try:
+        walked = walk(program, 60, budget=10**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked.level == 59
+    assert walked.blocks <= 2 * 60
+    assert peak < 1 << 20
+
+
+def test_a_call_on_a_list_first_derived_there_records_no_block():
+    # No qft call repeats; only the calls whose list an earlier call
+    # derived record a block, so there are O(n) of them, not n^2 / 2.
+    qft = parse_program(EXAMPLES["qft.foq"])
+    assert walk(qft, 64).blocks <= 2 * 64 + 2
+
+
+def test_a_shared_call_takes_the_pins_of_each_caller():
+    # f's first call (a new list) and second call are walked; the third,
+    # under the other value of the same pin, and the last, under no pin,
+    # repeat the second's block.  The ops equal the inlined program's.
+    shared = parse_program(
+        "decl f(p) { p[1] *= H; qcase p[2] of { 0 -> skip; , 1 -> p[1] *= NOT; } },"
+        " :: qcase q[1] of { 0 -> call f(q \\ [1]); call f(q \\ [1]); , 1 -> call f(q \\ [1]); }"
+        " call f(q \\ [1]);"
+    )
+    body = "q[2] *= H; qcase q[3] of { 0 -> skip; , 1 -> q[2] *= NOT; }"
+    inlined = parse_program(f":: qcase q[1] of {{ 0 -> {body} {body} , 1 -> {body} }} {body}")
+    walked = walk(shared, 3)
+    assert walked.blocks == 1
+    assert walked.ops == walk(inlined, 3).ops
+    assert walked.level == 3  # max(1 + 1, 1) + 1
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        # f touches p[2] itself and p[3] through a walked sub-call.
+        (
+            "decl g(p) { p[3] *= NOT; }, decl f(p) { p[2] *= NOT; call g(p); },"
+            " :: call f(q); qcase q[2] of { 0 -> call f(q); , 1 -> skip; }",
+            2,
+        ),
+        # f touches p[1] only through a shared sub-call.
+        (
+            "decl g(p) { p[1] *= NOT; }, decl f(p) { call g(p \\ [2]); },"
+            " :: call g(q \\ [2]); call g(q \\ [2]); call f(q);"
+            " qcase q[1] of { 0 -> call f(q); , 1 -> skip; }",
+            1,
+        ),
+    ],
+    ids=["own-and-walked", "shared"],
+)
+def test_a_block_touches_what_its_sub_calls_touch(source, position):
+    with pytest.raises(BottomError) as walked:
+        walk(parse_program(source), 3)
+    expected = f"assignment to p[{position}]: position {position} is not accessible"
+    assert str(walked.value) == expected
+
+
 def test_connectives_short_circuit():
     # The right side, an unbound variable, is reached only when it decides.
     def cond(text):
