@@ -181,6 +181,11 @@ class ProcRelations:
     # (a duplicate name keeps its own entry), and what main refers to.
     decl_refs: list[StatementRefs]
     main_refs: StatementRefs
+    # Filled by `analyse`: for each procedure of a recursive group, the
+    # group's width table, the `statement_width` of every subtree of the
+    # group's bodies keyed by its id().  The program keeps the subtrees
+    # alive.  A procedure outside every recursive group has no table.
+    width_tables: dict[str, dict[int, int]] = field(default_factory=dict)
 
     def reachable(self, roots) -> set[str]:
         """Every procedure that one of `roots` reaches, the roots included."""
@@ -331,10 +336,10 @@ def statement_width(
 
     With `memo`, every subtree's width is stored under its id() and looked
     up before walking it again.  The caller keeps the statements alive and
-    measures each statement against one group only.  The one kind of
-    subtree that may sit in procedures of several groups is a leaf the
-    parser shares among its equal copies (`parser._Parser.parse_stmt`); a
-    leaf holds no `Call`, so its width is 0 against every group.
+    keeps one memo per group: a subtree may sit in procedures of several
+    groups, as the leaves that the parser shares among their equal copies
+    do (`parser._Parser.parse_stmt`), or a `Call` that a program built by
+    hand puts in two bodies.
     """
     if memo is not None:
         w = memo.get(id(stmt))
@@ -416,11 +421,18 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
                     f"strictly shrink the set parameter "
                     f"(argument {format_set(call.set_expr)})"
                 )
+    # A recursive group measures its bodies into one table; a body that
+    # calls into no group of its own is measured without one.
+    tables = relations.width_tables
+    for component in relations.components:
+        if len(component) > 1 or any(name in relations.direct[name] for name in component):
+            table: dict[int, int] = {}
+            tables.update(dict.fromkeys(component, table))
     # A name declared twice reports its widest body; each body wider than
     # one gets its own diagnostic.
     width_map: dict[str, int] = {}
     for d in p.decls:
-        w = statement_width(d.body, relations.equiv[d.name])
+        w = statement_width(d.body, relations.equiv[d.name], tables.get(d.name))
         width_map[d.name] = max(w, width_map.get(d.name, 0))
         if w > 1:
             diags.append(

@@ -42,22 +42,6 @@ class CircuitSchemaError(FoqError):
     """Circuit JSON does not match the expected schema."""
 
 
-class _cached:
-    """`functools.cached_property` without the lock it takes on each first
-    read before Python 3.12: the value goes into the instance's __dict__,
-    where every later read finds it before this descriptor."""
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 def _no_bools(values, what: str) -> None:
     """Refuse True and False: as ints they pass every range check, but
     `export_json` would write them as true and false, which `import_json`
@@ -69,21 +53,26 @@ def _no_bools(values, what: str) -> None:
 
 @dataclass(frozen=True)
 class ControlStructure:
-    """A partial map wire -> required bit, stored sorted by wire."""
+    """A partial map wire -> required bit, stored sorted by wire.
+
+    `wires`, the frozenset of its wires, is set when it is built; being no
+    field, it takes no part in equality or hashing.
+    """
 
     bits: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         _no_bools(itertools.chain.from_iterable(self.bits), "control wires and bits")
-        wires = [w for w, _ in self.bits]
+        wires = frozenset(w for w, _ in self.bits)
         if any(w < 1 for w in wires):
             raise CircuitError("control wires are 1-based positive integers")
-        if len(set(wires)) != len(wires):
+        if len(wires) != len(self.bits):
             raise CircuitError("duplicate wire in control structure")
         if any(b not in (0, 1) for _, b in self.bits):
             raise CircuitError("control bits must be 0 or 1")
         if list(self.bits) != sorted(self.bits):
             object.__setattr__(self, "bits", tuple(sorted(self.bits)))
+        object.__setattr__(self, "wires", wires)
 
     @classmethod
     def empty(cls) -> "ControlStructure":
@@ -92,10 +81,6 @@ class ControlStructure:
     @classmethod
     def of(cls, mapping: dict[int, int]) -> "ControlStructure":
         return cls(tuple(sorted(mapping.items())))
-
-    @_cached
-    def wires(self) -> frozenset[int]:
-        return frozenset(w for w, _ in self.bits)
 
     def get(self, wire: int) -> int | None:
         for w, b in self.bits:
@@ -121,6 +106,7 @@ class ControlStructure:
             raise CircuitError("control bits must be 0 or 1")
         grown = object.__new__(ControlStructure)
         object.__setattr__(grown, "bits", tuple(sorted(self.bits + ((wire, bit),))))
+        object.__setattr__(grown, "wires", self.wires | {wire})
         return grown
 
 

@@ -48,13 +48,14 @@ under each ancilla are checked once the whole program is compiled
 from __future__ import annotations
 
 import json
+import marshal
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import NotPfoqError, analyse, check_wf, refuse_ill_formed, statement_width
+from .analysis import NotPfoqError, analyse, check_wf, refuse_ill_formed
 from .circuit import (
     MAX_DENSE_WIRES,
     Circuit,
@@ -74,10 +75,11 @@ from .interpreter import (
     BottomError,
     Env,
     access_error,
-    bind_call,
+    bind_callee,
     eval_bool,
     eval_int,
     eval_qubit,
+    eval_set,
     guard_errors,
     walk,
 )
@@ -93,7 +95,7 @@ from .syntax import (
     Skip,
     Statement,
     format_phase,
-    gate_matrix,
+    gate_entries,
 )
 
 
@@ -202,8 +204,9 @@ class _Context:
     """
 
     decls: dict
-    widths: dict[str, int]
-    equiv: dict[str, set[str]]
+    # The check's width table of each procedure in a recursive group
+    # (`ProcRelations.width_tables`).
+    width_tables: dict[str, dict[int, int]]
     n: int
     ancillas: int = 0
     anc_keys: int = 0
@@ -226,14 +229,10 @@ class _Context:
     # `settle_pins`.
     callers: list = field(default_factory=list)
     touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
-    # statement_width of every subtree measured so far, keyed by id(stmt).
-    # A body only ever reaches the worklist of its own procedure's group;
-    # a leaf the parser shares across groups holds no call, so its width
-    # is 0 in each of them.
-    stmt_widths: dict[int, int] = field(default_factory=dict)
     # The (matrix, label) of each (operator id, argument) compiled so far,
-    # interned in `gate_values` by the matrix's bytes, which keep 0.0 apart
-    # from -0.0: equal operators share one pair.
+    # interned in `gate_values` by the entries' marshalled bytes, which keep
+    # 0.0 apart from -0.0 as `import_json` does: equal operators share one
+    # pair.
     gate_data: dict = field(default_factory=dict)
     gate_values: dict = field(default_factory=dict)
     # The gate of each (id of its interned pair, position, control bits)
@@ -244,10 +243,6 @@ class _Context:
     def new_ancilla(self) -> int:
         self.ancillas += 1
         return self.n + self.ancillas
-
-    def width(self, stmt: Statement, group: set[str]) -> int:
-        w = self.stmt_widths.get(id(stmt))
-        return statement_width(stmt, group, self.stmt_widths) if w is None else w
 
     def key_budget(self) -> int:
         return (len(self.decls) + 1) * (self.n + 1) ** 2
@@ -338,9 +333,11 @@ def _assign_gates(
     arg = eval_int(op.arg, l, env)
     data = ctx.gate_data.get((id(op), arg))
     if data is None:
-        m = np.asarray(gate_matrix(op, arg), dtype=complex)
+        u00, u01, u10, u11 = entries = gate_entries(op, arg)
         label = f"{op.kind}[{format_phase(op.phase)}]({arg})"
-        data = ctx.gate_values.setdefault((m.tobytes(), label), (tuple(map(tuple, m)), label))
+        data = ctx.gate_values.setdefault(
+            (marshal.dumps(entries, 2), label), (((u00, u01), (u10, u11)), label)
+        )
         ctx.gate_data[id(op), arg] = data
     key = (id(data), pos, cs.bits)
     gate = ctx.gates.get(key)
@@ -350,15 +347,20 @@ def _assign_gates(
 
 
 def _peel(
-    ctx: _Context, seq: Seq, l: tuple[int, ...], env: Env, cs: ControlStructure, group: set[str]
+    ctx: _Context,
+    seq: Seq,
+    l: tuple[int, ...],
+    env: Env,
+    cs: ControlStructure,
+    widths: dict[int, int],
 ) -> tuple[list[Gate], Statement, list[Gate]]:
-    """The prefix's gates, the recursing item (the first of width 1 against
-    group, else the last) and the suffix's gates of a sequence.  Ancilla
-    numbers and the first error depend on the order: prefix, suffix, then
-    the item, which the caller compiles."""
+    """The prefix's gates, the recursing item (the first of width 1 in the
+    group's width table, else the last) and the suffix's gates of a
+    sequence.  Ancilla numbers and the first error depend on the order:
+    prefix, suffix, then the item, which the caller compiles."""
     items = seq.items
     for k, item in enumerate(items):  # with no width-1 item, k ends on the last
-        if ctx.width(item, group) == 1:
+        if widths[id(item)] == 1:
             break
     prefix: list[Gate] = []
     for item in items[:k]:
@@ -375,42 +377,42 @@ def compr(
     """Directly compile a statement, expanding in place every call that
     nothing controls.
 
-    Runs on an explicit stack of (statement, list, env, control, group)
+    Runs on an explicit stack of (statement, list, env, control, widths)
     entries, popped in program order, so neither sequence length nor a
     chain of expanded calls deepens the Python stack.  An uncontrolled
     call into a recursive group is expanded here too, its entries carrying
-    the group: such an entry is the one instance of a worklist pass that
-    has nothing to merge yet; its sequences are peeled as in `optimize`,
-    the suffix's gates waiting on the stack under the recursing item.  A
-    pass starts where an instance first gets a control: at a quantum case
-    that recurses, or at a controlled recursive call.
+    the group's width table: such an entry is the one instance of a
+    worklist pass that has nothing to merge yet; its sequences are peeled
+    as in `optimize`, the suffix's gates waiting on the stack under the
+    recursing item.  A pass starts where an instance first gets a control:
+    at a quantum case that recurses, or at a controlled recursive call.
     """
     gates: list[Gate] = []
     stack = [(stmt, l, env, cs, None)]
     while stack:
-        stmt, l, env, cs, group = stack.pop()
-        if group is not None and not ctx.width(stmt, group):
-            group = None
+        stmt, l, env, cs, widths = stack.pop()
+        if widths is not None and not widths[id(stmt)]:
+            widths = None
         if isinstance(stmt, Skip):
             continue
         if isinstance(stmt, Assign):
             gates += _assign_gates(ctx, stmt, l, env, cs)
         elif isinstance(stmt, Seq):
-            if group is None:
+            if widths is None:
                 stack += [(item, l, env, cs, None) for item in reversed(stmt.items)]
                 continue
-            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, group)
+            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, widths)
             gates += prefix
             if suffix:
                 # The suffix's gates, emitted once the item's are.
                 stack.append((suffix, None, None, None, None))
-            stack.append((item, l, env, cs, group))
+            stack.append((item, l, env, cs, widths))
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
-            stack.append((branch, l, env, cs, group))
+            stack.append((branch, l, env, cs, widths))
         elif isinstance(stmt, QCase):
-            if group is not None:
-                gates += optimize(ctx, deque([(cs, stmt, l, env)]), group)
+            if widths is not None:
+                gates += optimize(ctx, deque([(cs, stmt, l, env)]), widths)
                 continue
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
@@ -418,20 +420,21 @@ def compr(
             stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1), None))
             stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0), None))
         elif isinstance(stmt, Call):
-            bound = bind_call(stmt, ctx.decls, l, env)
-            if bound is None:
+            sub_l = eval_set(stmt.set_expr, l, env)
+            if not sub_l:
                 continue
-            sub_l, decl, sub_env = bound
-            if ctx.widths[stmt.proc] == 0:
+            decl, sub_env = bind_callee(stmt, ctx.decls, l, env)
+            callee_widths = ctx.width_tables.get(stmt.proc)
+            if callee_widths is None:
                 stack.append((decl.body, sub_l, sub_env, cs, None))
             elif not cs.bits:
                 # A one-entry worklist: nothing to merge with, so no pair
                 # to check and no key to record.
                 ctx.max_worklist = max(ctx.max_worklist, 1)
-                stack.append((decl.body, sub_l, sub_env, cs, ctx.equiv[stmt.proc]))
+                stack.append((decl.body, sub_l, sub_env, cs, callee_widths))
             else:
                 worklist = deque([(cs, decl.body, sub_l, sub_env)])
-                gates += optimize(ctx, worklist, ctx.equiv[stmt.proc])
+                gates += optimize(ctx, worklist, callee_widths)
         elif isinstance(stmt, list):
             gates += stmt
         else:
@@ -439,8 +442,9 @@ def compr(
     return gates
 
 
-def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
-    """Worklist compilation of one mutually recursive procedure group.
+def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gate]:
+    """Worklist compilation of one mutually recursive procedure group,
+    whose width table is `widths`.
 
     `anc` is the pass's own ancilla table: it maps (procedure, classical
     argument, set size) to the control ancilla and wire list of the first
@@ -464,12 +468,11 @@ def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
                         "merging would corrupt the circuit"
                     )
         cs, stmt, l, env = worklist.popleft()
-        w = ctx.width(stmt, group)
-        if w == 0:
+        if widths[id(stmt)] == 0:
             c_left += compr(ctx, stmt, l, env, cs)
             continue
         if isinstance(stmt, Seq):
-            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, group)
+            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, widths)
             c_left += prefix
             worklist.append((cs, item, l, env))
             c_right += reversed(suffix)
@@ -480,8 +483,8 @@ def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
                 continue
-            w0 = ctx.width(stmt.if_zero, group)
-            w1 = ctx.width(stmt.if_one, group)
+            w0 = widths[id(stmt.if_zero)]
+            w1 = widths[id(stmt.if_one)]
             cs0 = _extend_control(cs, pos, 0)
             cs1 = _extend_control(cs, pos, 1)
             if w0 == 1 and w1 == 1:
@@ -494,10 +497,10 @@ def optimize(ctx: _Context, worklist: deque, group: set[str]) -> list[Gate]:
                 worklist.append((cs1, stmt.if_one, l, env))
                 c_right += reversed(compr(ctx, stmt.if_zero, l, env, cs0))
         elif isinstance(stmt, Call):
-            bound = bind_call(stmt, ctx.decls, l, env)
-            if bound is None:
+            sub_l = eval_set(stmt.set_expr, l, env)
+            if not sub_l:
                 continue
-            sub_l, decl, sub_env = bound
+            decl, sub_env = bind_callee(stmt, ctx.decls, l, env)
             key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
             entry = anc.get(key)
             if entry is None:
@@ -541,12 +544,7 @@ def compile_with_stats(p: Program, n: int, check: bool = True):
             "program rejected by the tractability check: "
             + "; ".join(verdict.diagnostics)
         )
-    ctx = _Context(
-        decls=p.decl_map(),
-        widths=verdict.widths,
-        equiv=relations.equiv,
-        n=n,
-    )
+    ctx = _Context(decls=p.decl_map(), width_tables=relations.width_tables, n=n)
     gates = compr(ctx, p.main, tuple(range(1, n + 1)), NO_ENV, ControlStructure.empty())
     ctx.settle_pins()
     circuit = Circuit(n, ctx.ancillas, tuple(gates))

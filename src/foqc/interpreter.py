@@ -208,25 +208,15 @@ def eval_qubit(q: QubitExpr, l: tuple[int, ...], env: Env = NO_ENV) -> int:
     return 0
 
 
-def bind_call(
-    call: Call, decls: Mapping[str, ProcDecl], l: tuple[int, ...], env: Env
-) -> tuple[tuple[int, ...], ProcDecl, Env] | None:
-    """Evaluate a call's arguments: the callee's list, declaration and env.
-
-    The callee's env binds only its own classical parameter, so a body never
-    sees its caller's bindings.  None when the list is empty: such a call
-    does nothing, and neither the callee nor its argument is looked at.
-    """
-    sub_l = eval_set(call.set_expr, l, env)
-    if not sub_l:
-        return None
-    return (sub_l, *bind_callee(call, decls, l, env))
-
-
 def bind_callee(
     call: Call, decls: Mapping[str, ProcDecl], l: tuple[int, ...], env: Env
 ) -> tuple[ProcDecl, Env]:
-    """The declaration and env of a call whose list is not empty."""
+    """The declaration and env of a call whose list is not empty.
+
+    The env binds only the callee's own classical parameter, so a body
+    never sees its caller's bindings.  A call whose list is empty does
+    nothing, and its callee and argument are not looked at.
+    """
     decl = decls.get(call.proc)
     if decl is None:
         raise EvalError(f"call to undeclared procedure {call.proc!r}")

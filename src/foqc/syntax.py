@@ -358,14 +358,6 @@ def gate_entries(op: Operator, n: int = 0) -> tuple[complex, complex, complex, c
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
-def gate_matrix(op: Operator, n: int = 0):
-    """The 2x2 unitary of an operator evaluated at integer argument n."""
-    import numpy as np
-
-    u00, u01, u10, u11 = gate_entries(op, n)
-    return np.array([[u00, u01], [u10, u11]], dtype=complex)
-
-
 def invert_operator(op: Operator) -> Operator:
     """The adjoint of an operator: NOT is self-inverse, RY/PH negate phases."""
     if op.kind == OP_NOT:

@@ -15,6 +15,23 @@ from foqc.analysis import (
     statement_refs,
 )
 from foqc.interpreter import guard_errors
+from foqc.syntax import (
+    OP_NOT,
+    Assign,
+    BoolCmp,
+    Call,
+    If,
+    IntLit,
+    Operator,
+    ProcDecl,
+    Program,
+    QubitExpr,
+    Seq,
+    SetRemove,
+    SetSize,
+    SetVar,
+    Skip,
+)
 from test_acceptance import exhaustive_terms, random_terms
 
 WIDTH_TWO_SOURCE = """
@@ -175,6 +192,22 @@ def test_calls_outside_the_group_are_unrestricted(qft):
     # does not violate well-foundedness.
     verdict = check_pfoq(qft)
     assert verdict.accepted, verdict.diagnostics
+
+
+def test_a_call_shared_with_a_body_outside_its_group():
+    # One `Call` object S, f's recursive call, is also both items of g's
+    # body.  g is in no recursive group, so S has width 0 there, and each
+    # declaration order gives the same verdict.
+    p = SetVar("p")
+    shared = Call("f", None, SetRemove(p, (IntLit(1),)))
+    flip = Assign(QubitExpr(p, IntLit(1)), Operator(OP_NOT))
+    f_body = If(BoolCmp(">", SetSize(p), IntLit(1)), Seq(flip, shared), Skip())
+    f = ProcDecl("f", None, "p", f_body)
+    g = ProcDecl("g", None, "p", Seq(shared, shared))
+    for decls in ((f, g), (g, f)):
+        verdict = check_pfoq(Program(decls, Call("g", None, SetVar("q"))))
+        assert verdict.accepted
+        assert verdict.widths == {"f": 1, "g": 0}
 
 
 def test_level_bound_degree(qft):

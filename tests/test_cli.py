@@ -692,6 +692,37 @@ def test_negative_budget_is_refused(qft_file, capsys, monkeypatch):
     assert dispatch(["level", qft_file, "-n", "5", "--budget", "0"]) == 3
 
 
+def test_a_budget_variable_that_is_no_integer_is_refused(qft_file, capsys, monkeypatch):
+    monkeypatch.setenv("FOQC_BUDGET", "abc")
+    for argv in (["level", qft_file, "-n", "5"], ["run", qft_file, "--state", "0110"]):
+        err = assert_input_error(capsys, argv)
+        assert err == "error: FOQC_BUDGET is not an integer: 'abc'\n"
+
+
+@pytest.mark.parametrize("command", ["compile", "invert", "algebra"])
+def test_output_into_a_missing_directory_is_an_input_error(qft_file, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.txt"
+    source = qft_file
+    if command == "algebra":
+        source = tmp_path / "term.alg"
+        source.write_text("(comp (branch i not) swap (ph pi))\n")
+    argv = [command, str(source), "-o", str(target)]
+    if command == "compile":
+        argv += ["-n", "3"]
+    assert dispatch(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not target.parent.exists()
+
+
+def test_examples_under_a_regular_file_is_an_input_error(tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    err = assert_input_error(capsys, ["examples", str(regular / "examples")])
+    assert err.startswith("error: cannot write examples: ")
+
+
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     depth = 1000
     program = tmp_path / "deep.foq"

@@ -39,6 +39,24 @@ from foqc.compiler import (
 )
 from foqc.interpreter import BottomError, QuantumState, guard_errors, run, walk
 from foqc.programs import EXAMPLES
+from foqc.syntax import (
+    OP_NOT,
+    Assign,
+    BoolCmp,
+    Call,
+    If,
+    IntLit,
+    Operator,
+    ProcDecl,
+    Program,
+    QCase,
+    QubitExpr,
+    Seq,
+    SetRemove,
+    SetSize,
+    SetVar,
+    Skip,
+)
 
 from test_circuit import H, dense_replay
 from test_fingerprint import TERMS
@@ -423,7 +441,7 @@ def test_orthogonality_violation_detected(branching, monkeypatch):
 def test_resolve_refuses_an_ancilla_pinned_to_0(branching, monkeypatch):
     # A compiled control holds its merge ancilla at 1, so an ancilla pinned
     # to 0 is refused rather than resolved to a region nothing built.
-    ctx = compiler._Context(decls={}, widths={}, equiv={}, n=2)
+    ctx = compiler._Context(decls={}, width_tables={}, n=2)
     regions = ctx.regions
     ctx.meanings[3] = regions.literal(1, 1)
     at_one = ctx.resolve(ControlStructure.of({2: 0, 3: 1}))
@@ -516,12 +534,25 @@ def test_compile_builds_call_relations_once_and_never_guards(branching, monkeypa
         return wrapper
 
     for module in (analysis, interpreter, compiler):
-        for name in ("call_relations", "guard_errors"):
+        for name in ("call_relations", "guard_errors", "walk"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     compile_with_stats(branching, 7)
     assert calls == {"call_relations": 1}
 
+
+# Accepted with degree 1: the level grows linearly in n (7, 12 and 23 at
+# n = 16, 32 and 64), but the size does not, since the two branches' calls
+# reach the same list sizes with different arguments.  The walk's shared
+# blocks grow about 2.2x per 4 qubits on it, while compile stays polynomial.
+STRIDES_SOURCE = r"""
+decl f[x](p) {
+  if size(p) > 3 then {
+    qcase p[2] of { 0 -> call f[x + 1](p \ [2, x]); , 1 -> call f[x + 2](p \ [2, x]); }
+  } else { p[size(p)] *= NOT; }
+},
+:: qcase q[1] of { 0 -> call f[3](q); , 1 -> skip; }
+"""
 
 # (gates, ancillas, anc_keys) at n = 16, 32 and 64: counts only, no
 # timings.  A change that moves one records the new value and says why.
@@ -534,12 +565,15 @@ COMPILE_COUNTS = {
     TERMS[5]: [(43, 7, 7), (91, 15, 15), (187, 31, 31)],
     "appendix-b.foq": [(58, 15, 15), (122, 31, 31), (250, 63, 63)],
     "qft.foq": [(176, 0, 0), (608, 0, 0), (2240, 0, 0)],
+    "strides": [(76, 22, 16), (414, 86, 53), (2470, 342, 192)],
 }
 
 
 @pytest.mark.parametrize("name", list(COMPILE_COUNTS))
 def test_compile_counts_are_pinned(name):
-    if name in EXAMPLES:
+    if name == "strides":
+        program = parse_program(STRIDES_SOURCE, name)
+    elif name in EXAMPLES:
         program = parse_program(EXAMPLES[name], name)
     else:
         program = to_pfoq(parse_term(name))
@@ -548,6 +582,26 @@ def test_compile_counts_are_pinned(name):
         stats = compile_with_stats(program, n)[1]
         counts.append((stats["gates"], stats["ancillas"], stats["anc_keys"]))
     assert counts == COMPILE_COUNTS[name]
+
+
+def test_a_call_shared_by_two_recursion_groups_has_each_groups_width():
+    # One `Call` object S in the bodies of f and g, which are two recursion
+    # groups: S has width 1 in f's group and width 0 in g's.  The parser
+    # never shares a call, so the program is built by hand.
+    p = SetVar("p")
+    first = QubitExpr(p, IntLit(1))
+    more = BoolCmp(">", SetSize(p), IntLit(1))
+    shared = Call("f", None, SetRemove(p, (IntLit(1),)))
+    f_body = If(more, QCase(first, shared, Skip()), Assign(first, Operator(OP_NOT)))
+    g_call = Call("g", None, SetRemove(p, (IntLit(1),)))
+    g_body = If(more, QCase(first, Seq(shared, g_call), Skip()), Skip())
+    decls = (ProcDecl("f", None, "p", f_body), ProcDecl("g", None, "p", g_body))
+    for order in (("f", "g"), ("g", "f")):
+        program = Program(decls, Seq(*(Call(name, None, SetVar("q")) for name in order)))
+        stats = compile_with_stats(program, 5)[1]
+        assert (stats["gates"], stats["ancillas"]) == (33, 14)
+        report = diff_check(program, 5)
+        assert (report.max_deviation, report.max_ancilla_residue) == (0.0, 0.0)
 
 
 def _random_branch(rng: random.Random, depth: int) -> str:

@@ -15,7 +15,7 @@ from foqc.interpreter import (
     BudgetExceededError,
     EvalError,
     QuantumState,
-    bind_call,
+    bind_callee,
     eval_bool,
     eval_int,
     eval_qubit,
@@ -41,7 +41,7 @@ from foqc.syntax import (
     SetSize,
     SetVar,
     Skip,
-    gate_matrix,
+    gate_entries,
 )
 
 from test_circuit import dense_replay
@@ -323,10 +323,10 @@ def dense_run(p, psi):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             return visit(branch, pins, l, env, psi)
         if isinstance(stmt, Call):
-            bound = bind_call(stmt, decls, l, env)
-            if bound is None:
+            sub_l = eval_set(stmt.set_expr, l, env)
+            if not sub_l:
                 return psi
-            sub_l, decl, sub_env = bound
+            decl, sub_env = bind_callee(stmt, decls, l, env)
             return visit(decl.body, pins, sub_l, sub_env, psi)
         pos = eval_qubit(stmt.qubit, l, env)
         assert 1 <= pos <= n and pos not in pins
@@ -335,7 +335,7 @@ def dense_run(p, psi):
             return visit(stmt.if_one, {**pins, pos: 1}, l, env, psi)
         assert isinstance(stmt, Assign)
         arg = eval_int(stmt.op.arg, l, env) if stmt.op.arg is not None else 0
-        matrix = gate_matrix(stmt.op, arg)
+        matrix = np.array(gate_entries(stmt.op, arg)).reshape(2, 2)
         return _dense(n, ControlStructure.of(pins), [pos], matrix) @ psi
 
     return visit(p.main, {}, tuple(range(1, n + 1)), NO_ENV, psi)
@@ -507,3 +507,12 @@ def test_a_tail_call_does_not_pin_its_callers_list():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_the_walk_refuses_an_undeclared_callee_and_a_missing_argument():
+    # `walk` reads programs as written; the CLI checks well-formedness first.
+    with pytest.raises(EvalError, match=r"^call to undeclared procedure 'f'$"):
+        walk(parse_program(":: call f(q);"), 2)
+    program = parse_program("decl f[x](p) { skip; }, :: call f(q);")
+    with pytest.raises(EvalError, match=r"^procedure 'f' requires a classical argument$"):
+        walk(program, 2)

@@ -102,7 +102,7 @@ def bdd_value(regions, u, x):
 @given(problem=region_problems())
 def test_bdd_regions_match_truth_tables(problem):
     n, meanings, structures = problem
-    ctx = _Context(decls={}, widths={}, equiv={}, n=n)
+    ctx = _Context(decls={}, width_tables={}, n=n)
     regions = ctx.regions
     for k, cubes in enumerate(meanings):
         meaning = Regions.FALSE

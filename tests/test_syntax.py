@@ -26,7 +26,7 @@ from foqc.syntax import (
     format_bool,
     format_int,
     format_phase,
-    gate_matrix,
+    gate_entries,
     invert_operator,
     phase_neg,
     pretty_print,
@@ -53,6 +53,11 @@ def test_phase_pi_over_power():
 def test_phase_double_negation_collapses():
     f = PhaseBin(PhasePi(), (("/", PhaseConst(4)),))
     assert phase_neg(phase_neg(f)) == f
+
+
+def gate_matrix(op, n=0):
+    """The 2x2 matrix of `gate_entries`."""
+    return np.array(gate_entries(op, n)).reshape(2, 2)
 
 
 def test_not_matrix():
