@@ -138,10 +138,12 @@ def _matrix_error(matrix, targets: int) -> str | None:
     if m.shape != (dim, dim):
         return f"matrix shape {m.shape} does not fit {targets} target wire(s)"
     if not np.isfinite(m).all():
-        # An inf or NaN entry would make the unitarity test below NaN,
-        # which compares false.
         return "matrix entries must be finite"
-    if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
+    # Finite entries can still overflow the product to inf or NaN; the test
+    # is negated so that a NaN deviation is refused too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+    if not deviation <= 1e-9:
         return "matrix is not unitary"
     return None
 

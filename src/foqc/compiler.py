@@ -7,19 +7,20 @@ expressions, a procedure's classical argument, bound in an environment
 beside the current list) is evaluated at compile time; quantum cases split
 the control structure; recursive calls are the interesting part.
 
-Merging pays only under quantum branches, so a call into a recursive
-group that nothing controls is expanded in place (`compr`), as a
-width-0 call is.  A worklist pass (`optimize`) starts where an instance
-of the group first gets a control: at a quantum case whose branches
-recurse, or at a recursive call under a control.  In a pass, controlled
-statement instances (cs, S, l) are peeled left context into C_L and right
-context into C_R until only recursive calls remain; one step (`_peel`)
-splits a sequence for both walkers.  Every call fans into the control
-ancilla of its (procedure, argument, set-size) key along one path — via a
-routing ancilla and wire swaps when its wire list differs from the first
-caller's — and only the first caller of a key expands the body.  This is
-what keeps the circuit polynomial: per worklist pass there are at most
-|procedures| * (n+1)^2 distinct keys.
+`compr` compiles a statement in program order and expands in place a
+call into a procedure of no recursive group.  A call into a recursive
+group starts a worklist pass (`optimize`) with one instance: the callee's
+body under the call's control.  In a pass, controlled statement instances
+(cs, S, l) are peeled left context into C_L and right context into C_R
+until only recursive calls remain.  Every call under a control fans into
+the control ancilla of its (procedure, argument, set-size) key along one
+path — via a routing ancilla and wire swaps when its wire list differs
+from the first caller's — and only the first caller of a key expands the
+body.  This is what keeps the circuit polynomial: per worklist pass there
+are at most |procedures| * (n+1)^2 distinct keys.  Merging pays only
+under quantum branches: a call under the empty control is its pass's only
+instance, and its body takes its place with no key, so a recursion that
+nothing controls is expanded in place, as the walk runs it.
 
 Soundness of the merge rests on an invariant: all control structures in
 the worklist are pairwise orthogonal, so at most one instance is active on
@@ -346,97 +347,47 @@ def _assign_gates(
     return [gate]
 
 
-def _peel(
-    ctx: _Context,
-    seq: Seq,
-    l: tuple[int, ...],
-    env: Env,
-    cs: ControlStructure,
-    widths: dict[int, int],
-) -> tuple[list[Gate], Statement, list[Gate]]:
-    """The prefix's gates, the recursing item (the first of width 1 in the
-    group's width table, else the last) and the suffix's gates of a
-    sequence.  Ancilla numbers and the first error depend on the order:
-    prefix, suffix, then the item, which the caller compiles."""
-    items = seq.items
-    for k, item in enumerate(items):  # with no width-1 item, k ends on the last
-        if widths[id(item)] == 1:
-            break
-    prefix: list[Gate] = []
-    for item in items[:k]:
-        prefix += compr(ctx, item, l, env, cs)
-    suffix: list[Gate] = []
-    for item in items[k + 1 :]:
-        suffix += compr(ctx, item, l, env, cs)
-    return prefix, items[k], suffix
-
-
 def compr(
     ctx: _Context, stmt: Statement, l: tuple[int, ...], env: Env, cs: ControlStructure
 ) -> list[Gate]:
-    """Directly compile a statement, expanding in place every call that
-    nothing controls.
+    """Directly compile a statement in program order.
 
-    Runs on an explicit stack of (statement, list, env, control, widths)
-    entries, popped in program order, so neither sequence length nor a
-    chain of expanded calls deepens the Python stack.  An uncontrolled
-    call into a recursive group is expanded here too, its entries carrying
-    the group's width table: such an entry is the one instance of a
-    worklist pass that has nothing to merge yet; its sequences are peeled
-    as in `optimize`, the suffix's gates waiting on the stack under the
-    recursing item.  A pass starts where an instance first gets a control:
-    at a quantum case that recurses, or at a controlled recursive call.
+    Runs on an explicit stack of (statement, list, env, control) entries,
+    popped in program order, so neither sequence length nor a chain of
+    expanded calls deepens the Python stack.  A call into a procedure of
+    no recursive group is expanded in place; a call into a recursive group
+    starts a worklist pass (`optimize`) whose one instance is the callee's
+    body under the call's control.
     """
     gates: list[Gate] = []
-    stack = [(stmt, l, env, cs, None)]
+    stack = [(stmt, l, env, cs)]
     while stack:
-        stmt, l, env, cs, widths = stack.pop()
-        if widths is not None and not widths[id(stmt)]:
-            widths = None
+        stmt, l, env, cs = stack.pop()
         if isinstance(stmt, Skip):
             continue
         if isinstance(stmt, Assign):
             gates += _assign_gates(ctx, stmt, l, env, cs)
         elif isinstance(stmt, Seq):
-            if widths is None:
-                stack += [(item, l, env, cs, None) for item in reversed(stmt.items)]
-                continue
-            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, widths)
-            gates += prefix
-            if suffix:
-                # The suffix's gates, emitted once the item's are.
-                stack.append((suffix, None, None, None, None))
-            stack.append((item, l, env, cs, widths))
+            stack += [(item, l, env, cs) for item in reversed(stmt.items)]
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
-            stack.append((branch, l, env, cs, widths))
+            stack.append((branch, l, env, cs))
         elif isinstance(stmt, QCase):
-            if widths is not None:
-                gates += optimize(ctx, deque([(cs, stmt, l, env)]), widths)
-                continue
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
                 continue
-            stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1), None))
-            stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0), None))
+            stack.append((stmt.if_one, l, env, _extend_control(cs, pos, 1)))
+            stack.append((stmt.if_zero, l, env, _extend_control(cs, pos, 0)))
         elif isinstance(stmt, Call):
             sub_l = eval_set(stmt.set_expr, l, env)
             if not sub_l:
                 continue
             decl, sub_env = bind_callee(stmt, ctx.decls, l, env)
-            callee_widths = ctx.width_tables.get(stmt.proc)
-            if callee_widths is None:
-                stack.append((decl.body, sub_l, sub_env, cs, None))
-            elif not cs.bits:
-                # A one-entry worklist: nothing to merge with, so no pair
-                # to check and no key to record.
-                ctx.max_worklist = max(ctx.max_worklist, 1)
-                stack.append((decl.body, sub_l, sub_env, cs, callee_widths))
+            widths = ctx.width_tables.get(stmt.proc)
+            if widths is None:
+                stack.append((decl.body, sub_l, sub_env, cs))
             else:
-                worklist = deque([(cs, decl.body, sub_l, sub_env)])
-                gates += optimize(ctx, worklist, callee_widths)
-        elif isinstance(stmt, list):
-            gates += stmt
+                gates += optimize(ctx, deque([(cs, decl.body, sub_l, sub_env)]), widths)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return gates
@@ -448,34 +399,52 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
 
     `anc` is the pass's own ancilla table: it maps (procedure, classical
     argument, set size) to the control ancilla and wire list of the first
-    instance compiled for that key.  Every call the pass meets is
-    controlled: a pass starts at a controlled call or at a quantum case.
-    C_R is kept backwards and turned around once at the end, so a fan-in's
-    mirror is the fan-in itself.
+    instance compiled for that key.  A call under the empty control is the
+    pass's only instance: the empty control's region is true, which meets
+    every other region, so the invariant leaves room for no second one.
+    Its body takes its place on the worklist, with no key, ancilla or
+    fan-in, so a recursion that no quantum case splits is expanded in
+    place, as the walk runs it.  C_R is kept backwards and turned around
+    once at the end, so a fan-in's mirror is the fan-in itself.
     """
     anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]] = {}
     c_left: list[Gate] = []
     c_right: list[Gate] = []  # C_R, last gate first
     while worklist:
-        ctx.max_worklist = max(ctx.max_worklist, len(worklist))
-        resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
-        for i, r_i in enumerate(resolved):
-            for r_j in resolved[i + 1 :]:
-                ctx.orthogonality_checks += 1
-                if ctx.regions.conj(r_i, r_j) != Regions.FALSE:
-                    raise OrthogonalityError(
-                        "two worklist instances share a satisfiable control region; "
-                        "merging would corrupt the circuit"
-                    )
+        size = len(worklist)
+        if size > ctx.max_worklist:
+            ctx.max_worklist = size
+        # One instance under the empty control has no pair to check, and
+        # resolving the empty control builds no region.
+        if size > 1 or worklist[0][0].bits:
+            resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
+            for i, r_i in enumerate(resolved):
+                for r_j in resolved[i + 1 :]:
+                    ctx.orthogonality_checks += 1
+                    if ctx.regions.conj(r_i, r_j) != Regions.FALSE:
+                        raise OrthogonalityError(
+                            "two worklist instances share a satisfiable control region; "
+                            "merging would corrupt the circuit"
+                        )
         cs, stmt, l, env = worklist.popleft()
         if widths[id(stmt)] == 0:
             c_left += compr(ctx, stmt, l, env, cs)
             continue
         if isinstance(stmt, Seq):
-            prefix, item, suffix = _peel(ctx, stmt, l, env, cs, widths)
-            c_left += prefix
-            worklist.append((cs, item, l, env))
+            # The recursing item is the first of width 1, else the last.
+            # Ancilla numbers and the first error depend on the order:
+            # prefix, suffix, then the item.
+            items = stmt.items
+            for k, item in enumerate(items):
+                if widths[id(item)] == 1:
+                    break
+            for item in items[:k]:
+                c_left += compr(ctx, item, l, env, cs)
+            suffix: list[Gate] = []
+            for item in items[k + 1 :]:
+                suffix += compr(ctx, item, l, env, cs)
             c_right += reversed(suffix)
+            worklist.append((cs, items[k], l, env))
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             worklist.append((cs, branch, l, env))
@@ -501,6 +470,9 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
             if not sub_l:
                 continue
             decl, sub_env = bind_callee(stmt, ctx.decls, l, env)
+            if not cs.bits:
+                worklist.append((cs, decl.body, sub_l, sub_env))
+                continue
             key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
             entry = anc.get(key)
             if entry is None:
@@ -528,7 +500,8 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
         else:
             raise CompileError(f"width-1 statement of unexpected shape: {stmt!r}")
     c_right.reverse()
-    return c_left + c_right
+    c_left += c_right
+    return c_left
 
 
 def compile_with_stats(p: Program, n: int, check: bool = True):

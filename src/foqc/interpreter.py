@@ -97,7 +97,8 @@ class QuantumState:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for {n} qubits, got {amps.shape[0]}")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
         # Negated, so that a NaN norm fails the test too.
         if not abs(norm - 1.0) <= STATE_TOLERANCE:
             raise ValueError(f"state is not normalized (norm {norm!r})")

@@ -612,11 +612,40 @@ def test_simulate_refuses_a_non_finite_matrix_entry(tmp_path, capsys):
     assert err == "error: matrix entries must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # M^dagger M overflows to inf and NaN entries; NaN compares false.
+        [[[1e308, 0], [1e308, 0]], [[1e308, 0], [0, 1e308]]],
+        [[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]],
+    ],
+    ids=["nan-product", "inf-product"],
+)
+def test_simulate_refuses_a_matrix_whose_unitarity_test_overflows(tmp_path, matrix):
+    # A fresh process, so any numpy warning would reach stderr.
+    gate = {"kind": "cu", "controls": [], "targets": [1], "matrix": matrix}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "ancillas": 0, "gates": [gate]}))
+    result = run_cli("simulate", str(path), "--state", "0")
+    assert (result.returncode, result.stderr) == (4, "error: matrix is not unitary\n")
+
+
 def test_run_refuses_a_nan_amplitude(qft_file, tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"n":1,"amplitudes":[[NaN,0],[0,0]]}')
     err = assert_input_error(capsys, ["run", str(qft_file), "--amplitudes", str(path)])
     assert err == "error: bad state JSON: state is not normalized (norm nan)\n"
+
+
+def test_run_refuses_an_amplitude_whose_norm_overflows(qft_file, tmp_path):
+    # A fresh process, so any numpy warning would reach stderr.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n":1,"amplitudes":[[1e308,0],[0,0]]}')
+    result = run_cli("run", qft_file, "--amplitudes", str(path))
+    assert (result.returncode, result.stderr) == (
+        4,
+        "error: bad state JSON: state is not normalized (norm inf)\n",
+    )
 
 
 @pytest.mark.parametrize(

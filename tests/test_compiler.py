@@ -84,16 +84,19 @@ def test_qft_compiles_without_ancillas(qft):
 
 
 @pytest.mark.parametrize("name", ["qft", "teleport"])
-def test_a_program_that_merges_nothing_starts_no_worklist_pass(corpus, monkeypatch, name):
-    # Every recursive call of these programs is uncontrolled, so each is
-    # expanded in place, as the walk runs it.
-    def refused(*args):
-        raise AssertionError("a worklist pass started")
-
-    monkeypatch.setattr(compiler, "optimize", refused)
+def test_a_program_that_merges_nothing_allocates_no_key(corpus, name):
+    # Every recursive call of these programs is uncontrolled, so each pass
+    # keeps one instance and expands its calls in place, as the walk runs
+    # them: no key, no ancilla and no pair to check.
     for n in (3, 8, 16):
-        circuit = compile_program(corpus[name], n)
-        assert circuit.ancillas == 0 and circuit.gates
+        circuit, stats = compile_with_stats(corpus[name], n)
+        assert circuit.gates
+        assert (
+            stats["ancillas"],
+            stats["anc_keys"],
+            stats["orthogonality_checks"],
+            stats["max_worklist"],
+        ) == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("source", ["appendix-b.foq"] + TERMS[2:])

@@ -1,8 +1,9 @@
 """The exit-code contract, fuzzed: every request ends in one of the
 documented codes 0-4, and no exception escapes `cli.dispatch`.
 
-The inputs are bundled and generated programs with a few random edits, and
-compiled circuit JSON with one field changed.  Sizes stay small: at most 6
+The inputs are bundled and generated programs with a few random edits,
+compiled circuit JSON with one field changed, and state JSON with one field
+changed or replaced whole.  Sizes stay small: at most 6
 qubits, a step budget of at most 20 000, and circuits of at most 12 wires.
 """
 
@@ -80,6 +81,7 @@ assert all(c["n"] + c["ancillas"] <= 7 for c in CIRCUITS.values())
 values = st.one_of(
     st.integers(-2, 5),
     st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308]),
     st.booleans(),
     st.none(),
     st.text(max_size=3),
@@ -131,4 +133,44 @@ def test_every_simulate_request_ends_in_a_documented_code(tmp_path, capsys, circ
     path = tmp_path / "circuit.json"
     path.write_text(text)
     code = dispatch(["simulate", str(path), "--state", "1" * n if state is None else state])
+    assert_contract(code, capsys.readouterr().err)
+
+
+@st.composite
+def state_texts(draw) -> tuple[str, int]:
+    """A valid state JSON, a basis state or the uniform superposition, with
+    one field changed or the whole document replaced, and its qubit count n."""
+    n = draw(st.sampled_from([1, 2, 4]))
+    if draw(st.booleans()):
+        amplitudes = [[2 ** (-n / 2), 0.0] for _ in range(1 << n)]
+    else:
+        amplitudes = [[1.0, 0.0]] + [[0.0, 0.0] for _ in range(1, 1 << n)]
+    doc = {"n": n, "amplitudes": amplitudes}
+    places = [(doc, "n"), (doc, "amplitudes")]
+    places += [(amplitudes, i) for i in range(len(amplitudes))]
+    places += [(pair, i) for pair in amplitudes for i in range(2)]
+    place = draw(st.sampled_from([None] + places))
+    if place is None:
+        doc = draw(values)
+    else:
+        where, key = place
+        where[key] = draw(values)
+    return json.dumps(doc), n
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(state=state_texts(), command=st.sampled_from(["run", "simulate"]))
+def test_every_amplitudes_request_ends_in_a_documented_code(tmp_path, capsys, state, command):
+    text, n = state
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    if command == "run":
+        target = tmp_path / "qft.foq"
+        target.write_text(EXAMPLES["qft.foq"])
+    else:
+        target = tmp_path / "qft.json"
+        target.write_text(json.dumps(CIRCUITS["qft.foq", n]))
+    code = dispatch([command, str(target), "--amplitudes", str(path)])
     assert_contract(code, capsys.readouterr().err)
