@@ -133,9 +133,11 @@ class KQRec(AlgebraTerm):
                 f"kqrec selection must name each of the {count} "
                 f"length-{self.k} bitstrings exactly once"
             )
+        # Not a field, so equality, hashing and repr do not see it.
+        object.__setattr__(self, "_selects", dict(self.selection))
 
     def selects(self, w: str) -> bool:
-        return dict(self.selection)[w]
+        return self._selects[w]
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ Relations on procedure names:
   - strict: reachable but not equiv.
 
 `call_relations` walks each body once (`statement_refs`), collecting its
-variables and its calls, and every later step reads those.  The check
-never builds `reachable` for every procedure, which grows quadratically
-on a chain of calls: `equiv` is read off the strongly connected
-components, ranks are longest paths over the graph of components, and
-the degree's reachable set is one search from the main statement's
-callees.  So the check takes time linear in the program.
+variables and calls, and every later step reads those.  The check never
+builds `reachable` for every procedure, which grows quadratically on a
+chain of calls: `equiv` is read off the strongly connected components,
+ranks are longest paths over the graph of components, the degree's
+reachable set is one search from the main statement's callees, and only
+recursive groups are measured for width: the check takes linear time.
 """
 
 from __future__ import annotations
@@ -329,22 +329,19 @@ def check_wf(p: Program, decl_refs: list[StatementRefs], main: StatementRefs) ->
 # ---------------------------------------------------------------------------
 
 
-def statement_width(
-    stmt: Statement, group: set[str], memo: dict[int, int] | None = None
-) -> int:
+def statement_width(stmt: Statement, group: set[str], memo: dict[int, int]) -> int:
     """Maximal number of calls into `group` along one control-flow path.
 
-    With `memo`, every subtree's width is stored under its id() and looked
-    up before walking it again.  The caller keeps the statements alive and
-    keeps one memo per group: a subtree may sit in procedures of several
+    `memo` is the group's width table, keyed by each subtree's id(); only
+    recursive groups have one.  The caller keeps the statements alive and
+    one table per group: a subtree may sit in procedures of several
     groups, as the leaves that the parser shares among their equal copies
     do (`parser._Parser.parse_stmt`), or a `Call` that a program built by
     hand puts in two bodies.
     """
-    if memo is not None:
-        w = memo.get(id(stmt))
-        if w is not None:
-            return w
+    w = memo.get(id(stmt))
+    if w is not None:
+        return w
     _tick()
     if isinstance(stmt, (Skip, Assign)):
         w = 0
@@ -364,8 +361,7 @@ def statement_width(
         w = 1 if stmt.proc in group else 0
     else:
         raise TypeError(f"not a statement: {stmt!r}")
-    if memo is not None:
-        memo[id(stmt)] = w
+    memo[id(stmt)] = w
     return w
 
 
@@ -421,8 +417,8 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
                     f"strictly shrink the set parameter "
                     f"(argument {format_set(call.set_expr)})"
                 )
-    # A recursive group measures its bodies into one table; a body that
-    # calls into no group of its own is measured without one.
+    # A recursive group measures its bodies into one table; a procedure
+    # outside every group never calls itself, so its width is 0 unwalked.
     tables = relations.width_tables
     for component in relations.components:
         if len(component) > 1 or any(name in relations.direct[name] for name in component):
@@ -432,7 +428,8 @@ def analyse(p: Program) -> tuple[PfoqVerdict, ProcRelations]:
     # one gets its own diagnostic.
     width_map: dict[str, int] = {}
     for d in p.decls:
-        w = statement_width(d.body, relations.equiv[d.name], tables.get(d.name))
+        table = tables.get(d.name)
+        w = 0 if table is None else statement_width(d.body, relations.equiv[d.name], table)
         width_map[d.name] = max(w, width_map.get(d.name, 0))
         if w > 1:
             diags.append(

@@ -414,13 +414,12 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
         size = len(worklist)
         if size > ctx.max_worklist:
             ctx.max_worklist = size
-        # One instance under the empty control has no pair to check, and
-        # resolving the empty control builds no region.
-        if size > 1 or worklist[0][0].bits:
+        # The invariant holds of pairs: one instance is not resolved.
+        if size > 1:
             resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
+            ctx.orthogonality_checks += size * (size - 1) // 2
             for i, r_i in enumerate(resolved):
                 for r_j in resolved[i + 1 :]:
-                    ctx.orthogonality_checks += 1
                     if ctx.regions.conj(r_i, r_j) != Regions.FALSE:
                         raise OrthogonalityError(
                             "two worklist instances share a satisfiable control region; "

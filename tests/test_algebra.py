@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +84,23 @@ def test_kqrec_validation():
         KQRec(2, 0, Identity(), Identity(), Identity(), tuple())
     with pytest.raises(AlgebraError):
         KQRec(1, 0, Identity(), Identity(), Identity(), (("0", True), ("0", False)))
+
+
+def test_translating_a_kqrec_is_linear_in_its_selection():
+    # A kqrec over k control qubits has 2^k selection entries and 2^k
+    # leaves: k = 12 is 4x the work of k = 10 when each lookup is O(1),
+    # and 16x when each lookup rebuilds the selection map.
+    def best_ms(k):
+        selection = tuple(("".join(w), True) for w in itertools.product("01", repeat=k))
+        term = KQRec(k, k, NotGate(), Identity(), Identity(), selection)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            to_pfoq(term)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_ms(12) / best_ms(10) < 8
 
 
 def test_parse_format_round_trip():

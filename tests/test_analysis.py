@@ -33,6 +33,7 @@ from foqc.syntax import (
     Skip,
 )
 from test_acceptance import exhaustive_terms, random_terms
+from test_long_programs import chain_program, straight_program
 
 WIDTH_TWO_SOURCE = """
 decl bad(p) {
@@ -111,6 +112,26 @@ def test_check_pfoq_walks_each_body_once(monkeypatch):
         walked.clear()
         check_pfoq(program)
         assert walked == [d.body for d in program.decls] + [program.main]
+
+
+def test_only_recursive_groups_are_measured(monkeypatch, qft):
+    # A procedure outside every recursive group has width 0, with no walk:
+    # neither a long straight body nor a chain of calls is measured.
+    measured = []
+    width = analysis.statement_width
+
+    def counted(stmt, group, memo):
+        measured.append(stmt)
+        return width(stmt, group, memo)
+
+    monkeypatch.setattr(analysis, "statement_width", counted)
+    for program in (parse_program(straight_program(300)), parse_program(chain_program(40))):
+        verdict = check_pfoq(program)
+        assert verdict.accepted
+        assert set(verdict.widths.values()) == {0}
+        assert measured == []
+    check_pfoq(qft)
+    assert measured
 
 
 def test_widths_qft(qft):

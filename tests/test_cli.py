@@ -890,7 +890,14 @@ def test_access_error_names_the_source_expression(tmp_path, capsys):
 def test_an_out_of_range_access_names_its_index_and_the_list_length(
     tmp_path, capsys, source, expected
 ):
+    # `run` and `level` stop at the out-of-range index; `compile` and
+    # `diff` compile it to nothing, as `guard_errors` would.
     path = tmp_path / "range.foq"
     path.write_text(source)
     assert dispatch(["run", str(path), "--state", "00"]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert dispatch(["level", str(path), "-n", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert dispatch(["compile", str(path), "-n", "2"]) == 0
+    assert dispatch(["diff", str(path), "-n", "2"]) == 0
+    assert capsys.readouterr().err == ""

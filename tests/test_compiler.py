@@ -557,6 +557,18 @@ decl f[x](p) {
 :: qcase q[1] of { 0 -> call f[3](q); , 1 -> skip; }
 """
 
+# The two branches remove [2, 1] and [1, 1]: the same list, reached by
+# two removal paths.  Merging compares the lists' contents, so both
+# callers fan into one ancilla directly and no routing ancilla is made.
+TWO_PATHS_SOURCE = r"""
+decl f(p) {
+  if size(p) > 2 then {
+    qcase p[1] of { 0 -> call f(p \ [2, 1]); , 1 -> call f(p \ [1, 1]); }
+  } else { p[1] *= NOT; }
+},
+:: call f(q);
+"""
+
 # (gates, ancillas, anc_keys) at n = 16, 32 and 64: counts only, no
 # timings.  A change that moves one records the new value and says why.
 COMPILE_COUNTS = {
@@ -569,15 +581,17 @@ COMPILE_COUNTS = {
     "appendix-b.foq": [(58, 15, 15), (122, 31, 31), (250, 63, 63)],
     "qft.foq": [(176, 0, 0), (608, 0, 0), (2240, 0, 0)],
     "strides": [(76, 22, 16), (414, 86, 53), (2470, 342, 192)],
+    "two-paths": [(29, 7, 7), (61, 15, 15), (125, 31, 31)],
 }
+
+
+SOURCES = {**EXAMPLES, "strides": STRIDES_SOURCE, "two-paths": TWO_PATHS_SOURCE}
 
 
 @pytest.mark.parametrize("name", list(COMPILE_COUNTS))
 def test_compile_counts_are_pinned(name):
-    if name == "strides":
-        program = parse_program(STRIDES_SOURCE, name)
-    elif name in EXAMPLES:
-        program = parse_program(EXAMPLES[name], name)
+    if name in SOURCES:
+        program = parse_program(SOURCES[name], name)
     else:
         program = to_pfoq(parse_term(name))
     counts = []
@@ -585,6 +599,23 @@ def test_compile_counts_are_pinned(name):
         stats = compile_with_stats(program, n)[1]
         counts.append((stats["gates"], stats["ancillas"], stats["anc_keys"]))
     assert counts == COMPILE_COUNTS[name]
+
+
+def test_a_one_instance_worklist_resolves_no_control(monkeypatch):
+    # The orthogonality invariant is a property of pairs.  TERMS[2] never
+    # holds two instances, so the only controls resolved are the merged
+    # callers' own, once each, for their ancilla's meaning.
+    contexts = []
+    resolve = compiler._Context.resolve
+
+    def counted(ctx, cs):
+        contexts.append(ctx)
+        return resolve(ctx, cs)
+
+    monkeypatch.setattr(compiler._Context, "resolve", counted)
+    stats = compile_with_stats(to_pfoq(parse_term(TERMS[2])), 16)[1]
+    assert (stats["max_worklist"], stats["orthogonality_checks"]) == (1, 0)
+    assert len(contexts) == len(contexts[0].callers) == 15
 
 
 def test_a_call_shared_by_two_recursion_groups_has_each_groups_width():
