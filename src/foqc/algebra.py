@@ -29,8 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .circuit import _LazyNumpy
 from .interpreter import guard_errors
 from .parser import parse_phase_text, swap_statement
 from .syntax import (
@@ -58,6 +57,8 @@ from .syntax import (
     eval_phase,
     format_phase,
 )
+
+np = _LazyNumpy(globals())
 
 
 class AlgebraError(FoqError):

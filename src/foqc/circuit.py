@@ -23,15 +23,38 @@ distinct gate object once.  Every such memo lives for one call.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
 import marshal
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .syntax import FoqError
+
+
+class _LazyNumpy:
+    """Stands for numpy in one module's globals until its first attribute
+    read, which imports numpy and puts it in its own place there.
+
+    So importing foqc loads no numpy: only simulating a state does (`run`,
+    `simulate` and `diff`), and after that `np.` is a plain global lookup.
+    Unlike importlib's LazyLoader, it puts no half-loaded module in
+    `sys.modules`, where every other importer would see it.
+    """
+
+    def __init__(self, namespace: dict) -> None:
+        self.namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self.namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 
 class CircuitError(FoqError):
@@ -126,24 +149,43 @@ def _check_wires(controls: ControlStructure, targets: tuple[int, ...]) -> None:
         raise CircuitError(f"control and target wires overlap: {overlap}")
 
 
+def _shape(value) -> tuple[int, ...]:
+    """The shape of a nest of lists and tuples, as far as it is rectangular:
+    numpy's shape for the rectangular ones."""
+    shape, level = (), [value]
+    while all(isinstance(v, (list, tuple)) for v in level) and len({len(v) for v in level}) == 1:
+        shape += (len(level[0]),)
+        level = [w for v in level for w in v]
+    return shape
+
+
 @functools.lru_cache(maxsize=256)
 def _matrix_error(matrix, targets: int) -> str | None:
     """Why `matrix` is not a unitary on `targets` wires, or None if it is one.
 
     A program uses few distinct matrices, so the result is memoised per
-    (matrix, target count) and each gate costs one lookup.
+    (matrix, target count) and each gate costs one lookup.  U^dagger U - I
+    is computed in plain Python, so building a circuit loads no numpy.  One
+    test takes about 0.015 ms on a 2x2 matrix, 0.4 ms on 16x16 and 14 ms
+    on 64x64 (2-vCPU VM); only hand-written circuit JSON has wide ones.
     """
     dim = 1 << targets
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        return f"matrix shape {m.shape} does not fit {targets} target wire(s)"
-    if not np.isfinite(m).all():
+    shape = _shape(matrix)
+    if shape != (dim, dim):
+        return f"matrix shape {shape} does not fit {targets} target wire(s)"
+    columns = list(zip(*([complex(z) for z in row] for row in matrix)))
+    if not all(map(cmath.isfinite, itertools.chain.from_iterable(columns))):
         return "matrix entries must be finite"
-    # Finite entries can still overflow the product to inf or NaN; the test
-    # is negated so that a NaN deviation is refused too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
-    if not deviation <= 1e-9:
+    # Finite entries can still overflow a product to inf or NaN, or `abs` to
+    # OverflowError; the test is negated so that a NaN deviation is refused
+    # too.  U^dagger U is Hermitian, so its upper triangle decides.
+    try:
+        for i, column in enumerate(columns):
+            conjugate = [z.conjugate() for z in column]
+            for j in range(i, dim):
+                if not abs(sum(map(operator.mul, conjugate, columns[j])) - (i == j)) <= 1e-9:
+                    return "matrix is not unitary"
+    except OverflowError:
         return "matrix is not unitary"
     return None
 

@@ -26,15 +26,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import programs
-from .algebra import AlgebraError, parse_term, to_pfoq
 from .analysis import NotPfoqError, check_pfoq, check_wf, program_refs, refuse_ill_formed
-from .circuit import (
-    CircuitSchemaError,
-    ancilla_residue,
-    export_json,
-    import_json,
-    simulate_circuit,
-)
+from .circuit import ancilla_residue, export_json, import_json, simulate_circuit
 from .compiler import compile_with_stats, diff_check
 from .interpreter import (
     DEFAULT_BUDGET,
@@ -44,7 +37,7 @@ from .interpreter import (
     run,
     walk,
 )
-from .parser import ParseError, parse_program
+from .parser import parse_program
 from .syntax import FoqError, pretty_print
 from .transform import invert
 
@@ -227,6 +220,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    # Imported here, so that no other subcommand waits for the algebra module.
+    from .algebra import parse_term, to_pfoq
+
     term = parse_term(_read_text(args.file))
     _write_output(pretty_print(to_pfoq(term)), args.output)
     return EXIT_OK
@@ -305,9 +301,6 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, CircuitSchemaError, AlgebraError, _CliIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except NotPfoqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED

@@ -54,8 +54,6 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .analysis import NotPfoqError, analyse, check_wf, refuse_ill_formed
 from .circuit import (
     MAX_DENSE_WIRES,
@@ -65,6 +63,7 @@ from .circuit import (
     ControlStructure,
     Gate,
     WireLimitError,
+    _LazyNumpy,
     check_sparse_index,
     lower,
     replay_basis,
@@ -98,6 +97,8 @@ from .syntax import (
     format_phase,
     gate_entries,
 )
+
+np = _LazyNumpy(globals())
 
 
 class CompileError(FoqError):

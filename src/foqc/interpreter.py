@@ -36,9 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
-from .circuit import check_dense_wires, one_target_op, replay_dense
+from .circuit import _LazyNumpy, check_dense_wires, one_target_op, replay_dense
 from .syntax import (
     Assign,
     BoolBin,
@@ -67,6 +65,8 @@ from .syntax import (
     format_qubit,
     gate_entries,
 )
+
+np = _LazyNumpy(globals())
 
 DEFAULT_BUDGET = 1_000_000
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from foqc.algebra import parse_term, to_pfoq
 from foqc.circuit import (
@@ -120,6 +121,82 @@ def test_memoised_matrix_check_still_checks_every_gate(matrix, targets, text):
         with pytest.raises(CircuitError) as after:
             build(matrix, targets)
         assert str(after.value) == text
+
+
+def numpy_matrix_error(matrix, targets: int) -> str | None:
+    """The unitarity test as numpy computed it: the reference for `_matrix_error`."""
+    dim = 1 << targets
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        return f"matrix shape {m.shape} does not fit {targets} target wire(s)"
+    if not np.isfinite(m).all():
+        return "matrix entries must be finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+    if not deviation <= 1e-9:
+        return "matrix is not unitary"
+    return None
+
+
+@st.composite
+def unitaries(draw) -> tuple[list, int]:
+    """A random unitary on 1-3 targets (QR of complex Gaussians), as rows
+    of Python complex, perhaps perturbed by 1e-12 to 1e-6."""
+    targets = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << targets
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    if draw(st.booleans()):
+        scale = 10 ** draw(st.floats(-12, -6))
+        q = q + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return [[complex(z) for z in row] for row in q], targets
+
+
+@st.composite
+def integer_matrices(draw) -> tuple[list, int]:
+    """An int or bool matrix, square with the targets' size or of any small
+    rectangular shape, perhaps 1-D."""
+    targets = draw(st.integers(0, 3))
+    entries = st.integers(-1, 1) | st.booleans()
+    shape = draw(st.sampled_from([(1 << targets,) * 2, (), None]))
+    if shape == ():
+        return draw(st.lists(entries, max_size=9)), targets
+    rows, cols = shape or (draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows)), targets
+
+
+@st.composite
+def non_finite_matrices(draw) -> tuple[list, int]:
+    """A unitary with NaN, +-inf or +-1e308 in the real or imaginary parts
+    of some entries of one column, or of any entries."""
+    matrix, targets = draw(unitaries())
+    huge = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+    places = st.integers(0, len(matrix) - 1)
+    column = draw(places | st.none())
+    for _ in range(draw(st.integers(1, 3))):
+        row, col = draw(places), draw(places) if column is None else column
+        z, part = matrix[row][col], draw(st.sampled_from(["re", "im", "both"]))
+        re = z.real if part == "im" else draw(huge)
+        matrix[row][col] = complex(re, z.imag if part == "re" else draw(huge))
+    return matrix, targets
+
+
+# A unit first column, then one whose inner product with it has finite parts
+# but a modulus past the largest float: `abs` raises OverflowError on it.
+ABS_OVERFLOW = [[math.sqrt(0.5), 1e308 + 1e308j], [math.sqrt(0.5), 1e308 + 1e308j]]
+
+
+@given(
+    case=st.one_of(unitaries(), integer_matrices(), non_finite_matrices()),
+    as_tuples=st.booleans(),
+)
+@example(case=(ABS_OVERFLOW, 1), as_tuples=True)
+def test_matrix_check_agrees_with_numpy(case, as_tuples):
+    matrix, targets = case
+    if as_tuples and all(isinstance(row, list) for row in matrix):
+        matrix = tuple(map(tuple, matrix))
+    assert _matrix_error.__wrapped__(matrix, targets) == numpy_matrix_error(matrix, targets)
 
 
 def test_gate_wire_disjointness():

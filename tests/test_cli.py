@@ -230,6 +230,49 @@ def run_cli(*argv):
     )
 
 
+STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+from foqc.cli import dispatch
+added = sorted(set(sys.modules) - before)
+out = sys.argv[1]
+codes = [
+    dispatch(["examples", out]),
+    dispatch(["check", f"{out}/qft.foq"]),
+    dispatch(["invert", f"{out}/qft.foq", "-o", f"{out}/inverse.foq"]),
+    dispatch(["compile", f"{out}/appendix-b.foq", "-n", "7", "-o", f"{out}/circ.json"]),
+    dispatch(["level", f"{out}/qft.foq", "-n", "4"]),
+    dispatch(["algebra", sys.argv[2], "-o", f"{out}/term.foq"]),
+]
+print(json.dumps({"codes": codes, "added": added, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_only_the_simulating_subcommands_load_numpy(tmp_path):
+    # A fresh process, since this one holds numpy already.  `site` may have
+    # imported third-party modules before foqc, so only what the import adds
+    # counts.
+    term = tmp_path / "term.alg"
+    term.write_text("(comp (branch i not) swap (ph pi))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "out"), str(term)],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 6
+    foreign = [
+        name
+        for name in report["added"]
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"foqc"}
+    ]
+    assert foreign == []
+    assert not report["numpy"]
+
+
 def test_a_closed_stdout_exits_4_without_a_traceback(branching_file):
     # `foqc run … | head -c 30`: the reader closes the pipe while the
     # process still writes 2^16 amplitudes, far more than a pipe holds.

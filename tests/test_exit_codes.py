@@ -2,8 +2,9 @@
 documented codes 0-4, and no exception escapes `cli.dispatch`.
 
 The inputs are bundled and generated programs with a few random edits,
-compiled circuit JSON with one field changed, and state JSON with one field
-changed or replaced whole.  Sizes stay small: at most 6
+compiled circuit JSON with one field changed, state JSON with one field
+changed or replaced whole, and random bytes, often not UTF-8, in place of
+any subcommand's input file.  Sizes stay small: at most 6
 qubits, a step budget of at most 20 000, and circuits of at most 12 wires.
 """
 
@@ -173,4 +174,59 @@ def test_every_amplitudes_request_ends_in_a_documented_code(tmp_path, capsys, st
         target = tmp_path / "qft.json"
         target.write_text(json.dumps(CIRCUITS["qft.foq", n]))
     code = dispatch([command, str(target), "--amplitudes", str(path)])
+    assert_contract(code, capsys.readouterr().err)
+
+
+# Valid inputs of each file kind: a program, an algebra term, a circuit and
+# a state.  Random bytes are spliced into them, or stand alone.
+BYTE_BASES = [
+    b"",
+    EXAMPLES["qft.foq"].encode(),
+    b"(comp (branch i not) swap (ph pi))\n",
+    json.dumps(CIRCUITS["qft.foq", 1]).encode(),
+    b'{"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+]
+
+# Every subcommand, `{bytes}` standing for the file of random bytes in each
+# role it can take, `{program}` and `{circuit}` for valid files.
+BYTE_REQUESTS = [
+    ["check", "{bytes}"],
+    ["run", "{bytes}", "--state", "0", "--budget", "20000"],
+    ["run", "{program}", "--amplitudes", "{bytes}"],
+    ["level", "{bytes}", "-n", "2", "--budget", "20000"],
+    ["invert", "{bytes}"],
+    ["compile", "{bytes}", "-n", "2"],
+    ["simulate", "{bytes}", "--state", "0"],
+    ["simulate", "{circuit}", "--amplitudes", "{bytes}"],
+    ["diff", "{bytes}", "-n", "2"],
+    ["algebra", "{bytes}"],
+    ["examples", "{bytes}"],
+]
+
+
+@st.composite
+def byte_texts(draw) -> bytes:
+    """Random bytes, alone or in place of a short stretch of a valid input:
+    any bytes, often not UTF-8, or the UTF-8 of random text."""
+    base = draw(st.sampled_from(BYTE_BASES))
+    i = draw(st.integers(0, len(base)))
+    j = draw(st.integers(i, min(len(base), i + 8)))
+    noise = st.binary(min_size=1, max_size=24) | st.text(min_size=1, max_size=8).map(str.encode)
+    return base[:i] + draw(noise) + base[j:]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=byte_texts(), argv=st.sampled_from(BYTE_REQUESTS))
+def test_every_request_on_random_bytes_ends_in_a_documented_code(tmp_path, capsys, data, argv):
+    files = {
+        "bytes": tmp_path / "input",
+        "program": tmp_path / "qft.foq",
+        "circuit": tmp_path / "qft.json",
+    }
+    files["bytes"].write_bytes(data)
+    files["program"].write_text(EXAMPLES["qft.foq"])
+    files["circuit"].write_text(json.dumps(CIRCUITS["qft.foq", 1]))
+    code = dispatch([arg.format(**files) for arg in argv])
     assert_contract(code, capsys.readouterr().err)
