@@ -218,16 +218,6 @@ class ControlledU:
         return np.asarray(self.matrix, dtype=complex)
 
 
-def controlled_u_gate(
-    controls: ControlStructure,
-    targets: tuple[int, ...],
-    matrix: np.ndarray,
-    label: str | None = None,
-) -> ControlledU:
-    m = np.asarray(matrix, dtype=complex)
-    return ControlledU(controls, tuple(targets), tuple(map(tuple, m)), label)
-
-
 @dataclass(frozen=True)
 class ControlledNot:
     controls: ControlStructure

@@ -52,8 +52,8 @@ DIFF_TOLERANCE = 1e-9
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliIOError(f"cannot read {path}: {exc}") from exc
 
 

@@ -297,34 +297,27 @@ def _expand(record: list) -> list:
 
 
 def _call_list(
-    s: SetExpr, l: tuple[int, ...], lid: int, env: Env, children: dict
-) -> tuple[tuple[int, ...], int, bool]:
-    """`eval_set` of a call's list, the list's per-walk id, and whether
-    the id is new.
+    s: SetExpr, l: tuple[int, ...], lid: int, env: Env
+) -> tuple[tuple[int, ...], int]:
+    """`eval_set` of a call's list, and the list's id.
 
-    Ids are interned by removal: `children` maps (parent id, evaluated
-    index) to the child's id, so equal ids are equal lists and no table
-    keeps a list.  The id of an empty list means nothing.
+    An id is the mask of the positions removed from 1..n, one bit per
+    position, so equal ids are exactly equal lists, whatever removals
+    built them.  The id of an empty list means nothing.
     """
     if isinstance(s, SetVar):
-        return l, lid, False
+        return l, lid
     if isinstance(s, SetNil):
-        return (), lid, False
+        return (), lid
     base = () if isinstance(s.base, SetNil) else l
-    new = False
     for index in s.indices:
         k = eval_int(index, base, env)
         if 1 <= k <= len(base):
+            lid |= 1 << base[k - 1]
             base = base[: k - 1] + base[k:]
-            child = children.get((lid, k))
-            # A child of a new id is new too, so the last removal decides.
-            new = child is None
-            if new:
-                child = children[lid, k] = len(children) + 1
-            lid = child
         else:
             base = ()
-    return base, lid, new
+    return base, lid
 
 
 # Frame kinds of the walk's explicit stack.  A call on a new list records
@@ -352,8 +345,8 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     when the expanded walk would) and records one repeat of the span under
     its own pins.  If those pins meet the touched bits, the expanded walk
     stops inside the call, at the error terminal or earlier on the budget,
-    so that call is walked again, to the same stop.  A call whose list was
-    first derived at that call records no block: no earlier call can have
+    so that call is walked again, to the same stop.  A call on a list that
+    no earlier call was made on records no block: no earlier call can have
     had its key, and a later one walks it again and records it then.  So
     the calls of a chain that derives a new list at each step, as `qft`'s
     do, keep no block.
@@ -363,11 +356,15 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
     # Each op walked, and for each shared call one repeat of its block.
     record: list = []
     repeats = False
-    # (procedure, list id, argument) -> the block of the call's first walk:
+    # (procedure, digest, list id, argument) -> the block of the call's first walk:
     # (level, steps, touched bits, start, end, mask, want), where the call's
     # ops are what record[start:end] expands to, under the pins mask, want.
     blocks: dict = {}
-    children: dict = {}  # (list id, removal index) -> list id
+    # The digests (ids modulo the prime 10^9 + 7) of the lists calls were
+    # made on, and the root's.  Python hashes an int modulo 2^61 - 1, which
+    # maps the ids of ranges 61 positions apart together, so keys hold the
+    # digest too; a digest two ids share only records an unneeded block.
+    seen = {0}
     # (id(operator), argument) -> its 2x2 entries: p keeps its operators
     # alive, and an id hashes without walking the phase tree.
     entries: dict = {}
@@ -387,14 +384,17 @@ def walk(p: Program, n: int, budget: int = DEFAULT_BUDGET) -> Walk:
             stmt = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
             continue
         if isinstance(stmt, Call):
-            sub_l, sub_id, new = _call_list(stmt.set_expr, l, lid, env, children)
+            sub_l, sub_id = _call_list(stmt.set_expr, l, lid, env)
             if sub_l:
                 decl, sub_env = bind_callee(stmt, decls, l, env)
-                if new:
+                digest = sub_id % 1_000_000_007
+                if digest not in seen:
+                    seen.add(digest)
                     frames.append(_NEW_CALL_FRAME)
                     stmt, l, lid, env = decl.body, sub_l, sub_id, sub_env
                     continue
-                key = (stmt.proc, sub_id, None if sub_env is NO_ENV else sub_env[decl.param])
+                arg = None if sub_env is NO_ENV else sub_env[decl.param]
+                key = (stmt.proc, digest, sub_id, arg)
                 block = blocks.get(key)
                 if block is None or mask & block[2]:
                     frames.append((_CALL, key, remaining, len(record), touched, mask, want))

@@ -23,7 +23,6 @@ from foqc.circuit import (
     _matrix_error,
     _SparseState,
     ancilla_residue,
-    controlled_u_gate,
     elementary_gate_count,
     export_json,
     gate_wires,
@@ -42,6 +41,12 @@ from test_long_programs import straight_program
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def controlled_u_gate(controls, targets, matrix, label=None) -> ControlledU:
+    """A `ControlledU` whose matrix is given as an array."""
+    rows = tuple(map(tuple, np.asarray(matrix, dtype=complex)))
+    return ControlledU(controls, tuple(targets), rows, label)
 
 
 def basis(total, index):

@@ -273,6 +273,21 @@ def test_only_the_simulating_subcommands_load_numpy(tmp_path):
     assert not report["numpy"]
 
 
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale Python's default text encoding is ASCII.
+    path = tmp_path / "cafe.foq"
+    path.write_bytes(":: // café\nskip;\n".encode())
+    env = {**cli_env(), "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    result = subprocess.run(
+        [sys.executable, "-m", "foqc", "check", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_a_closed_stdout_exits_4_without_a_traceback(branching_file):
     # `foqc run … | head -c 30`: the reader closes the pipe while the
     # process still writes 2^16 amplitudes, far more than a pipe holds.

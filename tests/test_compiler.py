@@ -21,7 +21,6 @@ from foqc.circuit import (
     ControlledU,
     ControlStructure,
     WireLimitError,
-    controlled_u_gate,
     elementary_gate_count,
     export_json,
     lower,
@@ -58,7 +57,7 @@ from foqc.syntax import (
     Skip,
 )
 
-from test_circuit import H, dense_replay
+from test_circuit import H, controlled_u_gate, dense_replay
 from test_fingerprint import TERMS
 from test_long_programs import QUBITS, chain_program, straight_program
 
@@ -547,7 +546,7 @@ def test_compile_builds_call_relations_once_and_never_guards(branching, monkeypa
 # Accepted with degree 1: the level grows linearly in n (7, 12 and 23 at
 # n = 16, 32 and 64), but the size does not, since the two branches' calls
 # reach the same list sizes with different arguments.  The walk's shared
-# blocks grow about 2.2x per 4 qubits on it, while compile stays polynomial.
+# blocks grow about 1.8x per 4 qubits on it, while compile stays polynomial.
 STRIDES_SOURCE = r"""
 decl f[x](p) {
   if size(p) > 3 then {

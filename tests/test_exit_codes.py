@@ -11,7 +11,7 @@ qubits, a step budget of at most 20 000, and circuits of at most 12 wires.
 import json
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foqc import compile_program, export_json, parse_program
 from foqc.cli import dispatch
@@ -219,6 +219,7 @@ def byte_texts(draw) -> bytes:
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=byte_texts(), argv=st.sampled_from(BYTE_REQUESTS))
+@example(data=b"\xff\xfe", argv=["check", "{bytes}"])
 def test_every_request_on_random_bytes_ends_in_a_documented_code(tmp_path, capsys, data, argv):
     files = {
         "bytes": tmp_path / "input",
@@ -229,4 +230,16 @@ def test_every_request_on_random_bytes_ends_in_a_documented_code(tmp_path, capsy
     files["program"].write_text(EXAMPLES["qft.foq"])
     files["circuit"].write_text(json.dumps(CIRCUITS["qft.foq", 1]))
     code = dispatch([arg.format(**files) for arg in argv])
-    assert_contract(code, capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_contract(code, err)
+    if argv[0] != "examples" and not is_utf8(data):
+        # Every other request reads the file first, so the read refuses it.
+        assert code == 4 and err.startswith(f"error: cannot read {files['bytes']}: "), err
+
+
+def is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True

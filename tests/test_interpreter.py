@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import foqc.interpreter as interpreter
 from foqc import parse_program
 from foqc.algebra import parse_term, to_pfoq
 from foqc.circuit import ControlStructure, replay_basis
@@ -45,6 +46,7 @@ from foqc.syntax import (
 )
 
 from test_circuit import dense_replay
+from test_compiler import TWO_PATHS_SOURCE
 from test_fingerprint import PARAMETERISED_SOURCE, TERMS
 from test_properties import _dense, random_state
 
@@ -341,10 +343,25 @@ def dense_run(p, psi):
     return visit(p.main, {}, tuple(range(1, n + 1)), NO_ENV, psi)
 
 
+# Each level of `a` calls `b` on its own list, so `b` runs on the same
+# suffixes again and again.  `a` writes p[3] on a 2-entry list, so the
+# reference runs it guarded.
+TWO_GROUP_SOURCE = r"""
+decl a(p) {
+  if size(p) > 1 then { skip; call a(p \ [2]); p[3] *= NOT; skip; call b(p); }
+  else { qcase p[1] of { 0 -> skip; , 1 -> p[2] *= H; } }
+},
+decl b(p) { if size(p) > 1 then { call b(p \ [1]); } else { p[1] *= RY[pi / 6](0); } },
+:: q[2] *= NOT; call a(q); q[1] *= NOT;
+"""
+
 REFERENCE_PROGRAMS = {
     **{name: parse_program(src, name) for name, src in EXAMPLES.items()},
     "parameterised": parse_program(PARAMETERISED_SOURCE),
     **{term: to_pfoq(parse_term(term)) for term in TERMS},
+    # Calls on equal lists share one block across removal paths.
+    "two-paths": parse_program(TWO_PATHS_SOURCE),
+    "two-group": guard_errors(parse_program(TWO_GROUP_SOURCE)),
 }
 
 
@@ -436,6 +453,41 @@ def test_a_call_on_a_list_first_derived_there_records_no_block():
     # derived record a block, so there are O(n) of them, not n^2 / 2.
     qft = parse_program(EXAMPLES["qft.foq"])
     assert walk(qft, 64).blocks <= 2 * 64 + 2
+
+
+def counting_eval_set(monkeypatch) -> list[int]:
+    """Patch `interpreter.eval_set` to count its calls in the returned cell."""
+    count = [0]
+    original = interpreter.eval_set
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(interpreter, "eval_set", counted)
+    return count
+
+
+def test_the_walk_keys_a_list_by_content_not_by_removal_path(monkeypatch):
+    # Each level of two-paths calls f on one list by two removal paths, so
+    # each list's body is walked at most twice, with two `eval_set` calls
+    # (its size test and its quantum case) each; keyed by path, the walk
+    # would visit 2^(n/2) bodies.
+    count = counting_eval_set(monkeypatch)
+    walked = walk(parse_program(TWO_PATHS_SOURCE), 32)
+    assert walked.level == 16
+    assert count[0] <= 2 * 32
+
+
+def test_equal_lists_built_by_different_removals_share_one_block(monkeypatch):
+    two = "decl f(p) { p[1] *= H; }, :: call f(q \\ [2, 1]); call f(q \\ [1, 1]);"
+    assert walk(parse_program(two), 4).blocks == 1
+    # A third call repeats the block: the body is walked twice, not three
+    # times, and the ops are the inlined program's.
+    count = counting_eval_set(monkeypatch)
+    walked = walk(parse_program(two + " call f(q \\ [2, 1]);"), 4)
+    assert count[0] == 4
+    assert walked.ops == walk(parse_program(":: q[3] *= H; q[3] *= H; q[3] *= H;"), 4).ops
 
 
 def test_a_shared_call_takes_the_pins_of_each_caller():

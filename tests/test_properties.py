@@ -11,7 +11,6 @@ from foqc.circuit import (
     ControlledNot,
     ControlledSwap,
     ControlStructure,
-    controlled_u_gate,
     export_json,
     import_json,
     simulate_circuit,
@@ -21,6 +20,8 @@ from foqc.interpreter import QuantumState, eval_bool, eval_int, eval_set
 from foqc.parser import parse_phase_text
 from foqc.programs import BRANCHING_SOURCE, QFT_SOURCE
 from foqc.syntax import _eval_phase_raw, format_phase, pretty_print
+
+from test_circuit import controlled_u_gate
 
 
 QFT = parse_program(QFT_SOURCE)
