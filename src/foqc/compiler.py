@@ -38,12 +38,14 @@ linear in n.
 The program is compiled as written: a bounds guard is classical control,
 settled where a qubit position is evaluated.  An out-of-range position
 compiles to nothing, as the guard would skip it; one that an enclosing
-quantum case controls raises the interpreter's `BottomError`.  A merged
-body runs under its ancilla alone, so each ancilla also keeps the
-positions that its callers' quantum cases pin (`_Context.pinned`).  A
-caller can be found after the body was compiled, so the accesses made
-under each ancilla are checked once the whole program is compiled
-(`_Context.settle_pins`).
+quantum case controls raises the interpreter's `BottomError` at the
+access.  A merged body runs under its ancilla alone, so each ancilla also
+keeps the positions that its callers' quantum cases pin
+(`_Context.pinned`), and an access to one of them raises the same error.
+Those pins are final before the body is compiled: a pass takes the
+instance on the longest list first, and a call into the group shrinks its
+list, so every caller of a key sits on a longer list than the key's body
+and is merged before it.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ from __future__ import annotations
 import json
 import marshal
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 from .analysis import NotPfoqError, analyse, check_wf, refuse_ill_formed
 from .circuit import (
@@ -220,17 +224,7 @@ class _Context:
     meanings: dict[int, int] = field(default_factory=dict)
     # For each merge ancilla, the positions of its wire list that some
     # caller's control structure pins: its body must not touch them.
-    pinned: dict[int, frozenset[int]] = field(
-        default_factory=lambda: defaultdict(frozenset)
-    )
-    # Callers of an ancilla can be found after its body has been compiled,
-    # and a caller's own pins grow when callers of an ancilla it holds are.
-    # `callers` keeps the (ancilla, cs, sub_l, seen_l) of every call merged
-    # into an ancilla (its first one included), and `touched` the first
-    # statement per (ancilla, position) accessed under an ancilla, for
-    # `settle_pins`.
-    callers: list = field(default_factory=list)
-    touched: dict[tuple[int, int], Statement] = field(default_factory=dict)
+    pinned: dict[int, set[int]] = field(default_factory=lambda: defaultdict(set))
     # The (matrix, label) of each (operator id, argument) compiled so far,
     # interned in `gate_values` by the entries' marshalled bytes, which keep
     # 0.0 apart from -0.0 as `import_json` does: equal operators share one
@@ -269,35 +263,17 @@ class _Context:
 
     def carry_pins(
         self, a: int, cs: ControlStructure, sub_l: tuple[int, ...], seen_l: tuple[int, ...]
-    ) -> bool:
+    ) -> None:
         """Add a caller's pins to ancilla a's, moved from the caller's wire
         list sub_l to the ancilla's wire list seen_l.  The caller pins its
         input positions, and through a merge ancilla that it holds, the
-        positions pinned for that ancilla.  Returns whether a's pins grew."""
-        carried: set[int] = set()
+        positions pinned for that ancilla."""
+        pins = self.pinned[a]
         for wire, _ in cs.bits:
             for pos in (wire,) if wire <= self.n else self.pinned[wire]:
                 i = bisect_left(sub_l, pos)
                 if i < len(sub_l) and sub_l[i] == pos:
-                    carried.add(seen_l[i])
-        pins = self.pinned[a]
-        if carried <= pins:
-            return False
-        self.pinned[a] = pins | carried
-        return True
-
-    def settle_pins(self) -> None:
-        """Carry pins along every recorded caller until none grows, then
-        raise BottomError for the first access, in compile order, to a
-        position pinned for the ancilla it was made under."""
-        grew = True
-        while grew:
-            grew = False
-            for caller in self.callers:
-                grew |= self.carry_pins(*caller)
-        for (a, pos), stmt in self.touched.items():
-            if pos in self.pinned[a]:
-                raise BottomError(access_error(stmt, pos))
+                    pins.add(seen_l[i])
 
 
 def _position(
@@ -305,17 +281,13 @@ def _position(
 ) -> int:
     """The position stmt acts on, or 0 when it is out of range.
 
-    Raises BottomError when an enclosing quantum case controls the position.
-    An access under a merge ancilla is recorded instead: whether a case
-    around one of its callers controls the position is known only once
-    every caller has been compiled (`_Context.settle_pins`).
+    Raises BottomError when an enclosing quantum case controls the position:
+    cs pins it, or holds a merge ancilla whose callers pin it.
     """
     pos = eval_qubit(stmt.qubit, l, env)
     for wire, _ in cs.bits:
-        if wire == pos:
+        if wire == pos or (wire > ctx.n and pos in ctx.pinned[wire]):
             raise BottomError(access_error(stmt, pos))
-        if wire > ctx.n:
-            ctx.touched.setdefault((wire, pos), stmt)
     return pos
 
 
@@ -388,36 +360,51 @@ def compr(
             if widths is None:
                 stack.append((decl.body, sub_l, sub_env, cs))
             else:
-                gates += optimize(ctx, deque([(cs, decl.body, sub_l, sub_env)]), widths)
+                gates += optimize(ctx, cs, decl.body, sub_l, sub_env, widths)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return gates
 
 
-def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gate]:
+def optimize(
+    ctx: _Context,
+    cs: ControlStructure,
+    stmt: Statement,
+    l: tuple[int, ...],
+    env: Env,
+    widths: dict[int, int],
+) -> list[Gate]:
     """Worklist compilation of one mutually recursive procedure group,
-    whose width table is `widths`.
+    whose width table is `widths`, from one instance: stmt under cs.
 
-    `anc` is the pass's own ancilla table: it maps (procedure, classical
-    argument, set size) to the control ancilla and wire list of the first
-    instance compiled for that key.  A call under the empty control is the
-    pass's only instance: the empty control's region is true, which meets
-    every other region, so the invariant leaves room for no second one.
-    Its body takes its place on the worklist, with no key, ancilla or
-    fan-in, so a recursion that no quantum case splits is expanded in
-    place, as the walk runs it.  C_R is kept backwards and turned around
-    once at the end, so a fan-in's mirror is the fan-in itself.
+    The worklist pops the instance on the longest list first, ties in
+    arrival order.  A call into the group must shrink its list, so every
+    caller of a (procedure, argument, size s) key sits on a list longer
+    than s and is merged before the key's body, which sits on a list of
+    length s: the ancilla's pins are final before its body is compiled.
+    `anc` is the pass's own ancilla table: it maps each key to the control
+    ancilla and wire list of the first instance compiled for it.  A call
+    under the empty control is the pass's only instance: the empty
+    control's region is true, which meets every other region, so the
+    invariant leaves room for no second one.  Its body takes its place on
+    the worklist, with no key, ancilla or fan-in, so a recursion that no
+    quantum case splits is expanded in place, as the walk runs it.  C_R is
+    kept backwards and turned around once at the end, so a fan-in's mirror
+    is the fan-in itself.
     """
     anc: dict[tuple[str, int | None, int], tuple[int, tuple[int, ...]]] = {}
     c_left: list[Gate] = []
     c_right: list[Gate] = []  # C_R, last gate first
+    # A heap of (-len(l), arrival, cs, stmt, l, env) entries.
+    arrival = count()
+    worklist = [(-len(l), next(arrival), cs, stmt, l, env)]
     while worklist:
         size = len(worklist)
         if size > ctx.max_worklist:
             ctx.max_worklist = size
         # The invariant holds of pairs: one instance is not resolved.
         if size > 1:
-            resolved = [ctx.resolve(cs_i) for cs_i, _, _, _ in worklist]
+            resolved = [ctx.resolve(entry[2]) for entry in worklist]
             ctx.orthogonality_checks += size * (size - 1) // 2
             for i, r_i in enumerate(resolved):
                 for r_j in resolved[i + 1 :]:
@@ -426,7 +413,7 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
                             "two worklist instances share a satisfiable control region; "
                             "merging would corrupt the circuit"
                         )
-        cs, stmt, l, env = worklist.popleft()
+        rank, _, cs, stmt, l, env = heappop(worklist)
         if widths[id(stmt)] == 0:
             c_left += compr(ctx, stmt, l, env, cs)
             continue
@@ -444,10 +431,10 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
             for item in items[k + 1 :]:
                 suffix += compr(ctx, item, l, env, cs)
             c_right += reversed(suffix)
-            worklist.append((cs, items[k], l, env))
+            heappush(worklist, (rank, next(arrival), cs, items[k], l, env))
         elif isinstance(stmt, If):
             branch = stmt.then_branch if eval_bool(stmt.cond, l, env) else stmt.else_branch
-            worklist.append((cs, branch, l, env))
+            heappush(worklist, (rank, next(arrival), cs, branch, l, env))
         elif isinstance(stmt, QCase):
             pos = _position(ctx, stmt, l, env, cs)
             if pos < 1:
@@ -457,21 +444,23 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
             cs0 = _extend_control(cs, pos, 0)
             cs1 = _extend_control(cs, pos, 1)
             if w0 == 1 and w1 == 1:
-                worklist.append((cs0, stmt.if_zero, l, env))
-                worklist.append((cs1, stmt.if_one, l, env))
+                heappush(worklist, (rank, next(arrival), cs0, stmt.if_zero, l, env))
+                heappush(worklist, (rank, next(arrival), cs1, stmt.if_one, l, env))
             elif w1 == 0:
-                worklist.append((cs0, stmt.if_zero, l, env))
+                heappush(worklist, (rank, next(arrival), cs0, stmt.if_zero, l, env))
                 c_right += reversed(compr(ctx, stmt.if_one, l, env, cs1))
             else:
-                worklist.append((cs1, stmt.if_one, l, env))
+                heappush(worklist, (rank, next(arrival), cs1, stmt.if_one, l, env))
                 c_right += reversed(compr(ctx, stmt.if_zero, l, env, cs0))
         elif isinstance(stmt, Call):
             sub_l = eval_set(stmt.set_expr, l, env)
             if not sub_l:
                 continue
+            if len(sub_l) >= len(l):
+                raise CompileError(f"recursive call to {stmt.proc} does not shrink its list")
             decl, sub_env = bind_callee(stmt, ctx.decls, l, env)
             if not cs.bits:
-                worklist.append((cs, decl.body, sub_l, sub_env))
+                heappush(worklist, (-len(sub_l), next(arrival), cs, decl.body, sub_l, sub_env))
                 continue
             key = (stmt.proc, sub_env.get(decl.param), len(sub_l))
             entry = anc.get(key)
@@ -484,10 +473,11 @@ def optimize(ctx: _Context, worklist: deque, widths: dict[int, int]) -> list[Gat
                         "ancilla table exceeded its polynomial bound; "
                         "this indicates an internal bug"
                     )
-                worklist.append((ControlStructure.of({a: 1}), decl.body, sub_l, sub_env))
+                on_a = ControlStructure.of({a: 1})
+                heappush(worklist, (-len(sub_l), next(arrival), on_a, decl.body, sub_l, sub_env))
             a, seen_l = entry
             ctx.meanings[a] = ctx.regions.disj(ctx.meanings.get(a, Regions.FALSE), ctx.resolve(cs))
-            ctx.callers.append((a, cs, sub_l, seen_l))
+            ctx.carry_pins(a, cs, sub_l, seen_l)
             if sub_l == seen_l:
                 fan_in = [ControlledNot(cs, a)]
             else:
@@ -519,7 +509,6 @@ def compile_with_stats(p: Program, n: int, check: bool = True):
         )
     ctx = _Context(decls=p.decl_map(), width_tables=relations.width_tables, n=n)
     gates = compr(ctx, p.main, tuple(range(1, n + 1)), NO_ENV, ControlStructure.empty())
-    ctx.settle_pins()
     circuit = Circuit(n, ctx.ancillas, tuple(gates))
     stats = {
         "gates": circuit.gate_count(),

@@ -554,7 +554,8 @@ def test_compile_reaches_the_error_terminal_exactly_when_run_does(
 
 
 # One caller of the merged key proc(p \\ [1]) sits a quantum case deeper
-# than the other, so the compiler meets it only after the merged body.
+# than the other, so it reaches the worklist after the merged body does;
+# its list is longer, so it is merged first.
 DEEPER_CALLER_SOURCE = merged_call_source(
     "call proc(p \\ [1]);",
     "if size(p) > 0 then { qcase p[2] of { 0 -> call proc(p \\ [1]); , 1 -> skip; } }"
@@ -572,6 +573,29 @@ def test_a_caller_found_after_the_merged_body_still_pins_it(tmp_path, capsys, n)
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_merged_bodys_access_stops_compile_before_a_later_error(tmp_path, capsys):
+    # The call under the quantum case on q[2] runs f's body on [2, 3], whose
+    # first write is to p[1] = q[2], the pinned position.  `run` stops
+    # there; so do `compile` and `diff`, before the phase that divides by
+    # zero.
+    path = tmp_path / "later-error.foq"
+    path.write_text(
+        "decl f(p) { if size(p) > 1 then { p[1] *= NOT;"
+        " qcase p[2] of { 0 -> call f(p \\ [1]); , 1 -> skip; } } else { skip; } },"
+        " :: call f(q); q[1] *= PH[pi / (x - x)](0);"
+    )
+    assert dispatch(["check", str(path)]) == 0
+    capsys.readouterr()
+    expected = "error: assignment to p[1]: position 2 is not accessible\n"
+    for argv in (
+        ["run", str(path), "--state", "000"],
+        ["compile", str(path), "-n", "3"],
+        ["diff", str(path), "-n", "3"],
+    ):
+        assert dispatch(argv) == 2, argv[0]
+        assert capsys.readouterr().err == expected, argv[0]
 
 
 def assert_input_error(capsys, argv):

@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -58,6 +60,7 @@ from foqc.syntax import (
 )
 
 from test_circuit import H, controlled_u_gate, dense_replay
+from test_cli import cli_env
 from test_fingerprint import TERMS
 from test_long_programs import QUBITS, chain_program, straight_program
 
@@ -169,18 +172,24 @@ decl proc(p) {
 """
 
 
+def _captured_contexts(monkeypatch) -> list:
+    """The `_Context` of every compile run while the test runs, in order."""
+    contexts = []
+    init = compiler._Context.__init__
+
+    def recorded(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        contexts.append(ctx)
+
+    monkeypatch.setattr(compiler._Context, "__init__", recorded)
+    return contexts
+
+
 @pytest.mark.parametrize("source", [EXAMPLES["appendix-b.foq"], MIRROR_SOURCE])
 def test_ancilla_regions_stay_linear_whichever_end_the_recursion_peels(monkeypatch, source):
     # The BDD order follows the wires in the order they are pinned, so the
     # region of each ancilla shares its nodes with the earlier ones.
-    contexts = []
-    settle_pins = compiler._Context.settle_pins
-
-    def recorded(ctx):
-        contexts.append(ctx)
-        settle_pins(ctx)
-
-    monkeypatch.setattr(compiler._Context, "settle_pins", recorded)
+    contexts = _captured_contexts(monkeypatch)
     n = 256
     circuit = compile_program(parse_program(source), n)
     assert circuit.gate_count() == 4 * n - 6
@@ -604,17 +613,24 @@ def test_a_one_instance_worklist_resolves_no_control(monkeypatch):
     # The orthogonality invariant is a property of pairs.  TERMS[2] never
     # holds two instances, so the only controls resolved are the merged
     # callers' own, once each, for their ancilla's meaning.
-    contexts = []
+    contexts = _captured_contexts(monkeypatch)
+    resolved, merged = [], []
     resolve = compiler._Context.resolve
+    carry_pins = compiler._Context.carry_pins
 
-    def counted(ctx, cs):
-        contexts.append(ctx)
+    def counted_resolve(ctx, cs):
+        resolved.append(ctx)
         return resolve(ctx, cs)
 
-    monkeypatch.setattr(compiler._Context, "resolve", counted)
+    def counted_carry(ctx, *caller):
+        merged.append(ctx)
+        carry_pins(ctx, *caller)
+
+    monkeypatch.setattr(compiler._Context, "resolve", counted_resolve)
+    monkeypatch.setattr(compiler._Context, "carry_pins", counted_carry)
     stats = compile_with_stats(to_pfoq(parse_term(TERMS[2])), 16)[1]
     assert (stats["max_worklist"], stats["orthogonality_checks"]) == (1, 0)
-    assert len(contexts) == len(contexts[0].callers) == 15
+    assert resolved == merged == contexts * 15
 
 
 def test_a_call_shared_by_two_recursion_groups_has_each_groups_width():
@@ -655,20 +671,56 @@ def _random_branch(rng: random.Random, depth: int) -> str:
     )
 
 
-def _reaches_bottom(action) -> bool:
+# A compile with the check off, in its own process: a recursion that does
+# not shrink would otherwise loop for ever.
+UNCHECKED_COMPILE = """
+import sys
+from foqc import compile_with_stats, parse_program
+from foqc.compiler import CompileError
+try:
+    compile_with_stats(parse_program(sys.argv[1]), 2, check=False)
+except CompileError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "decl f(p) { call f(p); }, :: call f(q);",
+        "decl f(p) { qcase p[1] of { 0 -> skip; , 1 -> p[2] *= NOT; } call f(p); },"
+        " :: call f(q);",
+    ],
+    ids=["bare", "after-a-case"],
+)
+def test_an_unchecked_compile_refuses_a_recursive_call_that_does_not_shrink(source):
+    result = subprocess.run(
+        [sys.executable, "-c", UNCHECKED_COMPILE, source],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "recursive call to f does not shrink its list\n"
+
+
+def _bottom_text(action) -> str | None:
     try:
         action()
-    except BottomError:
-        return True
-    return False
+    except BottomError as error:
+        return str(error)
+    return None
 
 
 def test_compile_reaches_the_error_terminal_exactly_when_run_does_at_any_call_depth():
     # A merged body's accesses are checked against the pins of every
-    # caller, also those found after the body was compiled; the
-    # interpreter's error terminal does not depend on the basis state.
+    # caller, all merged before the body; the interpreter's error terminal
+    # does not depend on the basis state.  The compiler meets accesses in
+    # worklist order, so its diagnostic may name another access than run's:
+    # the count of those cases is pinned.
     rng = random.Random(2026)
-    checked = bottoms = 0
+    checked = bottoms = mismatches = 0
     for _ in range(400):
         body = f"qcase p[1] of {{ 0 -> {_random_branch(rng, 1)} , 1 -> {_random_branch(rng, 1)} }}"
         source = (
@@ -680,8 +732,11 @@ def test_compile_reaches_the_error_terminal_exactly_when_run_does_at_any_call_de
             continue
         guarded = guard_errors(program)
         for n in (2, 3, 4, 5):
-            expected = _reaches_bottom(lambda: run(guarded, QuantumState.from_bits("0" * n)))
-            assert _reaches_bottom(lambda: compile_program(program, n)) == expected, (n, source)
+            expected = _bottom_text(lambda: run(guarded, QuantumState.from_bits("0" * n)))
+            actual = _bottom_text(lambda: compile_program(program, n))
+            assert (actual is None) == (expected is None), (n, source)
             checked += 1
-            bottoms += expected
+            bottoms += expected is not None
+            mismatches += actual != expected
     assert checked > 1000 and 0 < bottoms < checked
+    assert (bottoms, mismatches) == (1365, 384)
