@@ -51,8 +51,9 @@ DIFF_TOLERANCE = 1e-9
 
 
 def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8 with or without a byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliIOError(f"cannot read {path}: {exc}") from exc
 

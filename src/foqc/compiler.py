@@ -383,7 +383,9 @@ def optimize(
     than s and is merged before the key's body, which sits on a list of
     length s: the ancilla's pins are final before its body is compiled.
     `anc` is the pass's own ancilla table: it maps each key to the control
-    ancilla and wire list of the first instance compiled for it.  A call
+    ancilla and wire list of the first instance compiled for it.  No caller
+    of a key arrives once its body is popped, so the list is dropped then
+    and only the ancilla kept (`len(anc)` still counts every key).  A call
     under the empty control is the pass's only instance: the empty
     control's region is true, which meets every other region, so the
     invariant leaves room for no second one.  Its body takes its place on
@@ -398,6 +400,7 @@ def optimize(
     # A heap of (-len(l), arrival, cs, stmt, l, env) entries.
     arrival = count()
     worklist = [(-len(l), next(arrival), cs, stmt, l, env)]
+    bodies: dict[int, tuple[str, int | None, int]] = {}  # the key of each body, by arrival
     while worklist:
         size = len(worklist)
         if size > ctx.max_worklist:
@@ -413,7 +416,10 @@ def optimize(
                             "two worklist instances share a satisfiable control region; "
                             "merging would corrupt the circuit"
                         )
-        rank, _, cs, stmt, l, env = heappop(worklist)
+        rank, number, cs, stmt, l, env = heappop(worklist)
+        key = bodies.pop(number, None)
+        if key is not None:
+            anc[key] = (anc[key][0], ())
         if widths[id(stmt)] == 0:
             c_left += compr(ctx, stmt, l, env, cs)
             continue
@@ -474,7 +480,9 @@ def optimize(
                         "this indicates an internal bug"
                     )
                 on_a = ControlStructure.of({a: 1})
-                heappush(worklist, (-len(sub_l), next(arrival), on_a, decl.body, sub_l, sub_env))
+                number = next(arrival)
+                bodies[number] = key
+                heappush(worklist, (-len(sub_l), number, on_a, decl.body, sub_l, sub_env))
             a, seen_l = entry
             ctx.meanings[a] = ctx.regions.disj(ctx.meanings.get(a, Regions.FALSE), ctx.resolve(cs))
             ctx.carry_pins(a, cs, sub_l, seen_l)

@@ -47,7 +47,20 @@ repeated leaf returns the same (frozen) object and moves past its `;`.
 Only a leaf that parsed without error, ending exactly at that `;`, is
 stored, and a repeat has the texts of a leaf that parsed, so an error is
 always met by a fresh parse, with its usual text and span.  `call`, `if`
-and `qcase` statements are built afresh every time.
+and `qcase` statements are built afresh every time.  Integer and set
+atoms (`1`, `x`, `p`) are shared within one parse too.
+
+`parse_program` first scans with leaf tokens: a leaf of a regular shape
+(`q[i] *= NOT|H|RY[...](...)|PH[...](...);`, `H(q[i]);`, `CNOT(a, b);` or
+`SWAP(a, b);`, where no bracket or parenthesis holds a bracket, a
+parenthesis or a `//`) is one `leaf` token, and any other text scans
+token by token.  A `leaf` token is looked up by its text, so a repeated
+leaf is never split into tokens.  On a miss its text is split into tokens
+and parsed by the leaf rules above, and the leaf is kept under the text
+and under its token texts, so leaves that differ only in spacing are one
+object.  Any `ParseError` under the leaf scan is dropped and the text
+parsed again with the plain scan, so every error keeps its text and span.
+`tokenize` and every span use the plain scan.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .syntax import (
@@ -162,34 +176,93 @@ class Token(NamedTuple):
     begin: int  # offset into the source text
 
 
+# The leaf scan's pattern: _TOKEN_RE with one more token, a whole leaf
+# statement of a regular shape through its ";" (module docstring).  A
+# bracket holds no bracket, parenthesis or `//`, and neither does a
+# parenthesis; a qubit's set is a name with removals, and there is no
+# space between the name and its index.  A leaf that starts with a set name
+# is the name's optional tail, and each alternative of the tail starts
+# with a character that rules it out at once, so a name that starts no
+# leaf costs little more than under _TOKEN_RE.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_INDEX = r"\[[A-Za-z0-9_\s+\-,]*\]"
+_REMOVALS = rf"\\\s*{_INDEX}(?:\s*\\\s*{_INDEX})*\s*"
+_QEXPR = rf"{_NAME}(?:{_INDEX}|\s*{_REMOVALS}{_INDEX})"
+_OP = r"NOT|H|(?:RY|PH)\s*\[(?:[A-Za-z0-9_\s+\-*^]|/(?!/))*\]\s*\([A-Za-z0-9_\s+\-]*\)"
+_ASSIGN = rf"\s*\*=\s*(?:{_OP})\s*;"
+_LEAF_TOKEN_PATTERN = (
+    r"(\d+|::|->|\*=|<=|>=|&&|\|\||[{}()\[\],;\\+\-*/^<>=!]"
+    rf"|H\s*\(\s*{_QEXPR}\s*\)\s*;"
+    rf"|CNOT\s*\(\s*{_QEXPR}\s*,\s*{_QEXPR}\s*\)\s*;"
+    rf"|SWAP\s*\(\s*{_QEXPR}\s*,\s*{_QEXPR}\s*\)\s*;"
+    rf"|{_NAME}(?:{_INDEX}{_ASSIGN}|{_REMOVALS}{_INDEX}{_ASSIGN}"
+    rf"|\s\s*{_REMOVALS}{_INDEX}{_ASSIGN}|)"
+    r"|\S)" + _SKIP
+)
+
+
+@cache
+def _leaf_token_re() -> re.Pattern:
+    """The leaf scan's compiled pattern, compiled on first use: that takes
+    about 3 ms on a 2-vCPU VM, more than the rest of importing this module
+    from cached bytecode."""
+    return re.compile(_LEAF_TOKEN_PATTERN)
+
+
+# A ParseError's span under the leaf scan, whose token indices are not the
+# plain scan's: `parse_program` never shows it, as it parses again.
+_UNPLACED = SourceSpan("<leaf scan>", 0, 0, 0, 0)
+
+
+class _Kinds(dict):
+    """Token kinds by token text, for one scan: a keyword or symbol is its
+    own kind, and any other token is a name, a leaf (a name-like start
+    and a final ";"), an integer or a stray character, told apart by its
+    first and last characters (the regex's `\\d` and `str.isdecimal`
+    accept the same Unicode digits).  Each text is classified once."""
+
+    def __missing__(self, w: str) -> str:
+        if w[0] in _NAME_START:
+            kind = "leaf" if w[-1] == ";" else "name"
+        else:
+            kind = "int" if w[0].isdecimal() else "bad"
+        self[w] = kind
+        return kind
+
+
 class _Source:
     """Source text read as flat lists of token kinds and texts.
 
-    A keyword or symbol is its own kind.  Any other token is a name, an
-    integer or a stray character, told apart by its first character (the
-    regex's `\\d` and `str.isdecimal` accept the same Unicode digits).
-    Token offsets, and the line-start table that turns them into spans,
-    are built when the first `ParseError` needs a span, and kept.
+    The plain scan reads one token at a time (`_TOKEN_RE`); the leaf scan
+    (`_leaf_token_re`) reads each leaf statement of a regular shape as one
+    `leaf` token.  Token offsets, and the line-start table that turns them
+    into spans, are built from the plain scan when the first `ParseError`
+    needs a span, and kept; under the leaf scan every span is `_UNPLACED`.
     The last token is always `eof`.
     """
 
-    def __init__(self, text: str, filename: str):
+    def __init__(self, text: str, filename: str, leaf_scan: bool = False):
         self.text = text
         self.filename = filename
+        self.leaf_scan = leaf_scan
         self._lead = _LEADING_SKIP.match(text).end()
-        self.texts = _TOKEN_RE.findall(text, self._lead)
-        kind = _KINDS.get
-        self.kinds = [
-            kind(w) or ("name" if w[0] in _NAME_START else "int" if w[0].isdecimal() else "bad")
-            for w in self.texts
-        ]
-        self.kinds.append("eof")
-        self.texts.append("")
+        kinds = _Kinds(_KINDS)
+        self._kind = kinds.__getitem__
+        pattern = _leaf_token_re() if leaf_scan else _TOKEN_RE
+        self.texts, self.kinds = self.scan(pattern, text, self._lead)
         self._begins: list[int] | None = None
         self._line_starts: list[int] | None = None
-        if "bad" in self.kinds:
+        if "bad" in kinds.values():
             i = self.kinds.index("bad")
             raise ParseError(self.span(i), f"unexpected character {self.texts[i]!r}")
+
+    def scan(self, pattern: re.Pattern, text: str, start: int = 0) -> tuple[list[str], list[str]]:
+        """The texts and kinds of the tokens of `text` from `start`, `eof` last."""
+        texts = pattern.findall(text, start)
+        kinds = list(map(self._kind, texts))
+        kinds.append("eof")
+        texts.append("")
+        return texts, kinds
 
     def begins(self) -> list[int]:
         """The offset of every token, `eof` (at the end of the text) included."""
@@ -200,6 +273,8 @@ class _Source:
 
     def span(self, i: int) -> SourceSpan:
         """The span of token `i`."""
+        if self.leaf_scan:
+            return _UNPLACED
         if self._line_starts is None:
             self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
         begin = self.begins()[i]
@@ -253,13 +328,21 @@ def expand_multiqcase(
 
 
 class _Parser:
-    def __init__(self, text: str, filename: str):
-        self.source = _Source(text, filename)
+    """Recursive descent over `kinds` and `texts`.  A rule reads the current
+    token's kind as `self.kinds[self.pos]`, and one that has just read a
+    kind other than `eof` moves past it with `self.pos += 1`."""
+
+    def __init__(self, text: str, filename: str, leaf_scan: bool = False):
+        self.source = _Source(text, filename, leaf_scan)
         self.kinds = self.source.kinds
         self.texts = self.source.texts
         self.pos = 0
-        # Every leaf statement parsed so far, keyed by its token texts.
-        self.leaves: dict[tuple[str, ...], Statement] = {}
+        # Every leaf statement parsed so far, keyed by its token texts and
+        # by the text of each `leaf` token that holds it.
+        self.leaves: dict[tuple[str, ...] | str, Statement] = {}
+        # Every integer literal or variable, and every set variable, by text.
+        self.int_atoms: dict[str, IntExpr] = {}
+        self.set_vars: dict[str, SetVar] = {}
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         """An error at token `pos`, by default the current one."""
@@ -275,11 +358,6 @@ class _Parser:
             raise self.error("input nests too deeply") from None
 
     # -- token helpers ----------------------------------------------------
-
-    def peek(self) -> str:
-        """The current token's kind.  A caller that has just peeked a kind
-        other than `eof` moves past it with `self.pos += 1`."""
-        return self.kinds[self.pos]
 
     def next(self) -> str:
         """The current token's text; moves past it unless it is `eof`."""
@@ -308,7 +386,7 @@ class _Parser:
 
     def parse_program(self) -> Program:
         decls: list[ProcDecl] = []
-        while self.peek() == "decl":
+        while self.kinds[self.pos] == "decl":
             decls.append(self.parse_decl())
         self.expect("::")
         main = self.parse_stmts(stop={"eof"})
@@ -335,7 +413,7 @@ class _Parser:
 
     def parse_stmts(self, stop: set[str]) -> Statement:
         stmts = [self.parse_stmt(stop)]
-        while self.peek() not in stop:
+        while self.kinds[self.pos] not in stop:
             stmts.append(self.parse_stmt(stop))
         return seq_all(stmts)
 
@@ -347,7 +425,13 @@ class _Parser:
         return self.parse_stmts(stop)
 
     def parse_stmt(self, stop: set[str]) -> Statement:
-        kind = self.peek()
+        kind = self.kinds[self.pos]
+        if kind == "leaf":
+            leaf = self.leaves.get(self.texts[self.pos])
+            if leaf is None:
+                leaf = self.parse_leaf_token()
+            self.pos += 1
+            return leaf
         if kind in _LEAF_KINDS:
             # A leaf holds no statement and ends at its first ";", so the
             # same token texts always parse to the same AST: build it once.
@@ -394,6 +478,21 @@ class _Parser:
         found = self.texts[self.pos] or "end of input"
         raise self.error(f"expected a statement, found {found!r}")
 
+    def parse_leaf_token(self) -> Statement:
+        """The statement of the current `leaf` token, parsed from its plain
+        tokens as a statement of its own and kept under the token's text."""
+        text = self.texts[self.pos]
+        outer = self.texts, self.kinds, self.pos
+        self.texts, self.kinds = self.source.scan(_TOKEN_RE, text)
+        self.pos = 0
+        try:
+            leaf = self.parse_stmt({"eof"})
+            self.expect("eof")
+        finally:
+            self.texts, self.kinds, self.pos = outer
+        self.leaves[text] = leaf
+        return leaf
+
     def parse_leaf(self, kind: str) -> Statement:
         """A statement starting with a `_LEAF_KINDS` token, through its ";"."""
         if kind == "name" or kind == "nil":
@@ -420,7 +519,7 @@ class _Parser:
 
     def parse_op_assignment(self, q: QubitExpr) -> Statement:
         pos = self.pos
-        kind = self.peek()
+        kind = self.kinds[self.pos]
         text = self.next()
         if kind == "NOT":
             return Assign(q, Operator(OP_NOT))
@@ -475,15 +574,19 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_sexpr(self) -> SetExpr:
-        kind = self.peek()
+        kind = self.kinds[self.pos]
         if kind == "name":
-            base: SetExpr = SetVar(self.next())
+            name = self.texts[self.pos]
+            self.pos += 1
+            base: SetExpr | None = self.set_vars.get(name)
+            if base is None:
+                base = self.set_vars[name] = SetVar(name)
         elif kind == "nil":
             self.pos += 1
             base = SetNil()
         else:
             raise self.error(f"expected a sorted set, found {self.texts[self.pos]!r}")
-        if self.peek() != "\\":
+        if self.kinds[self.pos] != "\\":
             return base
         indices = []
         while self.accept("\\"):
@@ -503,19 +606,22 @@ class _Parser:
 
     def parse_iexpr(self) -> IntExpr:
         base = self.parse_iatom()
-        if self.peek() not in _ADD:
+        if self.kinds[self.pos] not in _ADD:
             return base
         base, steps = (base.base, list(base.steps)) if isinstance(base, IntOffset) else (base, [])
-        while self.peek() in _ADD:
+        while self.kinds[self.pos] in _ADD:
             steps.append((self.next(), int(self.expect("int"))))
         return IntOffset(base, tuple(steps))
 
     def parse_iatom(self) -> IntExpr:
-        kind = self.peek()
-        if kind == "int":
-            return IntLit(int(self.next()))
-        if kind == "name":
-            return IntVar(self.next())
+        kind = self.kinds[self.pos]
+        if kind == "int" or kind == "name":
+            text = self.texts[self.pos]
+            self.pos += 1
+            atom = self.int_atoms.get(text)
+            if atom is None:
+                atom = self.int_atoms[text] = IntLit(int(text)) if kind == "int" else IntVar(text)
+            return atom
         if kind == "size":
             self.pos += 1
             self.expect("(")
@@ -531,11 +637,11 @@ class _Parser:
 
     def parse_bexpr(self) -> BoolExpr:
         e = self.parse_band()
-        return self.bool_chain(e, "||", self.parse_band) if self.peek() == "||" else e
+        return self.bool_chain(e, "||", self.parse_band) if self.kinds[self.pos] == "||" else e
 
     def parse_band(self) -> BoolExpr:
         e = self.parse_bunary()
-        return self.bool_chain(e, "&&", self.parse_bunary) if self.peek() == "&&" else e
+        return self.bool_chain(e, "&&", self.parse_bunary) if self.kinds[self.pos] == "&&" else e
 
     def bool_chain(self, head: BoolExpr, op: str, parse_operand) -> BoolBin:
         """The chain `head op ...`, its first `op` being the current token."""
@@ -545,7 +651,7 @@ class _Parser:
         return BoolBin(op, tuple(operands))
 
     def parse_bunary(self) -> BoolExpr:
-        kind = self.peek()
+        kind = self.kinds[self.pos]
         if kind == "!":
             self.pos += 1
             return BoolNot(self.parse_bunary())
@@ -564,7 +670,7 @@ class _Parser:
 
     def parse_cmp(self) -> BoolExpr:
         left = self.parse_iexpr()
-        kind = self.peek()
+        kind = self.kinds[self.pos]
         if kind == ">" or kind == ">=" or kind == "=":
             self.pos += 1
             return BoolCmp(kind, left, self.parse_iexpr())
@@ -579,30 +685,34 @@ class _Parser:
 
     def parse_phase(self) -> PhaseExpr:
         e = self.parse_phase_term()
-        return self.phase_chain(e, _ADD, self.parse_phase_term) if self.peek() in _ADD else e
+        if self.kinds[self.pos] in _ADD:
+            return self.phase_chain(e, _ADD, self.parse_phase_term)
+        return e
 
     def parse_phase_term(self) -> PhaseExpr:
         e = self.parse_phase_factor()
-        return self.phase_chain(e, _MUL, self.parse_phase_factor) if self.peek() in _MUL else e
+        if self.kinds[self.pos] in _MUL:
+            return self.phase_chain(e, _MUL, self.parse_phase_factor)
+        return e
 
     def phase_chain(self, head: PhaseExpr, ops: tuple[str, str], parse_operand) -> PhaseBin:
         """The chain `head op ...` over `ops`, the current token being one."""
         steps = []
         if isinstance(head, PhaseBin) and head.steps[0][0] in ops:
             head, steps = head.first, list(head.steps)
-        while self.peek() in ops:
+        while self.kinds[self.pos] in ops:
             steps.append((self.next(), parse_operand()))
         return PhaseBin(head, tuple(steps))
 
     def parse_phase_factor(self) -> PhaseExpr:
-        kind = self.peek()
+        kind = self.kinds[self.pos]
         if kind == "-":
             self.pos += 1
             return PhaseNeg(self.parse_phase_factor())
         if kind == "int":
             pos = self.pos
             text = self.next()
-            if self.peek() == "^":
+            if self.kinds[self.pos] == "^":
                 if text != "2":
                     raise self.error("only base-2 exponentials are supported", pos)
                 self.pos += 1
@@ -623,7 +733,15 @@ class _Parser:
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
-    """Parse .foq source text into a Program; raises ParseError."""
+    """Parse .foq source text into a Program; raises ParseError.
+
+    The text is scanned with leaf tokens first.  On any error it is parsed
+    again with the plain scan, which raises the error with its span."""
+    try:
+        parser = _Parser(text, filename, True)
+        return parser.descend(parser.parse_program)
+    except ParseError:
+        pass
     parser = _Parser(text, filename)
     return parser.descend(parser.parse_program)
 

@@ -151,6 +151,21 @@ def test_branching_compiles_at_n40(branching):
     assert circuit.ancillas == 39
 
 
+def test_branching_compile_memory_grows_about_linearly(branching):
+    # The ancilla table drops a key's wire list once the key's body is
+    # popped, so the n lists of up to n positions are never held at once.
+    peaks = {}
+    for n in (1024, 2048):
+        tracemalloc.start()
+        try:
+            circuit = compile_program(branching, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert circuit.gate_count() == 4 * n - 6
+    assert peaks[2048] <= 2.5 * peaks[1024]
+
+
 # appendix-b peeling the tail of its list instead of the head.
 MIRROR_SOURCE = """
 decl proc(p) {

@@ -11,6 +11,7 @@ qubits, a step budget of at most 20 000, and circuits of at most 12 wires.
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foqc import compile_program, export_json, parse_program
@@ -243,3 +244,36 @@ def is_utf8(data: bytes) -> bool:
     except UnicodeDecodeError:
         return False
     return True
+
+
+# One valid input file of each kind, and a request that reads it.
+BOM_REQUESTS = {
+    "program": ("qft.foq", EXAMPLES["qft.foq"], ["run", "{file}", "--state", "01"]),
+    "circuit": (
+        "qft.json", json.dumps(CIRCUITS["qft.foq", 2]), ["simulate", "{file}", "--state", "01"]
+    ),
+    "state": (
+        "state.json",
+        '{"n": 2, "amplitudes": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+        ["simulate", "{circuit}", "--amplitudes", "{file}"],
+    ),
+    "term": ("term.alg", "(comp (branch i not) swap (ph pi))\n", ["algebra", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_REQUESTS))
+def test_a_utf8_file_that_starts_with_a_byte_order_mark_reads_as_without_it(
+    tmp_path, capsys, kind
+):
+    name, text, argv = BOM_REQUESTS[kind]
+    circuit = tmp_path / "qft.json"
+    circuit.write_text(json.dumps(CIRCUITS["qft.foq", 2]))
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode())
+        code = dispatch([arg.format(file=path, circuit=circuit) for arg in argv])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]

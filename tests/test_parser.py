@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foqc import parser
+from foqc.algebra import parse_term, to_pfoq
 from foqc.cli import dispatch
 from foqc.parser import KEYWORDS, ParseError, SourceSpan, parse_program, tokenize
+from foqc.programs import EXAMPLES
 from foqc.syntax import (
     Assign,
     Call,
@@ -22,8 +24,13 @@ from foqc.syntax import (
     SetSize,
     SetVar,
     Skip,
+    pretty_print,
     seq_items,
 )
+
+from test_algebra import TERM_CORPUS
+from test_fingerprint import token_mutants
+from test_long_programs import chain_program, straight_program
 
 
 def stmts(text):
@@ -302,6 +309,29 @@ def without_memo(function, *args):
         return function(*args)
 
 
+def _plain_init(self, text, filename, leaf_scan=False):
+    _memo_init(self, text, filename)
+
+
+def plain_scan(function, *args):
+    """function(*args) with every parser scanning token by token."""
+    with mock.patch.object(parser._Parser, "__init__", _plain_init):
+        return function(*args)
+
+
+def scan_flags(function, *args):
+    """The `leaf_scan` flag of every parser that function(*args) builds."""
+    flags = []
+
+    def recorded(self, text, filename, leaf_scan=False):
+        flags.append(leaf_scan)
+        _memo_init(self, text, filename, leaf_scan)
+
+    with mock.patch.object(parser._Parser, "__init__", recorded):
+        function(*args)
+    return flags
+
+
 def parse_outcome(text):
     try:
         return parse_program(text, "m.foq")
@@ -476,3 +506,75 @@ def test_a_leaf_shared_by_two_recursion_groups(tmp_path, capsys):
     assert h.hexdigest() == (
         "a1c5cd745a8de3c16732a3248e0a5a3d9e0e7327a050fa09702e2732ab2c7e97"
     )
+
+
+# -- the leaf scan --------------------------------------------------------------
+
+SCAN_SOURCES = {
+    **EXAMPLES,
+    "straight.foq": straight_program(120),
+    "chain.foq": chain_program(30),
+    **{f"term-{i}.foq": pretty_print(to_pfoq(parse_term(t))) for i, t in enumerate(TERM_CORPUS)},
+}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_leaf_scan_changes_no_ast(seed):
+    text = random_program(seed)
+    assert parse_program(text) == plain_scan(parse_program, text)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SOURCES))
+def test_the_leaf_scan_changes_no_ast_of_bundled_and_generated_programs(name):
+    text = SCAN_SOURCES[name]
+    assert parse_program(text) == plain_scan(parse_program, text)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SOURCES))
+def test_the_leaf_scan_changes_no_outcome_of_a_token_mutant(name):
+    rng = random.Random(name)
+    for mutant in token_mutants(name, SCAN_SOURCES[name], rng, per_kind=15):
+        assert parse_outcome(mutant) == plain_scan(parse_outcome, mutant)
+
+
+# Leaf-shaped text holding stray or non-ASCII characters, comments, nested
+# brackets or a keyword where a set name goes.
+SCAN_PIECES = LEAF_PIECES + [
+    "q[1] @ *= NOT;", "q[\u00e9] *= NOT;", "q[\u0663] *= NOT;", "q[1] *= RY[\u0663](0);",
+    "q[1] // c\n *= NOT;", "q[1] *= RY[pi // c\n](0);", "CNOT(q[1], q[2]) // c\n;",
+    "q[[1]] *= NOT;", "q[1]\u00a0*= H;", "p \\ [1][1] *= H;", "p \\ [1][1, 2] *= H;",
+    "size[1] *= NOT;", "call[1] *= NOT;", "H(q [1]);", "SWAP(q[1], q[2], q[3]);",
+    "nil[1] *= PH[2^x](x);", "q[1] *= PH[3^x](0);", "@", "\u00e9", "// c\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SCAN_PIECES), max_size=25).map(" ".join))
+def test_the_leaf_scan_changes_no_parse_outcome(text):
+    text = ":: " + text
+    assert parse_outcome(text) == plain_scan(parse_outcome, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *EXAMPLES.values(),
+        # qft-style phases hold parentheses in a bracket: token by token.
+        "decl rot[x](p) { p[1] *= PH[pi / 2^(x - 1)](x); p[2] *= RY[2^(x + 1)](x); },"
+        " :: call rot[3](q); q[1] *= PH[pi / 2^(3 - 1)](0);",
+        # A call's set is not a qubit, though it may end in a bracket.
+        "decl f(p) { if size(p) > 1 then { p[1] *= H; call f(p \\ [1]); } else { skip; } },"
+        " :: call f(q \\ [1]); call f(q \\ [size(q)]); call f(q);",
+        # A comment in a bracket runs to the end of its line, past a ";".
+        ":: q[1] *= RY[pi // ](0);\n](0); q[2] *= NOT;",
+    ],
+)
+def test_the_leaf_scan_parses_a_valid_program_once(text):
+    assert scan_flags(parse_program, text) == [True]
+
+
+def test_leaves_that_differ_only_in_spacing_are_one_object():
+    text = ":: q[1] *= NOT; q[1]  *=  NOT; q[1]\n*= NOT; q[1] // c\n *= NOT;"
+    assert parser._Source(text, "s.foq", True).kinds[1:4] == ["leaf"] * 3
+    a, b, c, d = seq_items(parse_program(text).main)
+    assert a is b is c is d
